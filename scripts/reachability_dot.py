@@ -5,6 +5,9 @@ Like ``korbits twisted --format dot`` but additionally fills the nodes that
 the sweep from a_max reaches, so the image I' is visible at a glance:
 
     python3 scripts/reachability_dot.py Upq 2 1 | dot -Tsvg > u21.svg
+
+For the bare move graph, use ``korbits twisted --family Upq --p 2 --q 1
+--format dot``.
 """
 
 import argparse
@@ -18,19 +21,10 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("family", choices=sorted(FAMILIES))
     parser.add_argument("params", type=int, nargs="+")
-    parser.add_argument(
-        "--plain",
-        action="store_true",
-        help="emit the bare move graph without image highlighting",
-    )
     args = parser.parse_args()
 
     spec = build(args.family, *args.params)
     dot = ReachabilityGraph.build(spec.context).to_dot()
-    if args.plain:
-        sys.stdout.write(dot)
-        return
-
     image = image_set(spec.context, a_max(spec))
     lines = dot.splitlines()
     out = [lines[0], "  node [style=filled, fillcolor=white];"]

@@ -28,7 +28,8 @@ raise ``MissingWkData`` from the coset-based entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .dyadic import (
@@ -101,7 +102,6 @@ class TorusDescriptor:
     twist_class: SignedPerm
     matrix: ExactMatrix | None = None
     wk_generators: tuple[SignedPerm, ...] | None = None
-    wk_source: str = "missing"  # given | derived | full | missing
     galois_conj: SignedPerm | None = None
     galois_left: SignedPerm | None = None
     galois_right: SignedPerm | None = None
@@ -122,9 +122,7 @@ class GroupSpec:
     reference_orbit: tuple[int, SignedPerm]
     matrix_size: int
     torus_structure: TorusStructure
-    twisted_rule: str
     lattice_realizer: ExactMatrix | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def descriptor(self, i: int) -> TorusDescriptor:
         if not 0 <= i < len(self.tori):
@@ -134,9 +132,22 @@ class GroupSpec:
         return self.tori[i]
 
     def torus_classes(self) -> tuple[TorusClass, ...]:
-        if "classes" not in self._cache:
-            self._cache["classes"] = torus_classification(self.lattice)
-        return self._cache["classes"]
+        return self._torus_classes
+
+    @cached_property
+    def _torus_classes(self) -> tuple[TorusClass, ...]:
+        return torus_classification(self.lattice)
+
+    @cached_property
+    def _coset_tables(
+        self,
+    ) -> tuple[list[tuple[SignedPerm, frozenset[SignedPerm]]] | None, ...]:
+        """Coset table of each torus's little Weyl group (None without data)."""
+        group = self.group
+        return tuple(
+            None if d.wk_generators is None else coset_space(d.wk_generators, group)
+            for d in self.tori
+        )
 
 
 @dataclass(frozen=True)
@@ -213,9 +224,7 @@ def _gl_spec(n: int) -> GroupSpec:
     for i in range(n // 2 + 1):
         c = _transposition_product([(2 * j - 1, 2 * j) for j in range(1, i + 1)], n)
         g = _placed(n, [((2 * j - 1, 2 * j), UCIRC) for j in range(1, i + 1)])
-        tori.append(
-            TorusDescriptor(index=i, twist_class=c, matrix=g, wk_source="missing")
-        )
+        tori.append(TorusDescriptor(index=i, twist_class=c, matrix=g))
     return GroupSpec(
         family="GL",
         params=(n,),
@@ -227,7 +236,6 @@ def _gl_spec(n: int) -> GroupSpec:
         reference_orbit=(0, identity(n)),
         matrix_size=n,
         torus_structure=diagonal_structure(n),
-        twisted_rule="trivial",
     )
 
 
@@ -288,7 +296,6 @@ def _sl2n_spec(n: int) -> GroupSpec:
                 twist_class=c,
                 matrix=g,
                 wk_generators=_sl2n_wk_generators(n, i),
-                wk_source="given",
                 galois_left=c,
                 galois_rule="general",
             )
@@ -304,7 +311,6 @@ def _sl2n_spec(n: int) -> GroupSpec:
         reference_orbit=(0, identity(r)),
         matrix_size=r,
         torus_structure=diagonal_structure(r),
-        twisted_rule="trivial",
     )
 
 
@@ -319,9 +325,7 @@ def _ustar_spec(n: int) -> GroupSpec:
     minus_pairing = SignedPerm(tuple(-v for v in pairing.images))
     base = pairing * W.longest_element()
     ctx = TwistContext(W, minus_pairing, base, name=f"U*({r})")
-    tori = (
-        TorusDescriptor(index=0, twist_class=identity(r), wk_source="missing"),
-    )
+    tori = (TorusDescriptor(index=0, twist_class=identity(r)),)
     return GroupSpec(
         family="Ustar",
         params=(n,),
@@ -333,7 +337,6 @@ def _ustar_spec(n: int) -> GroupSpec:
         reference_orbit=(0, identity(r)),
         matrix_size=r,
         torus_structure=diagonal_structure(r),
-        twisted_rule="conj_w0",
     )
 
 
@@ -359,7 +362,6 @@ def _soodd1_spec(n: int) -> GroupSpec:
             index=0,
             twist_class=identity(rank),
             wk_generators=wk,
-            wk_source="given",
             galois_conj=d,
             galois_right=W.longest_element(),
             galois_rule="general",
@@ -381,7 +383,6 @@ def _soodd1_spec(n: int) -> GroupSpec:
         reference_orbit=(0, transposition(1, rank, rank)),
         matrix_size=2 * rank,
         torus_structure=structure,
-        twisted_rule="trivial",
     )
 
 
@@ -409,7 +410,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
             index=0,
             twist_class=identity(n),
             wk_generators=W.simple_reflections(),
-            wk_source="full",
             galois_rule="trivial",
         ),
         TorusDescriptor(
@@ -417,7 +417,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
             twist_class=sign_flip([n], n),
             matrix=g0,
             wk_generators=centralizer,
-            wk_source="derived",
             galois_left=sign_flip([n], n),
             galois_rule="trivial",
         ),
@@ -441,7 +440,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
         reference_orbit=(1, ref_rep),
         matrix_size=size,
         torus_structure=structure,
-        twisted_rule="trivial",
     )
 
 
@@ -480,7 +478,6 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
                 twist_class=c,
                 matrix=g,
                 wk_generators=_upq_wk_generators(p, q, i),
-                wk_source="given",
                 galois_right=w0,
                 galois_rule="right_w0",
             )
@@ -502,7 +499,6 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         reference_orbit=(0, from_one_line(w_ref)),
         matrix_size=n,
         torus_structure=diagonal_structure(n),
-        twisted_rule="twist_conj",
         lattice_realizer=tori[0].matrix,
     )
 
@@ -524,7 +520,6 @@ def _restriction_spec(r: int) -> GroupSpec:
             index=0,
             twist_class=identity(rank),
             wk_generators=wk,
-            wk_source="given",
             galois_rule="trivial",
         ),
     )
@@ -540,7 +535,6 @@ def _restriction_spec(r: int) -> GroupSpec:
         reference_orbit=(0, ref),
         matrix_size=rank,
         torus_structure=diagonal_structure(rank),
-        twisted_rule="trivial",
     )
 
 
@@ -597,10 +591,7 @@ def cosets(spec: GroupSpec, i: int) -> list[tuple[SignedPerm, frozenset[SignedPe
             f"{spec.name} has no little-Weyl-group data for torus {i}; "
             "use the twisted-involution interface"
         )
-    key = ("cosets", i)
-    if key not in spec._cache:
-        spec._cache[key] = coset_space(desc.wk_generators, spec.group)
-    return spec._cache[key]
+    return spec._coset_tables[i]
 
 
 def sweep_domain(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:

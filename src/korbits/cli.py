@@ -13,7 +13,8 @@ validating against ``schemas/cli_output.schema.json``, and ``--format dot``
 invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification claims, 2 invalid input,
-3 query unsupported for the family (no little-Weyl-group data).
+3 query unsupported for the family (no little-Weyl-group data), 4 instance
+too large to enumerate (a group or closure past ``weyl.SUBGROUP_CAP``).
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ from .catalog import (
 )
 from .descent import descent_report
 from .twisted import ReachabilityGraph, image_set, twisted_involutions
-from .weyl import canonical_key
+from .weyl import SubgroupTooLarge, canonical_key
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_TOO_LARGE = 4
 
 _PARAM_NAMES = ("n", "p", "q", "r")
 
@@ -292,6 +294,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MissingWkData as exc:
         print(f"error: {exc} (the 'twisted' subcommand)", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except SubgroupTooLarge as exc:
+        print(f"error: instance too large to enumerate: {exc}", file=sys.stderr)
+        return EXIT_TOO_LARGE
 
 
 if __name__ == "__main__":

@@ -83,9 +83,6 @@ class Dyadic:
             return Fraction(self.num * 2**self.exp)
         return Fraction(self.num, 2**-self.exp)
 
-    def to_pair(self) -> list[int]:
-        return [self.num, self.exp]
-
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = min(self.exp, other.exp)
         return Dyadic(
@@ -113,9 +110,6 @@ class Dyadic:
 
     def is_power_of_two(self) -> bool:
         return self.num == 1
-
-    def __lt__(self, other: "Dyadic") -> bool:
-        return self.to_fraction() < other.to_fraction()
 
     def __str__(self) -> str:
         if self.exp >= 0:
@@ -182,9 +176,6 @@ class DyadicGauss:
         if not self.is_unit():
             raise NotAUnit(f"{self} is not a unit")
         return self.conjugate() / DyadicGauss(self.norm(), D0)
-
-    def to_pairs(self) -> list[list[int]]:
-        return [self.re.to_pair(), self.im.to_pair()]
 
     def __str__(self) -> str:
         if self.im.is_zero():
@@ -298,10 +289,6 @@ class ExactMatrix:
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix(tuple(tuple(-a for a in row) for row in self.entries))
 
-    def scale(self, v) -> "ExactMatrix":
-        z = _as_gauss(v)
-        return ExactMatrix(tuple(tuple(z * a for a in row) for row in self.entries))
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(tuple(zip(*self.entries)))
 
@@ -382,9 +369,6 @@ class ExactMatrix:
                 tuple(DyadicGauss.from_fractions(*v) for v in row) for row in b
             )
         )
-
-    def to_pairs(self) -> list:
-        return [[v.to_pairs() for v in row] for row in self.entries]
 
     def __str__(self) -> str:
         return "\n".join(

@@ -14,14 +14,16 @@ class corresponds to one conjugacy class of stable maximal tori; its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .weyl import (
     SignedPerm,
     WeylGroup,
     canonical_key,
+    closure,
     enumerate_subgroup,
     identity,
     sign_flip,
@@ -113,7 +115,6 @@ class ThetaLattice:
 
     group: WeylGroup
     rows: tuple[tuple[int, ...], ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.group.rank
@@ -159,14 +160,16 @@ class ThetaLattice:
 
     def minus_space(self) -> tuple[tuple[Fraction, ...], ...]:
         """Basis of the (-1)-eigenspace (the split directions)."""
-        if "minus" not in self._cache:
-            n = self.rank
-            rows = [
-                [Fraction(self.rows[i][j] + int(i == j)) for j in range(n)]
-                for i in range(n)
-            ]
-            self._cache["minus"] = tuple(_kernel(rows, n))
-        return self._cache["minus"]
+        return self._minus_space
+
+    @cached_property
+    def _minus_space(self) -> tuple[tuple[Fraction, ...], ...]:
+        n = self.rank
+        rows = [
+            [Fraction(self.rows[i][j] + int(i == j)) for j in range(n)]
+            for i in range(n)
+        ]
+        return tuple(_kernel(rows, n))
 
     def restricted_roots(self) -> tuple[tuple[Fraction, ...], ...]:
         """Distinct nonzero projections (alpha - theta alpha)/2 of all
@@ -276,17 +279,7 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     for w in involutions:
         if w in seen:
             continue
-        orbit = {w}
-        frontier = [w]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for r in conj_mats:
-                    y = conjugate(x, r)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        orbit = closure([w], lambda x: [conjugate(x, r) for r in conj_mats])
         seen |= orbit
         rep = min(orbit, key=canonical_key)
         classes.append((rep, len(orbit), _fix_dimension_on_minus(rep, minus)))

@@ -13,16 +13,20 @@ On that set the monoid generated by the simple reflections acts by
     s * a = s a            if s a theta(s) == a and s a is longer,
     s * a = a              otherwise,
 
-and the downward-closure machinery below answers which elements reach the
-top value under this action.
+and the closures below answer which elements reach the top value under
+this action.  A context computes its twisted involutions, and the moves of
+the action that change an element, once; ``image_set`` and
+``ReachabilityGraph.build`` both read that one sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
-from .weyl import SignedPerm, WeylGroup, canonical_key
+from .weyl import SignedPerm, WeylGroup, canonical_key, closure
 
 __all__ = [
     "TwistContext",
@@ -45,7 +49,6 @@ class TwistContext:
     twist: SignedPerm
     base: SignedPerm
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.group.contains(self.base):
@@ -68,9 +71,28 @@ class TwistContext:
         return b.inverse() * self.theta_raw(w) * b
 
     def simples(self) -> tuple[SignedPerm, ...]:
-        if "simples" not in self._cache:
-            self._cache["simples"] = self.group.simple_reflections()
-        return self._cache["simples"]
+        return self._simples
+
+    @cached_property
+    def _simples(self) -> tuple[SignedPerm, ...]:
+        return self.group.simple_reflections()
+
+    @cached_property
+    def _involutions(self) -> frozenset[SignedPerm]:
+        return frozenset(
+            w for w in self.group.element_set() if (self.theta(w) * w).is_identity()
+        )
+
+    @cached_property
+    def _moves(self) -> tuple[tuple[SignedPerm, int, SignedPerm], ...]:
+        """Every move (a, idx, s_idx * a) of the monoid action that changes
+        a twisted involution a; simples are numbered from 1."""
+        return tuple(
+            (a, idx, b)
+            for a in twisted_involutions(self)
+            for idx, s in enumerate(self.simples(), start=1)
+            if (b := monoid_star(self, s, a)) != a
+        )
 
 
 def is_twisted_involution(ctx: TwistContext, w: SignedPerm) -> bool:
@@ -78,12 +100,7 @@ def is_twisted_involution(ctx: TwistContext, w: SignedPerm) -> bool:
 
 
 def twisted_involutions(ctx: TwistContext) -> frozenset[SignedPerm]:
-    key = "twisted"
-    if key not in ctx._cache:
-        ctx._cache[key] = frozenset(
-            w for w in ctx.group.element_set() if (ctx.theta(w) * w).is_identity()
-        )
-    return ctx._cache[key]
+    return ctx._involutions
 
 
 def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
@@ -98,46 +115,21 @@ def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
 
 def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
     """All twisted involutions obtainable from a by repeated monoid moves."""
-    seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in ctx.simples():
-                y = monoid_star(ctx, s, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    return closure([a], lambda x: [monoid_star(ctx, s, x) for s in ctx.simples()])
 
 
 def image_set(ctx: TwistContext, top: SignedPerm) -> frozenset[SignedPerm]:
     """Twisted involutions from which the monoid action reaches ``top``.
 
-    Computed by one reverse breadth-first search over the full monoid move
-    graph rather than one forward closure per element.
+    Computed by one reverse closure over the full monoid move graph rather
+    than one forward closure per element.
     """
-    nodes = twisted_involutions(ctx)
-    if top not in nodes:
+    if top not in twisted_involutions(ctx):
         raise ValueError("top element is not a twisted involution")
-    reverse: dict[SignedPerm, set[SignedPerm]] = {a: set() for a in nodes}
-    for a in nodes:
-        for s in ctx.simples():
-            b = monoid_star(ctx, s, a)
-            if b != a:
-                reverse[b].add(a)
-    seen = {top}
-    frontier = [top]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in reverse[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return frozenset(seen)
+    reverse: defaultdict[SignedPerm, list[SignedPerm]] = defaultdict(list)
+    for a, _, b in ctx._moves:
+        reverse[b].append(a)
+    return closure([top], reverse.__getitem__)
 
 
 def springer_value(
@@ -174,13 +166,7 @@ class ReachabilityGraph:
     @staticmethod
     def build(ctx: TwistContext) -> "ReachabilityGraph":
         nodes = sorted(twisted_involutions(ctx), key=canonical_key)
-        edges = []
-        for a in nodes:
-            for idx, s in enumerate(ctx.simples(), start=1):
-                b = monoid_star(ctx, s, a)
-                if b != a:
-                    edges.append((a, idx, b))
-        edges.sort(key=lambda e: (canonical_key(e[0]), e[1]))
+        edges = sorted(ctx._moves, key=lambda e: (canonical_key(e[0]), e[1]))
         return ReachabilityGraph(ctx, tuple(nodes), tuple(edges))
 
     def to_dot(self) -> str:

@@ -4,9 +4,13 @@ Elements are signed permutations of coordinates 1..rank.  A group is one of
 the classical families needed downstream -- the symmetric group S_n acting on
 n coordinates (type A), the full hyperoctahedral group (type B), its
 even-sign-count subgroup (type D), and a block product S_r x S_r living in
-rank 2r.  Lengths are computed by root counting, subgroups come from
-generator closures, coset spaces carry canonical (lexicographically least)
-representatives, and conjugation orbits are computed by breadth-first search.
+rank 2r.  Lengths are computed by root counting, coset spaces carry
+canonical (lexicographically least) representatives, and subgroups and
+conjugation orbits are generator closures, all computed by one traversal
+helper, ``closure``.  Products, inverses and enumerated elements are built
+without re-validating their images; ``SignedPerm(...)`` and
+``from_one_line`` validate values that arrive from outside.  Per-group data
+(roots, the element set) is computed once per group instance.
 
 >>> w = transposition(1, 3, 3)
 >>> (w * w).is_identity()
@@ -18,9 +22,11 @@ True
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 __all__ = [
     "SignedPerm",
@@ -87,17 +93,16 @@ class SignedPerm:
         """Composition: ``(w * v)`` applies v first, then w."""
         if self.rank != other.rank:
             raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        out = []
-        for v in other.images:
-            w = self.images[abs(v) - 1]
-            out.append(w if v > 0 else -w)
-        return SignedPerm(tuple(out))
+        mine = self.images
+        return _signed_perm(
+            tuple([mine[v - 1] if v > 0 else -mine[-v - 1] for v in other.images])
+        )
 
     def inverse(self) -> "SignedPerm":
         out = [0] * self.rank
         for j, v in enumerate(self.images, start=1):
             out[abs(v) - 1] = j if v > 0 else -j
-        return SignedPerm(tuple(out))
+        return _signed_perm(tuple(out))
 
     def is_identity(self) -> bool:
         return all(v == j for j, v in enumerate(self.images, start=1))
@@ -155,6 +160,14 @@ class SignedPerm:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SignedPerm{self.images}"
+
+
+def _signed_perm(images: tuple[int, ...]) -> SignedPerm:
+    """A SignedPerm from images already known to be a signed permutation
+    (products, inverses, enumerated elements): skips the validation."""
+    w = object.__new__(SignedPerm)
+    object.__setattr__(w, "images", images)
+    return w
 
 
 def identity(rank: int) -> SignedPerm:
@@ -244,7 +257,6 @@ class WeylGroup:
     kind: str
     rank: int
     name: str = ""
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("A", "B", "D", "AxA"):
@@ -284,13 +296,17 @@ class WeylGroup:
 
     # -- roots, simples, lengths ----------------------------------------
 
+    @cached_property
+    def _positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        fn = {"A": _a_roots, "B": _b_roots, "D": _d_roots}.get(self.kind)
+        return fn(self.rank) if fn else _axa_roots(self.rank // 2)
+
+    @cached_property
+    def _negative_roots(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(tuple(-c for c in r) for r in self._positive_roots)
+
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        if "proots" not in self._cache:
-            fn = {"A": _a_roots, "B": _b_roots, "D": _d_roots}.get(self.kind)
-            self._cache["proots"] = (
-                fn(self.rank) if fn else _axa_roots(self.rank // 2)
-            )
-        return self._cache["proots"]
+        return self._positive_roots
 
     def simple_reflections(self) -> tuple[SignedPerm, ...]:
         n = self.rank
@@ -319,12 +335,8 @@ class WeylGroup:
             raise RankMismatch(f"rank {w.rank} vs group rank {self.rank}")
         if not self.contains(w):
             raise NotInGroup(f"{w} is not in {self.describe()}")
-        if "negset" not in self._cache:
-            self._cache["negset"] = frozenset(
-                tuple(-c for c in r) for r in self.positive_roots()
-            )
-        neg = self._cache["negset"]
-        return sum(1 for a in self.positive_roots() if w.apply(a) in neg)
+        neg = self._negative_roots
+        return sum(1 for a in self._positive_roots if w.apply(a) in neg)
 
     def longest_element(self) -> SignedPerm:
         n = self.rank
@@ -350,34 +362,36 @@ class WeylGroup:
         n = self.rank
         if self.kind == "A":
             for p in itertools.permutations(range(1, n + 1)):
-                yield SignedPerm(p)
+                yield _signed_perm(p)
         elif self.kind in ("B", "D"):
             for p in itertools.permutations(range(1, n + 1)):
                 for mask in itertools.product((1, -1), repeat=n):
                     if self.kind == "D" and mask.count(-1) % 2:
                         continue
-                    yield SignedPerm(tuple(s * v for s, v in zip(mask, p)))
+                    yield _signed_perm(tuple([s * v for s, v in zip(mask, p)]))
         else:
             r = n // 2
             for p in itertools.permutations(range(1, r + 1)):
                 for q in itertools.permutations(range(r + 1, n + 1)):
-                    yield SignedPerm(p + q)
+                    yield _signed_perm(p + q)
+
+    @cached_property
+    def _element_set(self) -> frozenset[SignedPerm]:
+        if self.order > SUBGROUP_CAP:
+            raise SubgroupTooLarge(
+                f"|{self.describe()}| = {self.order} exceeds cap {SUBGROUP_CAP}"
+            )
+        return frozenset(self.elements())
+
+    @cached_property
+    def _sorted_elements(self) -> tuple[SignedPerm, ...]:
+        return tuple(sorted(self._element_set, key=canonical_key))
 
     def element_set(self) -> frozenset[SignedPerm]:
-        if "elements" not in self._cache:
-            if self.order > SUBGROUP_CAP:
-                raise SubgroupTooLarge(
-                    f"|{self.describe()}| = {self.order} exceeds cap {SUBGROUP_CAP}"
-                )
-            self._cache["elements"] = frozenset(self.elements())
-        return self._cache["elements"]
+        return self._element_set
 
     def sorted_elements(self) -> tuple[SignedPerm, ...]:
-        if "sorted" not in self._cache:
-            self._cache["sorted"] = tuple(
-                sorted(self.element_set(), key=canonical_key)
-            )
-        return self._cache["sorted"]
+        return self._sorted_elements
 
     def identity(self) -> SignedPerm:
         return identity(self.rank)
@@ -410,10 +424,30 @@ def product_symmetric_group(r: int) -> WeylGroup:
     return WeylGroup("AxA", 2 * r, name=f"S{r}xS{r}")
 
 
+def closure(
+    seeds: Iterable[T], step: Callable[[T], Iterable[T]], cap: int = SUBGROUP_CAP
+) -> frozenset[T]:
+    """Smallest set containing the seeds and closed under ``step``.
+
+    ``step(x)`` gives the neighbours of x.  Raises ``SubgroupTooLarge`` as
+    soon as the set grows past ``cap``.
+    """
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for y in step(todo.pop()):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+                if len(seen) > cap:
+                    raise SubgroupTooLarge(f"closure exceeds cap {cap}")
+    return frozenset(seen)
+
+
 def enumerate_subgroup(
     generators: Iterable[SignedPerm], cap: int = SUBGROUP_CAP
 ) -> frozenset[SignedPerm]:
-    """Closure of the generators under composition (breadth-first)."""
+    """Closure of the generators under composition."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator (or pass the identity)")
@@ -421,20 +455,7 @@ def enumerate_subgroup(
     for g in gens:
         if g.rank != rank:
             raise RankMismatch("generators of mixed rank")
-    seen = {identity(rank)}
-    frontier = [identity(rank)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                x = g * w
-                if x not in seen:
-                    seen.add(x)
-                    nxt.append(x)
-                    if len(seen) > cap:
-                        raise SubgroupTooLarge(f"closure exceeds cap {cap}")
-        frontier = nxt
-    return frozenset(seen)
+    return closure([identity(rank)], lambda w: [g * w for g in gens], cap)
 
 
 def coset_space(
@@ -473,26 +494,19 @@ def conjugacy_classes(
     gens += [g.inverse() for g in gens]
     todo = sorted(set(elements), key=canonical_key)
     member = set(todo)
+
+    def conjugates(y: SignedPerm) -> Iterator[SignedPerm]:
+        for g in gens:
+            z = y.conjugate_by(g)
+            if z not in member:
+                raise ValueError("conjugation leaves the supplied element set")
+            yield z
+
     seen: set[SignedPerm] = set()
     classes = []
     for x in todo:
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    z = y.conjugate_by(g)
-                    if z not in orbit:
-                        if z not in member:
-                            raise ValueError(
-                                "conjugation leaves the supplied element set"
-                            )
-                        orbit.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        seen |= orbit
-        classes.append(frozenset(orbit))
+        if x not in seen:
+            orbit = closure([x], conjugates)
+            seen |= orbit
+            classes.append(orbit)
     return classes

@@ -141,6 +141,14 @@ def test_unsupported_query_exit_3(capsys):
     assert "little-Weyl-group" in err
 
 
+def test_too_large_instance_exit_4(capsys):
+    code, out, err = run(["twisted", "--family", "GL", "--n", "11"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_failed_claims_exit_1(capsys, monkeypatch):
     def fake(spec):
         return (

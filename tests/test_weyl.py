@@ -11,6 +11,7 @@ from korbits.weyl import (
     SignedPerm,
     SubgroupTooLarge,
     canonical_key,
+    closure,
     conjugacy_classes,
     coset_space,
     enumerate_subgroup,
@@ -103,6 +104,20 @@ GROUPS = [
 ]
 
 
+@given(st.data())
+def test_unchecked_products_are_signed_perms(data):
+    # products, inverses and enumerated elements skip validation; each must
+    # equal its rebuild through the validating constructor
+    group = data.draw(st.sampled_from([g for g, _, _ in GROUPS]))
+    elements = list(group.elements())
+    a = data.draw(st.sampled_from(elements))
+    b = data.draw(st.sampled_from(elements))
+    for x in elements + [a * b, a.inverse()]:
+        assert type(x.images) is tuple
+        rebuilt = SignedPerm(x.images)
+        assert rebuilt == x and hash(rebuilt) == hash(x)
+
+
 @pytest.mark.parametrize("group,order,npos", GROUPS)
 def test_group_orders_and_roots(group, order, npos):
     elements = group.element_set()
@@ -158,8 +173,8 @@ def test_element_set_cap():
 
 
 def test_enumerate_subgroup():
-    closure = enumerate_subgroup([tr(1, 2, 3), tr(2, 3, 3)])
-    assert closure == symmetric_group(3).element_set()
+    generated = enumerate_subgroup([tr(1, 2, 3), tr(2, 3, 3)])
+    assert generated == symmetric_group(3).element_set()
     assert enumerate_subgroup([identity(2)]) == frozenset({identity(2)})
     with pytest.raises(ValueError):
         enumerate_subgroup([])
@@ -167,6 +182,14 @@ def test_enumerate_subgroup():
         enumerate_subgroup([tr(1, 2, 4), tr(2, 3, 4), tr(3, 4, 4)], cap=5)
     with pytest.raises(RankMismatch):
         enumerate_subgroup([tr(1, 2, 2), tr(1, 2, 3)])
+    # the traversal helper behind it keeps its seeds and honours the cap
+    assert closure([5, 3], lambda x: [x // 2]) == {0, 1, 2, 3, 5}
+    assert closure([identity(2), tr(1, 2, 2)], lambda x: []) == {
+        identity(2),
+        tr(1, 2, 2),
+    }
+    with pytest.raises(SubgroupTooLarge):
+        closure([0], lambda x: [x + 1], cap=10)
 
 
 def test_coset_space_s3():
