@@ -2,14 +2,18 @@
 cocharacter lattice.
 
 The input is an integer involution M on the lattice of a maximally split
-stable torus, together with the ambient Weyl group.  Everything is derived
-from M by exact rational arithmetic: the (-1)-eigenspace, the restricted
-root vectors (projections (alpha - M alpha)/2, kept with their non-reduced
-multiplicities), the subsystem Psi0 of roots sent to their negatives, and
-finally the classification itself -- involutions in the reflection group of
-Psi0, up to conjugation by the reflections of the restricted roots.  Each
-class corresponds to one conjugacy class of stable maximal tori; its
-``minus_dimension`` is the split dimension of the corresponding torus.
+stable torus, together with the ambient Weyl group.  From M come the
+(-1)-eigenspace, the restricted root vectors (projections
+(alpha - M alpha)/2, kept with their non-reduced multiplicities) and the
+subsystem Psi0 of roots sent to their negatives, all by exact rational
+arithmetic.  The classification itself -- involutions in the reflection
+group of Psi0, up to conjugation by the reflections of the restricted roots
+-- runs in integers: each reflection is scaled by the squared length N of
+the primitive integer direction of its root, so a conjugate s w s is an
+integer matrix divided by N^2, read off as a signed permutation (see
+``torus_classification``).  Each class corresponds to one conjugacy class
+of stable maximal tori; its ``minus_dimension`` is the split dimension of
+the corresponding torus.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 from .weyl import (
@@ -67,10 +72,8 @@ def _kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]
     return basis
 
 
-def _primitive_line(v: Sequence[Fraction]) -> tuple[int, ...]:
+def _primitive_line(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Primitive integer vector spanning the same line, sign-normalized."""
-    from math import gcd, lcm
-
     den = lcm(*(f.denominator for f in v)) if v else 1
     ints = [int(f * den) for f in v]
     g = 0
@@ -214,64 +217,65 @@ def _fix_dimension_on_minus(
 def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     """Conjugacy classes of stable maximal tori.
 
-    Involutions (including e) of the reflection group of Psi0, partitioned
+    Involutions (including e) of the reflection group W(Psi0), partitioned
     by conjugation under the reflections of the restricted roots (one per
     line).  An empty Psi0 yields the single class of the reference torus.
+
+    A restricted root is taken by its primitive integer direction p, with
+    N = p.p, so that N*s(v) = N*v - 2(p.v)p is integral.  The conjugate
+    s w s of an involution w is built column by column: N*s(e_j), then w
+    as a signed permutation, then N*s again, and the result divided by N^2
+    is read off as a signed permutation.  A column not divisible by N^2
+    means the reflection does not normalize the subsystem; a column that is
+    not +-e_i, or a result outside W(Psi0), means the conjugate leaves the
+    reflection subgroup.  Both raise ``ValueError``.
     """
     rank = theta.rank
-    e = identity(rank)
     psi = theta.psi0()
     refl = []
     seen_lines = set()
     for a in psi:
-        line = _primitive_line([Fraction(c) for c in a])
+        line = _primitive_line(a)
         if line not in seen_lines:
             seen_lines.add(line)
             refl.append(root_reflection(a, rank))
-    w_psi = enumerate_subgroup(refl + [e])
+    w_psi = enumerate_subgroup(refl + [identity(rank)])
     involutions = sorted(
         (w for w in w_psi if (w * w).is_identity()), key=canonical_key
     )
-    member = {tuple(map(tuple, w.matrix())): w for w in w_psi}
+    member = {w.images: w for w in w_psi}
 
-    conj_mats = []
-    seen_lines = set()
-    for beta in theta.restricted_roots():
-        line = _primitive_line(beta)
-        if line in seen_lines:
-            continue
-        seen_lines.add(line)
-        norm = sum(Fraction(x) * Fraction(x) for x in beta)
-        conj_mats.append(
-            [
-                [
-                    Fraction(int(i == j)) - 2 * beta[i] * beta[j] / norm
-                    for j in range(rank)
-                ]
-                for i in range(rank)
-            ]
-        )
-
-    def conjugate(w: SignedPerm, r: list[list[Fraction]]) -> SignedPerm:
-        mw = w.matrix()
-        prod = [
-            [
-                sum(
-                    r[i][a] * mw[a][b] * r[b][j]
-                    for a in range(rank)
-                    for b in range(rank)
-                )
-                for j in range(rank)
-            ]
-            for i in range(rank)
+    # per restricted-root line: p, N and the columns N*s(e_j)
+    lines = []
+    for p in dict.fromkeys(map(_primitive_line, theta.restricted_roots())):
+        norm = sum(x * x for x in p)
+        cols = [
+            tuple(norm * (i == j) - 2 * p[j] * x for i, x in enumerate(p))
+            for j in range(rank)
         ]
-        key = tuple(tuple(v) for v in prod)
-        if any(x.denominator != 1 for row in prod for x in row):
+        lines.append((p, norm, cols))
+
+    def conjugate(w: SignedPerm, line: tuple) -> SignedPerm:
+        p, norm, cols = line
+        out = []
+        for col in cols:
+            v = w.apply(col)
+            dot = sum(a * b for a, b in zip(p, v))
+            out.append([norm * a - 2 * dot * b for a, b in zip(v, p)])
+        norm2 = norm * norm
+        if any(x % norm2 for col in out for x in col):
             raise ValueError("reflection does not normalize the subsystem")
-        ikey = tuple(tuple(int(x) for x in row) for row in key)
-        if ikey not in member:
+        images = []
+        for col in out:
+            nz = [(i, x // norm2) for i, x in enumerate(col, start=1) if x]
+            if len(nz) != 1 or abs(nz[0][1]) != 1:
+                raise ValueError("conjugate leaves the reflection subgroup")
+            i, c = nz[0]
+            images.append(i if c > 0 else -i)
+        conj = member.get(tuple(images))
+        if conj is None:
             raise ValueError("conjugate leaves the reflection subgroup")
-        return member[ikey]
+        return conj
 
     minus = theta.minus_space()
     classes = []
@@ -279,7 +283,7 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     for w in involutions:
         if w in seen:
             continue
-        orbit = closure([w], lambda x: [conjugate(x, r) for r in conj_mats])
+        orbit = closure([w], lambda x: [conjugate(x, line) for line in lines])
         seen |= orbit
         rep = min(orbit, key=canonical_key)
         classes.append((rep, len(orbit), _fix_dimension_on_minus(rep, minus)))

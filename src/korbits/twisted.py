@@ -14,9 +14,9 @@ On that set the monoid generated by the simple reflections acts by
     s * a = a              otherwise,
 
 and the closures below answer which elements reach the top value under
-this action.  A context computes its twisted involutions, and the moves of
-the action that change an element, once; ``image_set`` and
-``ReachabilityGraph.build`` both read that one sweep.
+this action.  A context computes the inverses of t and b, its twisted
+involutions, and the moves of the action that change an element, once;
+``image_set`` and ``ReachabilityGraph.build`` both read that one sweep.
 """
 
 from __future__ import annotations
@@ -63,12 +63,20 @@ class TwistContext:
                 )
 
     def theta_raw(self, w: SignedPerm) -> SignedPerm:
-        return w.conjugate_by(self.twist)
+        """``t * w * t^-1``."""
+        return self.twist * w * self._twist_inverse
 
     def theta(self, w: SignedPerm) -> SignedPerm:
         """Effective twist: conjugation followed by base translation."""
-        b = self.base
-        return b.inverse() * self.theta_raw(w) * b
+        return self._base_inverse * self.theta_raw(w) * self.base
+
+    @cached_property
+    def _twist_inverse(self) -> SignedPerm:
+        return self.twist.inverse()
+
+    @cached_property
+    def _base_inverse(self) -> SignedPerm:
+        return self.base.inverse()
 
     def simples(self) -> tuple[SignedPerm, ...]:
         return self._simples

@@ -9,7 +9,8 @@ oracle agree on an instance, that agreement is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from korbits.weyl import SignedPerm
 
@@ -131,3 +132,143 @@ def naive_subgroup(generators: Iterable[SignedPerm], rank: int) -> frozenset[Sig
         if nxt == current:
             return frozenset(current)
         current = nxt
+
+
+def _roots(kind: str, rank: int) -> frozenset[tuple[int, ...]]:
+    """All roots of a classical group, written out from their definition.
+
+    "A": e_i - e_j; "B": +-e_i +- e_j and +-e_i; "D": +-e_i +- e_j; "AxA":
+    e_i - e_j with i and j in the same half of the coordinates.
+    """
+    def unit(i: int) -> list[int]:
+        return [int(k == i) for k in range(rank)]
+
+    out = set()
+    for i, j in itertools.permutations(range(rank), 2):
+        if kind == "AxA" and (i < rank // 2) != (j < rank // 2):
+            continue
+        out.add(tuple(a - b for a, b in zip(unit(i), unit(j))))
+        if kind in ("B", "D"):
+            for s in (1, -1):
+                out.add(tuple(s * (a + b) for a, b in zip(unit(i), unit(j))))
+    if kind == "B":
+        for i in range(rank):
+            out |= {tuple(unit(i)), tuple(-c for c in unit(i))}
+    return frozenset(out)
+
+
+def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def _reflection_matrix(beta: Sequence) -> list[list[Fraction]]:
+    """s_beta = I - 2 beta beta^T / |beta|^2 over the rationals."""
+    n = len(beta)
+    norm = sum(Fraction(x) * x for x in beta)
+    return [
+        [
+            Fraction(int(i == j)) - 2 * Fraction(beta[i]) * beta[j] / norm
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _perm_matrix(w: SignedPerm) -> list[list[int]]:
+    n = len(w.images)
+    m = [[0] * n for _ in range(n)]
+    for j, v in enumerate(w.images):
+        m[abs(v) - 1][j] = 1 if v > 0 else -1
+    return m
+
+
+def _matrix_perm(m: Sequence[Sequence]) -> SignedPerm:
+    """The signed permutation with matrix m; ValueError if m is not one."""
+    images = []
+    for j in range(len(m)):
+        nz = [(i, m[i][j]) for i in range(len(m)) if m[i][j] != 0]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise ValueError("matrix is not a signed permutation")
+        images.append((nz[0][0] + 1) * int(nz[0][1]))
+    return SignedPerm(tuple(images))
+
+
+def _rank(rows: list[list[Fraction]]) -> int:
+    m = [row[:] for row in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def naive_torus_classes(
+    kind: str, rank: int, rows: Sequence[Sequence[int]]
+) -> frozenset[tuple[frozenset[SignedPerm], int]]:
+    """Torus classes of the lattice involution ``rows`` on a group's roots.
+
+    Psi0 = roots sent to their negatives; W(Psi0) is the pairwise-product
+    closure of their reflections; its involutions are split into orbits
+    under s w s for s = I - 2 beta beta^T / |beta|^2 over every restricted
+    root beta = (alpha - theta alpha)/2, each conjugate a rational triple
+    product.  Returns each orbit with the dimension of the fixed space of
+    its members on the (-1)-eigenspace of ``rows``.
+    """
+    theta = [[Fraction(x) for x in row] for row in rows]
+
+    def apply(v: Sequence) -> list:
+        return [sum(theta[i][j] * v[j] for j in range(rank)) for i in range(rank)]
+
+    roots = _roots(kind, rank)
+    psi0 = [a for a in roots if apply(a) == [-c for c in a]]
+    group = naive_subgroup(
+        [_matrix_perm(_reflection_matrix(a)) for a in psi0], rank
+    )
+    # one matrix per reflection: beta, -beta and 2*beta give the same one
+    conj_mats = {
+        tuple(map(tuple, _reflection_matrix(beta)))
+        for a in roots
+        if any(beta := [(x - y) / 2 for x, y in zip(a, apply(a))])
+    }
+
+    def conjugates(w: SignedPerm) -> set[SignedPerm]:
+        out = set()
+        for r in conj_mats:
+            prod = _matmul(_matmul(r, _perm_matrix(w)), r)
+            if any(x.denominator != 1 for row in prod for x in row):
+                raise ValueError("reflection does not normalize the subsystem")
+            y = _matrix_perm(prod)
+            if y not in group:
+                raise ValueError("conjugate leaves the reflection subgroup")
+            out.add(y)
+        return out
+
+    pool = {w for w in group if (w * w).is_identity()}
+    classes = []
+    while pool:
+        orbit = {pool.pop()}
+        frontier = list(orbit)
+        while frontier:
+            for y in conjugates(frontier.pop()):
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        pool -= orbit
+        w = next(iter(orbit))
+        stacked = [
+            [theta[i][j] + int(i == j) for j in range(rank)] for i in range(rank)
+        ] + [
+            [Fraction(m - int(i == j)) for j, m in enumerate(row)]
+            for i, row in enumerate(_perm_matrix(w))
+        ]
+        classes.append((frozenset(orbit), rank - _rank(stacked)))
+    return frozenset(classes)

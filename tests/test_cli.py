@@ -105,6 +105,42 @@ def test_classify_tori_counts(capsys):
     assert "1 torus class\n" in out
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["classify-tori", "--family", "GL", "--n", "6"],
+            "classify-tori GL(6)\n"
+            "class  representative   minus-dim  size\n"
+            "-----  ---------------  ---------  ----\n"
+            "0      e                6          1\n"
+            "1      (5 6)            5          15\n"
+            "2      (3 4)(5 6)       4          45\n"
+            "3      (1 2)(3 4)(5 6)  3          15\n"
+            "4 torus classes\n",
+        ),
+        (
+            ["classify-tori", "--family", "Upq", "--p", "4", "--q", "4"],
+            "classify-tori U(4,4)\n"
+            "class  representative        minus-dim  size\n"
+            "-----  --------------------  ---------  ----\n"
+            "0      e                     4          1\n"
+            "1      (4 8)                 3          4\n"
+            "2      (3 7)(4 8)            2          6\n"
+            "3      (2 6)(3 7)(4 8)       1          4\n"
+            "4      (1 5)(2 6)(3 7)(4 8)  0          1\n"
+            "5 torus classes\n",
+        ),
+    ],
+    ids=["GL6", "U44"],
+)
+def test_golden_classify_tori_table(argv, expected, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == expected
+
+
 def test_dot_output_only_for_twisted(capsys):
     code, out, _ = run(["twisted", "--family", "GL", "--n", "3", "--format", "dot"], capsys)
     assert code == 0

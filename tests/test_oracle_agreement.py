@@ -37,6 +37,7 @@ from oracle import (
     naive_cosets,
     naive_galois_orbits,
     naive_subgroup,
+    naive_torus_classes,
     naive_twisted,
 )
 from support import cached_build
@@ -54,6 +55,18 @@ SMALL = (
 
 # catalog instances with |W| <= 2^6 * 6! = 46080
 LARGE = SMALL + [("GL", (7,)), ("Ustar", (4,)), ("SOodd1", (5,))]
+
+# the census instances whose torus oracle runs in under about 0.5 s (GL(6)
+# takes 4 s; test_tori.py checks GL(6) and GL(7) against closed forms)
+TORI = (
+    [("GL", (n,)) for n in range(1, 6)]
+    + [("SL2n", (n,)) for n in range(1, 5)]
+    + [("Ustar", (n,)) for n in range(1, 5)]
+    + [("SOodd1", (n,)) for n in range(1, 7)]
+    + [("SOeven1", (n,)) for n in range(1, 7)]
+    + [("Upq", (p, q)) for q in range(1, 4) for p in range(q, 8 - q)]
+    + [("Restriction", (r,)) for r in range(1, 6)]
+)
 
 RANDOM_GROUPS = [
     symmetric_group(3),
@@ -110,6 +123,21 @@ def test_coset_tables_match_naive_partition(case):
         assert fast == naive_cosets(wk_subgroup(spec, i), elements)
         for rep, block in table:
             assert rep in block
+
+
+@pytest.mark.parametrize("case", TORI, ids=_instance_id)
+def test_torus_classes_match_naive(case):
+    spec = cached_build(case[0], *case[1])
+    naive = naive_torus_classes(spec.group.kind, spec.group.rank, spec.lattice.rows)
+    expected = sorted(
+        ((min(orbit, key=canonical_key), len(orbit), dim) for orbit, dim in naive),
+        key=lambda t: (-t[2], canonical_key(t[0])),
+    )
+    got = [
+        (c.representative, c.orbit_size, c.minus_dimension)
+        for c in spec.torus_classes()
+    ]
+    assert got == expected
 
 
 @pytest.mark.parametrize(

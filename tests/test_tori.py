@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from korbits.tori import ThetaLattice, TorusClass, root_reflection, torus_classification
-from korbits.weyl import canonical_key, symmetric_group
+from korbits.weyl import canonical_key, enumerate_subgroup, identity, symmetric_group
 from support import cached_build, flip, perm, tr
 
 
@@ -133,3 +134,61 @@ def test_classification_direct_construction():
     assert sorted(
         canonical_key(c.representative) for c in classes
     ) == [canonical_key(c.representative) for c in classes]
+
+
+def _psi0_involution_count(spec):
+    """Involutions of W(Psi0), enumerated from the reflections of Psi0."""
+    rank = spec.group.rank
+    gens = {root_reflection(a, rank) for a in spec.lattice.psi0()}
+    return sum(
+        (w * w).is_identity() for w in enumerate_subgroup([identity(rank), *gens])
+    )
+
+
+# closed forms past the oracle's reach: class k of GL(n) has
+# n!/(k! 2^k (n-2k)!) members and minus-dimension n-k; class k of U(p,q)
+# has C(q,k) members and minus-dimension q-k
+CLOSED_FORMS = [
+    (
+        "GL",
+        (n,),
+        [
+            (n - k, factorial(n) // (factorial(k) * 2**k * factorial(n - 2 * k)))
+            for k in range(n // 2 + 1)
+        ],
+    )
+    for n in (6, 7)
+] + [
+    ("Upq", (p, q), [(q - k, comb(q, k)) for k in range(q + 1)])
+    for p, q in ((4, 4), (5, 3))
+]
+
+
+@pytest.mark.parametrize(
+    "family,params,expected",
+    CLOSED_FORMS,
+    ids=[f + "-" + "x".join(map(str, p)) for f, p, _ in CLOSED_FORMS],
+)
+def test_classification_closed_forms(family, params, expected):
+    spec = cached_build(family, *params)
+    classes = spec.torus_classes()
+    assert [(c.minus_dimension, c.orbit_size) for c in classes] == expected
+    assert [c.index for c in classes] == list(range(len(expected)))
+    assert sum(c.orbit_size for c in classes) == _psi0_involution_count(spec)
+
+
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        # -e1 with e2 <-> e3: the restricted root (1, -1/2, 1/2) reflects
+        # with denominators 3, so no conjugate is a signed permutation
+        (((-1, 0, 0), (0, 0, 1), (0, 1, 0)), "reflection does not normalize"),
+        # diag(-1, -1, 1): the reflection in e1 conjugates (1 2) to a signed
+        # permutation outside W(Psi0) = S2
+        (((-1, 0, 0), (0, -1, 0), (0, 0, 1)), "conjugate leaves the reflection"),
+    ],
+    ids=["non-integral", "outside-subgroup"],
+)
+def test_classification_rejects_non_normalizing_reflections(rows, message):
+    with pytest.raises(ValueError, match=message):
+        torus_classification(ThetaLattice(symmetric_group(3), rows))
