@@ -219,10 +219,9 @@ def _cmd_twisted(spec: GroupSpec, fmt: str) -> int:
     involutions = twisted_involutions(ctx)
     top = a_max(spec)
     image = image_set(ctx, top)
-    length = ctx.group.length
-    ordered = sorted(involutions, key=lambda w: (length(w), canonical_key(w)))
+    ordered = sorted(involutions, key=lambda w: (ctx.length(w), canonical_key(w)))
     json_rows = [
-        {"element": w.cycle_string(), "length": length(w), "in_image": w in image}
+        {"element": w.cycle_string(), "length": ctx.length(w), "in_image": w in image}
         for w in ordered
     ]
     table_rows = [

@@ -13,20 +13,23 @@ On that set the monoid generated by the simple reflections acts by
     s * a = s a            if s a theta(s) == a and s a is longer,
     s * a = a              otherwise,
 
-and the closures below answer which elements reach the top value under
-this action.  A context computes the inverses of t and b, its twisted
-involutions, and the moves of the action that change an element, once;
-``image_set`` and ``ReachabilityGraph.build`` both read that one sweep.
+and the set is the closure of e under this action (Richardson-Springer,
+Hultman).  A context computes that closure once, recording every move that
+changes an element; ``twisted_involutions``, ``image_set`` and
+``ReachabilityGraph.build`` all read this sweep.  Lengths are memoized per
+context.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cache, cached_property
+from typing import Callable, Iterator
 
 from .weyl import SignedPerm, WeylGroup, canonical_key, closure
+
+Move = tuple[SignedPerm, int, SignedPerm]
 
 __all__ = [
     "TwistContext",
@@ -37,7 +40,6 @@ __all__ = [
     "reachable_set",
     "image_set",
     "springer_value",
-    "springer_image_sweep",
 ]
 
 
@@ -86,21 +88,25 @@ class TwistContext:
         return self.group.simple_reflections()
 
     @cached_property
-    def _involutions(self) -> frozenset[SignedPerm]:
-        return frozenset(
-            w for w in self.group.element_set() if (self.theta(w) * w).is_identity()
-        )
+    def length(self) -> Callable[[SignedPerm], int]:
+        """``group.length`` memoized; asked only about twisted involutions."""
+        return cache(self.group.length)
 
     @cached_property
-    def _moves(self) -> tuple[tuple[SignedPerm, int, SignedPerm], ...]:
-        """Every move (a, idx, s_idx * a) of the monoid action that changes
-        a twisted involution a; simples are numbered from 1."""
-        return tuple(
-            (a, idx, b)
-            for a in twisted_involutions(self)
-            for idx, s in enumerate(self.simples(), start=1)
-            if (b := monoid_star(self, s, a)) != a
-        )
+    def _sweep(self) -> tuple[frozenset[SignedPerm], tuple[Move, ...]]:
+        """The twisted involutions, as the closure of e under the monoid
+        action, and every move (a, idx, s_idx * a) that changes an element;
+        simples are numbered from 1."""
+        self.group.check_enumerable()
+        moves: list[Move] = []
+
+        def step(a: SignedPerm) -> Iterator[SignedPerm]:
+            for idx, s in enumerate(self.simples(), start=1):
+                if (b := monoid_star(self, s, a)) != a:
+                    moves.append((a, idx, b))
+                    yield b
+
+        return closure([self.group.identity()], step), tuple(moves)
 
 
 def is_twisted_involution(ctx: TwistContext, w: SignedPerm) -> bool:
@@ -108,12 +114,12 @@ def is_twisted_involution(ctx: TwistContext, w: SignedPerm) -> bool:
 
 
 def twisted_involutions(ctx: TwistContext) -> frozenset[SignedPerm]:
-    return ctx._involutions
+    return ctx._sweep[0]
 
 
 def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
     """Monoid action of a simple reflection on a twisted involution."""
-    length = ctx.group.length
+    length = ctx.length
     sa = s * a
     sas = sa * ctx.theta(s)
     if sas == a:
@@ -135,7 +141,7 @@ def image_set(ctx: TwistContext, top: SignedPerm) -> frozenset[SignedPerm]:
     if top not in twisted_involutions(ctx):
         raise ValueError("top element is not a twisted involution")
     reverse: defaultdict[SignedPerm, list[SignedPerm]] = defaultdict(list)
-    for a, _, b in ctx._moves:
+    for a, _, b in ctx._sweep[1]:
         reverse[b].append(a)
     return closure([top], reverse.__getitem__)
 
@@ -155,35 +161,26 @@ def springer_value(
     return value
 
 
-def springer_image_sweep(
-    ctx: TwistContext, torus_element: SignedPerm, sweep: Iterable[SignedPerm]
-) -> frozenset[SignedPerm]:
-    """Set of values over a sweep of group elements (typically coset
-    representatives, or the whole group when no subgroup data exists)."""
-    return frozenset(springer_value(ctx, torus_element, w) for w in sweep)
-
-
 @dataclass(frozen=True)
 class ReachabilityGraph:
     """Monoid move graph on the twisted involutions of a context."""
 
     context: TwistContext
     nodes: tuple[SignedPerm, ...]
-    edges: tuple[tuple[SignedPerm, int, SignedPerm], ...]
+    edges: tuple[Move, ...]
 
     @staticmethod
     def build(ctx: TwistContext) -> "ReachabilityGraph":
         nodes = sorted(twisted_involutions(ctx), key=canonical_key)
-        edges = sorted(ctx._moves, key=lambda e: (canonical_key(e[0]), e[1]))
+        edges = sorted(ctx._sweep[1], key=lambda e: (canonical_key(e[0]), e[1]))
         return ReachabilityGraph(ctx, tuple(nodes), tuple(edges))
 
     def to_dot(self) -> str:
-        length = self.context.group.length
         lines = ["digraph twisted {", "  rankdir=BT;"]
         for a in self.nodes:
             ident = ",".join(str(v) for v in a.images)
             lines.append(
-                f'  "{ident}" [label="{a.cycle_string()} ({length(a)})"];'
+                f'  "{ident}" [label="{a.cycle_string()} ({self.context.length(a)})"];'
             )
         for a, idx, b in self.edges:
             src = ",".join(str(v) for v in a.images)

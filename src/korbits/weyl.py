@@ -375,12 +375,16 @@ class WeylGroup:
                 for q in itertools.permutations(range(r + 1, n + 1)):
                     yield _signed_perm(p + q)
 
-    @cached_property
-    def _element_set(self) -> frozenset[SignedPerm]:
+    def check_enumerable(self) -> None:
+        """Raise ``SubgroupTooLarge`` if the group is past ``SUBGROUP_CAP``."""
         if self.order > SUBGROUP_CAP:
             raise SubgroupTooLarge(
                 f"|{self.describe()}| = {self.order} exceeds cap {SUBGROUP_CAP}"
             )
+
+    @cached_property
+    def _element_set(self) -> frozenset[SignedPerm]:
+        self.check_enumerable()
         return frozenset(self.elements())
 
     @cached_property

@@ -55,6 +55,65 @@ def test_golden_twisted_table(capsys):
     )
 
 
+def test_golden_twisted_ustar_table(capsys):
+    code, out, err = run(["twisted", "--family", "Ustar", "--n", "2"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "twisted U*(4)\n"
+        "element     length  in-image\n"
+        "----------  ------  --------\n"
+        "e           0       yes\n"
+        "(2 3)       1       no\n"
+        "(1 2)(3 4)  2       yes\n"
+        "(1 2 3 4)   3       no\n"
+        "(1 4 3 2)   3       no\n"
+        "(1 3)(2 4)  4       yes\n"
+        "(1 3 2 4)   5       no\n"
+        "(1 4)       5       no\n"
+        "(1 4 2 3)   5       no\n"
+        "(1 4)(2 3)  6       no\n"
+        "|I| = 10, |I'| = 3, a_max = (1 3)(2 4)\n"
+    )
+
+
+def test_golden_twisted_soodd1_dot(capsys):
+    argv = ["twisted", "--family", "SOodd1", "--n", "2", "--format", "dot"]
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "digraph twisted {\n"
+        "  rankdir=BT;\n"
+        '  "1,2,3" [label="e (0)"];\n'
+        '  "2,1,3" [label="(1 2) (1)"];\n'
+        '  "1,-2,-3" [label="e[+--] (2)"];\n'
+        '  "3,-2,-1" [label="(1 3)[+--] (3)"];\n'
+        '  "-1,2,-3" [label="e[-+-] (4)"];\n'
+        '  "-1,3,-2" [label="(2 3)[-+-] (5)"];\n'
+        '  "-1,-2,3" [label="e[--+] (6)"];\n'
+        '  "-1,-3,2" [label="(2 3)[--+] (5)"];\n'
+        '  "-2,-1,3" [label="(1 2)[--+] (5)"];\n'
+        '  "-3,-2,1" [label="(1 3)[--+] (3)"];\n'
+        '  "1,2,3" -> "2,1,3" [label="s1"];\n'
+        '  "1,2,3" -> "1,-2,-3" [label="s2"];\n'
+        '  "1,2,3" -> "1,-2,-3" [label="s3"];\n'
+        '  "2,1,3" -> "3,-2,-1" [label="s2"];\n'
+        '  "2,1,3" -> "-3,-2,1" [label="s3"];\n'
+        '  "1,-2,-3" -> "-1,2,-3" [label="s1"];\n'
+        '  "3,-2,-1" -> "-1,3,-2" [label="s1"];\n'
+        '  "3,-2,-1" -> "-2,-1,3" [label="s3"];\n'
+        '  "-1,2,-3" -> "-1,3,-2" [label="s2"];\n'
+        '  "-1,2,-3" -> "-1,-3,2" [label="s3"];\n'
+        '  "-1,3,-2" -> "-1,-2,3" [label="s3"];\n'
+        '  "-1,-3,2" -> "-1,-2,3" [label="s2"];\n'
+        '  "-2,-1,3" -> "-1,-2,3" [label="s1"];\n'
+        '  "-3,-2,1" -> "-1,-3,2" [label="s1"];\n'
+        '  "-3,-2,1" -> "-2,-1,3" [label="s2"];\n'
+        "}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -177,7 +236,7 @@ def test_unsupported_query_exit_3(capsys):
     assert "little-Weyl-group" in err
 
 
-def test_too_large_instance_exit_4(capsys):
+def test_too_large_instance_exit_4(capsys, no_enumeration):
     code, out, err = run(["twisted", "--family", "GL", "--n", "11"], capsys)
     assert code == 4
     assert out == ""

@@ -20,7 +20,13 @@ from korbits.catalog import (
     wk_subgroup,
 )
 from korbits.descent import GaloisAction, fixed_and_pairs, galois_action
-from korbits.twisted import image_set, twisted_involutions
+from korbits.twisted import (
+    ReachabilityGraph,
+    image_set,
+    monoid_star,
+    reachable_set,
+    twisted_involutions,
+)
 from korbits.weyl import (
     canonical_key,
     conjugacy_classes,
@@ -232,6 +238,32 @@ def test_gl_image_is_every_twisted_involution(n):
     assert image_set(spec.context, a_max(spec)) == twisted_involutions(
         spec.context
     )
+
+
+@pytest.mark.parametrize(
+    "case", [("Upq", (3, 1)), ("SOodd1", (3,)), ("Ustar", (3,))], ids=_instance_id
+)
+def test_twisted_layer_never_enumerates_the_group(case, no_enumeration):
+    spec = build(case[0], *case[1])
+    ctx = spec.context
+    top = a_max(spec)
+    involutions = twisted_involutions(ctx)
+    image = image_set(ctx, top)
+    graph = ReachabilityGraph.build(ctx)
+    naive = naive_twisted(
+        all_elements(spec.group.kind, spec.group.rank), ctx.twist, ctx.base
+    )
+    assert involutions == naive
+    assert image == {a for a in naive if top in reachable_set(ctx, a)}
+    assert graph.nodes == tuple(sorted(naive, key=canonical_key))
+    moves = {
+        (a, idx, b)
+        for a in naive
+        for idx, s in enumerate(ctx.simples(), start=1)
+        if (b := monoid_star(ctx, s, a)) != a
+    }
+    assert len(graph.edges) == len(moves)
+    assert set(graph.edges) == moves
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 3), (3, 15), (4, 105)])

@@ -9,7 +9,6 @@ from korbits.twisted import (
     is_twisted_involution,
     monoid_star,
     reachable_set,
-    springer_image_sweep,
     springer_value,
     twisted_involutions,
 )
@@ -108,7 +107,6 @@ def test_springer_value_formula():
     assert springer_value(ctx, e, e) == tr(1, 2, 2)
     assert springer_value(ctx, tr(1, 2, 2), e) == e
     assert springer_value(ctx, tr(1, 2, 2), tr(1, 2, 2)) == e
-    assert springer_image_sweep(ctx, e, [e, tr(1, 2, 2)]) == {tr(1, 2, 2)}
 
 
 def test_springer_value_rejects_non_involution_values():
