@@ -37,11 +37,12 @@ from .dyadic import (
     Dyadic,
     DyadicGauss,
     ExactMatrix,
-    G0,
     G1,
     GI,
     TorusStructure,
+    UCIRC,
     diagonal_structure,
+    placed,
 )
 from .tori import ThetaLattice, TorusClass, torus_classification
 from .twisted import TwistContext, springer_value
@@ -173,24 +174,10 @@ class ClaimResult:
 _H = Dyadic(1, -1)
 #: The rank-one split realizer of determinant one: rows (1/2, i; i/2, 1).
 GBL = ExactMatrix.from_rows([[_H, GI], [DyadicGauss(D0, _H), 1]])
-#: Diagonalizer of rotation blocks; the split-group torus realizer.
-UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 #: The signature-block realizer for the unitary flavor: rows (1, -1; 1, 1).
 HSPLIT = ExactMatrix.from_rows([[1, -1], [1, 1]])
 #: The 3x3 realizer mixing the last rotation block with the fixed line.
 M3 = ExactMatrix.from_rows([[0, 0, -GI], [1, 0, 0], [0, GI, 0]])
-
-
-def _placed(
-    size: int, placements: Iterable[tuple[Sequence[int], ExactMatrix]]
-) -> ExactMatrix:
-    """Identity matrix with blocks placed at the given 1-based indices."""
-    rows = [[G1 if i == j else G0 for j in range(size)] for i in range(size)]
-    for idx, block in placements:
-        for a, r in enumerate(idx):
-            for b, c in enumerate(idx):
-                rows[r - 1][c - 1] = block[a, b]
-    return ExactMatrix(tuple(tuple(r) for r in rows))
 
 
 def _transposition_product(
@@ -204,7 +191,7 @@ def _transposition_product(
 
 def _symplectic_j(n: int) -> ExactMatrix:
     blk = ExactMatrix.from_rows([[0, 1], [-1, 0]])
-    return _placed(2 * n, [((2 * j - 1, 2 * j), blk) for j in range(1, n + 1)])
+    return placed(2 * n, [((2 * j - 1, 2 * j), blk) for j in range(1, n + 1)])
 
 
 # -- family builders -------------------------------------------------------
@@ -223,7 +210,7 @@ def _gl_spec(n: int) -> GroupSpec:
     tori = []
     for i in range(n // 2 + 1):
         c = _transposition_product([(2 * j - 1, 2 * j) for j in range(1, i + 1)], n)
-        g = _placed(n, [((2 * j - 1, 2 * j), UCIRC) for j in range(1, i + 1)])
+        g = placed(n, [((2 * j - 1, 2 * j), UCIRC) for j in range(1, i + 1)])
         tori.append(TorusDescriptor(index=i, twist_class=c, matrix=g))
     return GroupSpec(
         family="GL",
@@ -289,7 +276,7 @@ def _sl2n_spec(n: int) -> GroupSpec:
     tori = []
     for i in range(n + 1):
         c = _transposition_product([(2 * j - 1, 2 * j) for j in range(1, i + 1)], r)
-        g = _placed(r, [((2 * j - 1, 2 * j), GBL) for j in range(1, i + 1)])
+        g = placed(r, [((2 * j - 1, 2 * j), GBL) for j in range(1, i + 1)])
         tori.append(
             TorusDescriptor(
                 index=i,
@@ -399,7 +386,7 @@ def _soeven1_spec(n: int) -> GroupSpec:
         ),
     )
     size = 2 * n + 1
-    g0 = _placed(size, [((size - 2, size - 1, size), M3)])
+    g0 = placed(size, [((size - 2, size - 1, size), M3)])
     centralizer = (
         tuple(transposition(i, i + 1, n) for i in range(1, n - 1))
         + ((sign_flip([n - 1], n),) if n >= 2 else ())
@@ -471,7 +458,7 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
     for i in range(q + 1):
         pairs = [(p - q + i + j, n - q + i + j) for j in range(1, q - i + 1)]
         c = _transposition_product(pairs, n)
-        g = _placed(n, [(pair, HSPLIT) for pair in pairs])
+        g = placed(n, [(pair, HSPLIT) for pair in pairs])
         tori.append(
             TorusDescriptor(
                 index=i,
@@ -640,7 +627,7 @@ def theta_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
     if fam == "Restriction":
         r = spec.params[0]
         swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        pi = _placed(2 * r, [((j, r + j), swap) for j in range(1, r + 1)])
+        pi = placed(2 * r, [((j, r + j), swap) for j in range(1, r + 1)])
         return pi * m * pi
     raise InvalidParams(f"no matrix involution for family {fam}")
 
@@ -684,22 +671,6 @@ def _slot_reorder(
     return tuple(out)
 
 
-def _same_matrix(a: ExactMatrix, b: ExactMatrix) -> bool:
-    return (
-        a.nrows == b.nrows
-        and a.ncols == b.ncols
-        and all(
-            (x - y).is_zero()
-            for rx, ry in zip(a.entries, b.entries)
-            for x, y in zip(rx, ry)
-        )
-    )
-
-
-def _same_values(a: Sequence[DyadicGauss], b: Sequence[DyadicGauss]) -> bool:
-    return len(a) == len(b) and all((x - y).is_zero() for x, y in zip(a, b))
-
-
 def _run_claim(claims: list[ClaimResult], name: str, body) -> None:
     try:
         ok, detail = body()
@@ -724,7 +695,7 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
         point = realizer * point * realizer.inverse()
 
     def involution():
-        return _same_matrix(theta_matrix(spec, theta_matrix(spec, point)), point), ""
+        return theta_matrix(spec, theta_matrix(spec, point)) == point, ""
 
     _run_claim(claims, "theta-squares-to-identity-on-torus", involution)
 
@@ -733,7 +704,7 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
         if realizer is not None:
             moved = realizer.inverse() * moved * realizer
         got = struct.extract(moved)
-        return _same_values(got, _lattice_transform(spec, sample)), ""
+        return got == _lattice_transform(spec, sample), ""
 
     _run_claim(claims, "theta-matches-lattice-involution", lattice_match)
 
@@ -753,7 +724,7 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 
         def gbl_det():
             d = GBL.det()
-            return (d - G1).is_zero(), f"det = {d}"
+            return d == G1, f"det = {d}"
 
         _run_claim(claims, "block-realizer-det-one", gbl_det)
 
@@ -786,7 +757,7 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
             # their torus conjugates are stable; the twist class shows up
             # on the Galois side only.
             def theta_fixed(g=g):
-                return _same_matrix(theta_matrix(spec, g), g), ""
+                return theta_matrix(spec, g) == g, ""
 
             _run_claim(claims, f"torus-{i}-realizer-theta-fixed", theta_fixed)
 
@@ -805,7 +776,7 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
         def shape(g=g, hstruct=hstruct):
             vals = diag.sample_point()
             got = hstruct.extract(g * ExactMatrix.diagonal(vals) * g.inverse())
-            return _same_values(got, _slot_reorder(hstruct, vals)), ""
+            return got == _slot_reorder(hstruct, vals), ""
 
         _run_claim(claims, f"torus-{i}-conjugate-shape", shape)
 
@@ -822,20 +793,20 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 
     def det_one():
         d = g.det()
-        return (d - G1).is_zero(), f"det = {d}"
+        return d == G1, f"det = {d}"
 
     _run_claim(claims, "split-realizer-det-one", det_one)
 
     def form():
         b = ExactMatrix.diagonal([1] * (size - 1) + [-1])
-        return _same_matrix(g.transpose() * b * g, b), ""
+        return g.transpose() * b * g == b, ""
 
     _run_claim(claims, "split-realizer-preserves-form", form)
 
     def cocycle_exact():
         z = g.inverse() * theta_matrix(spec, g)
         want = ExactMatrix.diagonal([1] * (size - 2) + [-1, -1])
-        return _same_matrix(z, want), ""
+        return z == want, ""
 
     _run_claim(claims, "split-theta-cocycle-exact", cocycle_exact)
 
@@ -858,7 +829,7 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
         vals = fundamental.sample_point()
         got = spec.torus_structure.extract(g * fundamental.embed(vals) * g.inverse())
         want = vals[: n - 1] + (vals[n - 1].inverse(),)
-        return _same_values(got, want), ""
+        return got == want, ""
 
     _run_claim(claims, "split-torus-conjugate-shape", shape)
 
@@ -900,6 +871,6 @@ def _verify_upq(spec: GroupSpec, claims: list[ClaimResult]) -> None:
         def shape(g=g, hstruct=hstruct):
             vals = diag.sample_point()
             got = hstruct.extract(g * ExactMatrix.diagonal(vals) * g.inverse())
-            return _same_values(got, _slot_reorder(hstruct, vals)), ""
+            return got == _slot_reorder(hstruct, vals), ""
 
         _run_claim(claims, f"torus-{i}-conjugate-shape", shape)

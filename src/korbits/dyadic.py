@@ -3,18 +3,20 @@ extension, plus matrices over that ring.
 
 Everything here is exact: a dyadic number is an odd integer (or zero) times
 a power of two, a Gaussian dyadic is a pair of those, and matrices carry
-Gaussian-dyadic entries.  Determinants and inverses go through
-``fractions.Fraction`` so intermediate divisions are exact; a result that
-leaves the dyadic ring raises instead of rounding.  ``TorusStructure``
-describes how a diagonalizable torus sits inside matrices (plain diagonal,
-rotation-style 2x2 blocks, or norm-one blocks carrying inverse-paired
-eigenvalues) and converts torus-normalizing monomial matrices into signed
-permutations.
+Gaussian-dyadic entries.  Matrix products, determinants and inverses work on
+Gaussian integers sharing one power-of-two exponent; determinants and
+inverses come from one fraction-free (Bareiss) elimination over Z[i], whose
+divisions are exact, and an inverse exists only for a unit determinant.
+``TorusStructure`` describes how a diagonalizable torus sits inside matrices
+(plain diagonal, rotation-style 2x2 blocks, or norm-one blocks carrying
+inverse-paired eigenvalues) and converts torus-normalizing monomial matrices
+into signed permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -133,10 +135,6 @@ class DyadicGauss:
         conv = lambda v: v if isinstance(v, Dyadic) else Dyadic(v)
         return DyadicGauss(conv(re), conv(im))
 
-    @staticmethod
-    def from_fractions(re: Fraction, im: Fraction) -> "DyadicGauss":
-        return DyadicGauss(Dyadic.from_fraction(re), Dyadic.from_fraction(im))
-
     def __add__(self, other: "DyadicGauss") -> "DyadicGauss":
         return DyadicGauss(self.re + other.re, self.im + other.im)
 
@@ -200,22 +198,65 @@ def _as_gauss(v) -> DyadicGauss:
     raise TypeError(f"cannot coerce {v!r} to a Gaussian dyadic")
 
 
-# Internal: exact complex rationals for elimination steps.
-def _q(z: DyadicGauss) -> tuple[Fraction, Fraction]:
-    return (z.re.to_fraction(), z.im.to_fraction())
+# Internal: a matrix as Gaussian-integer pairs (re, im) sharing one
+# exponent e, entry = (re + im*i) * 2**e.  e is the least exponent of any
+# component, zeros (exponent 0) included, so no shift is negative.
+def _ints(rows) -> tuple[list[list[tuple[int, int]]], int]:
+    e = min((c.exp for row in rows for z in row for c in (z.re, z.im)), default=0)
+    ints = [
+        [(z.re.num << (z.re.exp - e), z.im.num << (z.im.exp - e)) for z in row]
+        for row in rows
+    ]
+    return ints, e
 
 
-def _qmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _gauss(re: int, im: int, e: int) -> DyadicGauss:
+    return DyadicGauss(Dyadic(re, e), Dyadic(im, e)) if re or im else G0
 
 
-def _qsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
+def _from_ints(rows, e: int) -> "ExactMatrix":
+    return ExactMatrix(tuple(tuple(_gauss(*z, e) for z in row) for row in rows))
 
 
-def _qdiv(a, b):
-    n = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+def _gauss_jordan(rows: list[list[tuple[int, int]]]) -> tuple[int, int, int]:
+    """Fraction-free Gauss-Jordan elimination over Z[i] on the leading
+    square block of ``rows``, in place (Bareiss, Math. Comp. 22, 1968).
+
+    Step k replaces every other row by (p*row - f*pivot_row) / p', with p
+    the pivot, f the row's entry in column k and p' the previous pivot;
+    Sylvester's identity makes that division exact.  The block ends as d*I
+    for the last pivot d, and the columns right of it undergo the same row
+    operations, so [A | I] becomes [d*I | d*A^-1].  Returns (sign, re, im)
+    of d, with det = sign * d; d is 0 when the block is singular.
+    """
+    n = len(rows)
+    sign, pr, pi = 1, 1, 0
+    for k in range(n):
+        piv = next((r for r in range(k, n) if rows[r][k] != (0, 0)), None)
+        if piv is None:
+            return sign, 0, 0
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        kr, ki = top[k]
+        norm = pr * pr + pi * pi
+        for i in range(n):
+            if i == k:
+                continue
+            fr, fi = rows[i][k]
+            new = []
+            for (xr, xi), (yr, yi) in zip(rows[i], top):
+                zr = kr * xr - ki * xi - fr * yr + fi * yi
+                zi = kr * xi + ki * xr - fr * yi - fi * yr
+                qr, rr = divmod(zr * pr + zi * pi, norm)
+                qi, ri = divmod(zi * pr - zr * pi, norm)
+                if rr or ri:
+                    raise ArithmeticError("inexact division in Bareiss elimination")
+                new.append((qr, qi))
+            rows[i] = new
+        pr, pi = kr, ki
+    return sign, pr, pi
 
 
 @dataclass(frozen=True)
@@ -259,35 +300,19 @@ class ExactMatrix:
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
+        a, ea = _ints(self.entries)
+        b, eb = _ints(other.entries)
+        b = [[(j, yr, yi) for j, (yr, yi) in enumerate(row) if yr or yi] for row in b]
         rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = G0
-                for k in range(self.ncols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return ExactMatrix(tuple(rows))
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return ExactMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(-a for a in row) for row in self.entries))
+        for arow in a:
+            re, im = [0] * other.ncols, [0] * other.ncols
+            for (xr, xi), brow in zip(arow, b):
+                if xr or xi:
+                    for j, yr, yi in brow:
+                        re[j] += xr * yr - xi * yi
+                        im[j] += xr * yi + xi * yr
+            rows.append(zip(re, im))
+        return _from_ints(rows, ea + eb)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(tuple(zip(*self.entries)))
@@ -313,62 +338,34 @@ class ExactMatrix:
         return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
 
     def det(self) -> DyadicGauss:
-        """Exact determinant (Gaussian elimination over complex rationals)."""
+        """Exact determinant, by fraction-free elimination over Z[i]."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [[_q(v) for v in row] for row in self.entries]
-        det = (Fraction(1), Fraction(0))
-        for col in range(n):
-            pivot = next(
-                (r for r in range(col, n) if a[r][col] != (0, 0)), None
-            )
-            if pivot is None:
-                return G0
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                det = (-det[0], -det[1])
-            det = _qmul(det, a[col][col])
-            inv = _qdiv((Fraction(1), Fraction(0)), a[col][col])
-            for r in range(col + 1, n):
-                if a[r][col] == (0, 0):
-                    continue
-                f = _qmul(a[r][col], inv)
-                for c in range(col, n):
-                    a[r][c] = _qsub(a[r][c], _qmul(f, a[col][c]))
-        return DyadicGauss.from_fractions(*det)
+        rows, e = _ints(self.entries)
+        sign, dr, di = _gauss_jordan(rows)
+        return _gauss(sign * dr, sign * di, self.nrows * e)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse within the Gaussian dyadic ring (determinant must be a
         unit, otherwise the inverse has entries outside the ring)."""
-        d = self.det()
-        if not d.is_unit():
-            raise NotAUnit(f"determinant {d} is not a unit")
+        if self.nrows != self.ncols:
+            raise ValueError("determinant of a non-square matrix")
         n = self.nrows
-        a = [[_q(v) for v in row] for row in self.entries]
-        b = [
-            [(Fraction(int(i == j)), Fraction(0)) for j in range(n)]
-            for i in range(n)
-        ]
-        for col in range(n):
-            pivot = next(r for r in range(col, n) if a[r][col] != (0, 0))
-            if pivot != col:
-                a[col], a[pivot] = a[pivot], a[col]
-                b[col], b[pivot] = b[pivot], b[col]
-            inv = _qdiv((Fraction(1), Fraction(0)), a[col][col])
-            a[col] = [_qmul(inv, v) for v in a[col]]
-            b[col] = [_qmul(inv, v) for v in b[col]]
-            for r in range(n):
-                if r == col or a[r][col] == (0, 0):
-                    continue
-                f = a[r][col]
-                a[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(a[r], a[col])]
-                b[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(b[r], b[col])]
-        return ExactMatrix(
-            tuple(
-                tuple(DyadicGauss.from_fractions(*v) for v in row) for row in b
-            )
+        rows, e = _ints(self.entries)
+        for i, row in enumerate(rows):
+            row.extend((int(i == j), 0) for j in range(n))
+        sign, dr, di = _gauss_jordan(rows)
+        norm = dr * dr + di * di
+        if not norm or norm & (norm - 1):
+            d = _gauss(sign * dr, sign * di, n * e)
+            raise NotAUnit(f"determinant {d} is not a unit")
+        # A = 2**e * M, the right block is d * M^-1, and 1/d = conj(d) / norm
+        # with norm a power of two.
+        right = (
+            [(xr * dr + xi * di, xi * dr - xr * di) for xr, xi in row[n:]]
+            for row in rows
         )
+        return _from_ints(right, 1 - e - norm.bit_length())
 
     def __str__(self) -> str:
         return "\n".join(
@@ -381,17 +378,25 @@ def permutation_matrix(w: SignedPerm) -> ExactMatrix:
     return ExactMatrix.from_rows(w.matrix())
 
 
+def placed(
+    size: int, placements: Iterable[tuple[Sequence[int], ExactMatrix]]
+) -> ExactMatrix:
+    """Identity matrix with blocks placed at the given 1-based indices."""
+    rows = [[G1 if i == j else G0 for j in range(size)] for i in range(size)]
+    for idx, block in placements:
+        for a, r in enumerate(idx):
+            for b, c in enumerate(idx):
+                rows[r - 1][c - 1] = block[a, b]
+    return ExactMatrix(tuple(tuple(r) for r in rows))
+
+
 # -- torus block structures ----------------------------------------------
 
-_HALF = Dyadic(1, -1)
-#: Diagonalizer for rotation blocks (a b; -b a) -> diag(z, z'), z = a + bi.
-_U_CIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
-_U_CIRC_INV = ExactMatrix.from_rows(
-    [[_HALF, DyadicGauss(D0, -_HALF)], [_HALF, DyadicGauss(D0, _HALF)]]
-)
+#: Diagonalizer for rotation blocks (a b; -b a) -> diag(z, z'), z = a + bi;
+#: also the split-group torus realizer.
+UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 #: Diagonalizer for symmetric blocks (a c; c a) -> diag(a+c, a-c).
 _U_HYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
-_U_HYP_INV = ExactMatrix.from_rows([[_HALF, _HALF], [_HALF, -_HALF]])
 
 
 @dataclass(frozen=True)
@@ -453,30 +458,15 @@ class TorusStructure:
                 labels[u[2] - 1] = (coord, -1)
         return tuple(labels)
 
-    def diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix]:
+    @cached_property
+    def _diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix]:
         """(U, U^-1) with U^-1 * torus * U diagonal."""
-        rows = [[G0] * self.size for _ in range(self.size)]
-        for u in self.units:
-            if u[0] in ("coord", "trivial"):
-                rows[u[1] - 1][u[1] - 1] = G1
-            else:
-                blk = _U_CIRC if u[3] == "circular" else _U_HYP
-                r1, r2 = u[1] - 1, u[2] - 1
-                for a, i in enumerate((r1, r2)):
-                    for b, j in enumerate((r1, r2)):
-                        rows[i][j] = blk[a, b]
-        U = ExactMatrix(tuple(tuple(r) for r in rows))
-        inv_rows = [[G0] * self.size for _ in range(self.size)]
-        for u in self.units:
-            if u[0] in ("coord", "trivial"):
-                inv_rows[u[1] - 1][u[1] - 1] = G1
-            else:
-                blk = _U_CIRC_INV if u[3] == "circular" else _U_HYP_INV
-                r1, r2 = u[1] - 1, u[2] - 1
-                for a, i in enumerate((r1, r2)):
-                    for b, j in enumerate((r1, r2)):
-                        inv_rows[i][j] = blk[a, b]
-        return U, ExactMatrix(tuple(tuple(r) for r in inv_rows))
+        pairs = [u for u in self.units if u[0] in ("pair1", "pair2")]
+        U = placed(
+            self.size,
+            [(u[1:3], UCIRC if u[3] == "circular" else _U_HYP) for u in pairs],
+        )
+        return U, U.inverse()
 
     def embed(self, values: Sequence[DyadicGauss]) -> ExactMatrix:
         """Torus point with the given coordinate values (pair1 values must
@@ -491,12 +481,12 @@ class TorusStructure:
                 continue
             coord, expo = lab
             diag[slot] = vals[coord - 1] if expo == 1 else vals[coord - 1].inverse()
-        U, Uinv = self.diagonalizer()
+        U, Uinv = self._diagonalizer
         return U * ExactMatrix.diagonal(diag) * Uinv
 
     def extract(self, m: ExactMatrix) -> tuple[DyadicGauss, ...]:
         """Coordinates of a torus point; raises NotMonomial otherwise."""
-        U, Uinv = self.diagonalizer()
+        U, Uinv = self._diagonalizer
         d = Uinv * m * U
         if not d.is_diagonal():
             raise NotMonomial("matrix is not in the torus")
@@ -504,14 +494,14 @@ class TorusStructure:
         out: list = [None] * self.rank
         for slot, lab in enumerate(self.slot_labels()):
             if lab is None:
-                if not (diag[slot] - G1).is_zero():
+                if diag[slot] != G1:
                     raise NotMonomial("trivial slot is not 1")
                 continue
             coord, expo = lab
             val = diag[slot] if expo == 1 else diag[slot].inverse()
             if out[coord - 1] is None:
                 out[coord - 1] = val
-            elif not (out[coord - 1] - val).is_zero():
+            elif out[coord - 1] != val:
                 raise NotMonomial("inconsistent paired eigenvalues")
         return tuple(out)
 
@@ -532,7 +522,7 @@ class TorusStructure:
         when an eigenvalue lands on its partner's inverse slot)."""
         if m.nrows != self.size or m.ncols != self.size:
             raise NotMonomial(f"expected a {self.size}x{self.size} matrix")
-        U, Uinv = self.diagonalizer()
+        U, Uinv = self._diagonalizer
         d = Uinv * m * U
         col_of_row = []
         for i in range(self.size):

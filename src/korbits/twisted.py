@@ -16,8 +16,8 @@ On that set the monoid generated by the simple reflections acts by
 and the set is the closure of e under this action (Richardson-Springer,
 Hultman).  A context computes that closure once, recording every move that
 changes an element; ``twisted_involutions``, ``image_set`` and
-``ReachabilityGraph.build`` all read this sweep.  Lengths are memoized per
-context.
+``ReachabilityGraph.build`` all read this sweep.  Lengths and the twist of
+each simple reflection are memoized per context.
 """
 
 from __future__ import annotations
@@ -57,12 +57,10 @@ class TwistContext:
             raise ValueError("base element must lie in the group")
         if not (self.theta_raw(self.base) * self.base).is_identity():
             raise ValueError("twist of the base times the base must be e")
-        simples = set(self.group.simple_reflections())
-        for s in simples:
-            if self.theta(s) not in simples:
-                raise ValueError(
-                    "effective twist does not permute the simple reflections"
-                )
+        if not set(self._simple_theta.values()) <= set(self._simple_theta):
+            raise ValueError(
+                "effective twist does not permute the simple reflections"
+            )
 
     def theta_raw(self, w: SignedPerm) -> SignedPerm:
         """``t * w * t^-1``."""
@@ -86,6 +84,10 @@ class TwistContext:
     @cached_property
     def _simples(self) -> tuple[SignedPerm, ...]:
         return self.group.simple_reflections()
+
+    @cached_property
+    def _simple_theta(self) -> dict[SignedPerm, SignedPerm]:
+        return {s: self.theta(s) for s in self.simples()}
 
     @cached_property
     def length(self) -> Callable[[SignedPerm], int]:
@@ -119,9 +121,12 @@ def twisted_involutions(ctx: TwistContext) -> frozenset[SignedPerm]:
 
 def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
     """Monoid action of a simple reflection on a twisted involution."""
+    theta_s = ctx._simple_theta.get(s)
+    if theta_s is None:
+        raise ValueError(f"{s} is not a simple reflection")
     length = ctx.length
     sa = s * a
-    sas = sa * ctx.theta(s)
+    sas = sa * theta_s
     if sas == a:
         return sa if length(sa) > length(a) else a
     return sas if length(sas) > length(a) else a

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive — full enumeration, pairwise membership
 tests, no caching — and shares nothing with the package beyond the
-``SignedPerm`` value type and its composition.  When a fast routine and its
+``SignedPerm`` value type and its composition and the Gaussian-dyadic value
+types.  When a fast routine and its
 oracle agree on an instance, that agreement is evidence, not tautology.
 """
 
@@ -12,6 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit
 from korbits.weyl import SignedPerm
 
 
@@ -272,3 +274,74 @@ def naive_torus_classes(
         ]
         classes.append((frozenset(orbit), rank - _rank(stacked)))
     return frozenset(classes)
+
+
+# -- exact matrices over complex rationals ----------------------------------
+
+
+def _q(z: DyadicGauss) -> tuple[Fraction, Fraction]:
+    return (z.re.to_fraction(), z.im.to_fraction())
+
+
+def _from_q(v: tuple[Fraction, Fraction]) -> DyadicGauss:
+    return DyadicGauss(Dyadic.from_fraction(v[0]), Dyadic.from_fraction(v[1]))
+
+
+def _qmul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _qsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _qdiv(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def naive_det(m: ExactMatrix) -> DyadicGauss:
+    """Determinant by Gaussian elimination over the complex rationals."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    a = [[_q(v) for v in row] for row in m.entries]
+    det = (Fraction(1), Fraction(0))
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != (0, 0)), None)
+        if pivot is None:
+            return _from_q((Fraction(0), Fraction(0)))
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = (-det[0], -det[1])
+        det = _qmul(det, a[col][col])
+        inv = _qdiv((Fraction(1), Fraction(0)), a[col][col])
+        for r in range(col + 1, n):
+            f = _qmul(a[r][col], inv)
+            for c in range(col, n):
+                a[r][c] = _qsub(a[r][c], _qmul(f, a[col][c]))
+    return _from_q(det)
+
+
+def naive_inverse(m: ExactMatrix) -> ExactMatrix:
+    """Inverse by Gauss-Jordan elimination over the complex rationals;
+    NotAUnit unless the determinant is a unit of the Gaussian dyadics."""
+    d = naive_det(m)
+    if not d.is_unit():
+        raise NotAUnit(f"determinant {d} is not a unit")
+    n = m.nrows
+    a = [[_q(v) for v in row] for row in m.entries]
+    b = [[(Fraction(int(i == j)), Fraction(0)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col] != (0, 0))
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        inv = _qdiv((Fraction(1), Fraction(0)), a[col][col])
+        a[col] = [_qmul(inv, v) for v in a[col]]
+        b[col] = [_qmul(inv, v) for v in b[col]]
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(a[r], a[col])]
+                b[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(b[r], b[col])]
+    return ExactMatrix(tuple(tuple(_from_q(v) for v in row) for row in b))

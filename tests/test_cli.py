@@ -200,6 +200,93 @@ def test_golden_classify_tori_table(argv, expected, capsys):
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["verify", "--family", "SOodd1", "--n", "5", "--format", "json"],
+            "{\n"
+            '  "command": "verify",\n'
+            '  "family": "SOodd1",\n'
+            '  "params": [\n'
+            "    5\n"
+            "  ],\n"
+            '  "rows": [\n'
+            "    {\n"
+            '      "claim": "theta-squares-to-identity-on-torus",\n'
+            '      "detail": "",\n'
+            '      "ok": true\n'
+            "    },\n"
+            "    {\n"
+            '      "claim": "theta-matches-lattice-involution",\n'
+            '      "detail": "",\n'
+            '      "ok": true\n'
+            "    }\n"
+            "  ],\n"
+            '  "summary": {\n'
+            '    "claims": 2,\n'
+            '    "failures": 0\n'
+            "  }\n"
+            "}\n",
+        ),
+        (
+            ["verify", "--family", "Upq", "--p", "4", "--q", "2"],
+            "verify U(4,2)\n"
+            "status  claim                               detail\n"
+            "------  ----------------------------------  ----------------------------\n"
+            "pass    theta-squares-to-identity-on-torus\n"
+            "pass    theta-matches-lattice-involution\n"
+            "pass    torus-0-realizer-det-unit           det = 4 (expect a unit, 2^2)\n"
+            "pass    torus-0-theta-cocycle               weyl = (3 5)(4 6)\n"
+            "pass    torus-0-galois-cocycle              weyl = (3 5)(4 6)\n"
+            "pass    torus-0-conjugate-shape\n"
+            "pass    torus-1-realizer-det-unit           det = 2 (expect a unit, 2^1)\n"
+            "pass    torus-1-theta-cocycle               weyl = (4 6)\n"
+            "pass    torus-1-galois-cocycle              weyl = (4 6)\n"
+            "pass    torus-1-conjugate-shape\n"
+            "pass    torus-2-realizer-det-unit           det = 1 (expect a unit, 2^0)\n"
+            "pass    torus-2-theta-cocycle               weyl = e\n"
+            "pass    torus-2-galois-cocycle              weyl = e\n"
+            "pass    torus-2-conjugate-shape\n"
+            "14 claims: 14 passed, 0 failed\n",
+        ),
+        (
+            ["verify", "--family", "SL2n", "--n", "3"],
+            "verify SL(6)/Sp\n"
+            "status  claim                               detail\n"
+            "------  ----------------------------------  ----------------------\n"
+            "pass    theta-squares-to-identity-on-torus\n"
+            "pass    theta-matches-lattice-involution\n"
+            "pass    block-realizer-det-one              det = 1\n"
+            "pass    block-realizer-galois-cocycle       weyl = (1 2)\n"
+            "pass    torus-0-realizer-det-unit           det = 1\n"
+            "pass    torus-0-realizer-theta-fixed\n"
+            "pass    torus-0-galois-cocycle              weyl = e\n"
+            "pass    torus-0-conjugate-shape\n"
+            "pass    torus-1-realizer-det-unit           det = 1\n"
+            "pass    torus-1-realizer-theta-fixed\n"
+            "pass    torus-1-galois-cocycle              weyl = (1 2)\n"
+            "pass    torus-1-conjugate-shape\n"
+            "pass    torus-2-realizer-det-unit           det = 1\n"
+            "pass    torus-2-realizer-theta-fixed\n"
+            "pass    torus-2-galois-cocycle              weyl = (1 2)(3 4)\n"
+            "pass    torus-2-conjugate-shape\n"
+            "pass    torus-3-realizer-det-unit           det = 1\n"
+            "pass    torus-3-realizer-theta-fixed\n"
+            "pass    torus-3-galois-cocycle              weyl = (1 2)(3 4)(5 6)\n"
+            "pass    torus-3-conjugate-shape\n"
+            "20 claims: 20 passed, 0 failed\n",
+        ),
+    ],
+    ids=["SOodd1-5-json", "U42", "SL2n-3"],
+)
+def test_golden_verify(argv, expected, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == expected
+
+
 def test_dot_output_only_for_twisted(capsys):
     code, out, _ = run(["twisted", "--family", "GL", "--n", "3", "--format", "dot"], capsys)
     assert code == 0

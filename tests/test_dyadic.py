@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from korbits.catalog import GBL
 from korbits.dyadic import (
     D0,
     D1,
+    G0,
     G1,
     GI,
     DivisionNotDyadic,
@@ -21,6 +22,7 @@ from korbits.dyadic import (
     permutation_matrix,
 )
 from korbits.weyl import SignedPerm
+from oracle import naive_det, naive_inverse
 from support import flip, tr
 
 dyadics = st.builds(
@@ -185,6 +187,114 @@ def test_matrix_det_multiplicative(ka, kb):
     for kind in kb:
         b = b * _elementary_matrix(kind)
     assert (a * b).det() == a.det() * b.det()
+
+
+# -- det and inverse against the complex-rational oracle --------------------
+
+_small = st.builds(Dyadic, st.integers(-3, 3), st.integers(-4, 1))
+_entries = st.one_of(gausses, st.builds(DyadicGauss, _small, _small))
+
+
+def _square(n: int):
+    row = st.lists(_entries, min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+_squares = st.integers(1, 6).flatmap(_square).map(ExactMatrix.from_rows)
+
+
+@st.composite
+def _unit_det_matrices(draw):
+    """L * D * P * U with unitriangular L and U, a diagonal of units and a
+    permutation: the determinant is a unit."""
+    n = draw(st.integers(1, 6))
+    rows = draw(_square(n))
+    lower = [[rows[i][j] if i > j else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[rows[i][j] if i < j else int(i == j) for j in range(n)] for i in range(n)]
+    units = [G1, GI, DyadicGauss.of(1, 1), DyadicGauss.of(Dyadic(1, -2))]
+    diag = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
+    images = draw(st.permutations(range(1, n + 1)))
+    perm = permutation_matrix(SignedPerm(tuple(images)))
+    return (
+        ExactMatrix.from_rows(lower)
+        * ExactMatrix.diagonal(diag)
+        * perm
+        * ExactMatrix.from_rows(upper)
+    )
+
+
+def _agree_with_oracle(m: ExactMatrix) -> None:
+    assert m.det() == naive_det(m)
+    try:
+        want = naive_inverse(m)
+    except NotAUnit:
+        with pytest.raises(NotAUnit):
+            m.inverse()
+    else:
+        assert m.inverse() == want
+
+
+@settings(deadline=None)
+@given(_squares)
+def test_det_and_inverse_match_oracle(m):
+    _agree_with_oracle(m)
+
+
+@settings(deadline=None)
+@given(_unit_det_matrices())
+def test_unit_det_inverse_matches_oracle(m):
+    assert m.det().is_unit()
+    _agree_with_oracle(m)
+    assert m * m.inverse() == ExactMatrix.identity(m.nrows)
+
+
+@settings(deadline=None)
+@given(_squares, st.data())
+def test_singular_matrices(m, data):
+    """Last row replaced by a combination of the others."""
+    rows = [list(r) for r in m.entries]
+    k = len(rows) - 1
+    coeffs = data.draw(st.lists(_entries, min_size=k, max_size=k))
+    last = [G0] * len(rows)
+    for c, row in zip(coeffs, rows):
+        last = [x + c * y for x, y in zip(last, row)]
+    singular = ExactMatrix.from_rows(rows[:-1] + [last])
+    assert singular.det() == naive_det(singular) == G0
+    with pytest.raises(NotAUnit):
+        singular.inverse()
+
+
+_non_units = st.sampled_from(
+    [DyadicGauss.of(3), DyadicGauss.of(5), DyadicGauss.of(1, 2), DyadicGauss.of(3, 1)]
+)
+
+
+@settings(deadline=None)
+@given(_unit_det_matrices(), _non_units)
+def test_non_unit_determinant(m, factor):
+    """Scaling one row of a unit-determinant matrix by a non-unit."""
+    rows = [list(r) for r in m.entries]
+    rows[0] = [factor * v for v in rows[0]]
+    scaled = ExactMatrix.from_rows(rows)
+    assert scaled.det() == naive_det(scaled) == factor * m.det()
+    assert not scaled.det().is_unit()
+    with pytest.raises(NotAUnit):
+        scaled.inverse()
+    with pytest.raises(NotAUnit):
+        naive_inverse(scaled)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_non_square_det_raises(nr, nc, data):
+    if nr == nc:
+        nc += 1
+    row = st.lists(_entries, min_size=nc, max_size=nc)
+    m = ExactMatrix.from_rows(data.draw(st.lists(row, min_size=nr, max_size=nr)))
+    with pytest.raises(ValueError):
+        m.det()
+    with pytest.raises(ValueError):
+        naive_det(m)
 
 
 def test_conj_transpose():

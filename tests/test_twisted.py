@@ -66,6 +66,11 @@ def test_monoid_star_moves():
     assert monoid_star(CTX3, s2, top) == top
 
 
+def test_monoid_star_rejects_non_simple_reflection():
+    with pytest.raises(ValueError, match="not a simple reflection"):
+        monoid_star(CTX3, tr(1, 3, 3), identity(3))
+
+
 @given(st.data())
 def test_monoid_star_laws(data):
     ctx = _gl_context(4)
