@@ -47,6 +47,7 @@ from .dyadic import (
 from .tori import ThetaLattice, TorusClass, torus_classification
 from .twisted import TwistContext, springer_value
 from .weyl import (
+    CosetTable,
     SignedPerm,
     WeylGroup,
     coset_space,
@@ -74,6 +75,7 @@ __all__ = [
     "a_max",
     "springer",
     "wk_subgroup",
+    "coset_table",
     "cosets",
     "sweep_domain",
     "orbit_parameters",
@@ -140,13 +142,11 @@ class GroupSpec:
         return torus_classification(self.lattice)
 
     @cached_property
-    def _coset_tables(
-        self,
-    ) -> tuple[list[tuple[SignedPerm, frozenset[SignedPerm]]] | None, ...]:
+    def _coset_tables(self) -> tuple[CosetTable | None, ...]:
         """Coset table of each torus's little Weyl group (None without data)."""
         group = self.group
         return tuple(
-            None if d.wk_generators is None else coset_space(d.wk_generators, group)
+            None if d.wk_generators is None else CosetTable(d.wk_generators, group)
             for d in self.tori
         )
 
@@ -559,26 +559,31 @@ def springer(spec: GroupSpec, i: int, w: SignedPerm) -> SignedPerm:
     return springer_value(spec.context, spec.descriptor(i).twist_class, w)
 
 
-def wk_subgroup(spec: GroupSpec, i: int) -> frozenset[SignedPerm]:
-    desc = spec.descriptor(i)
-    if desc.wk_generators is None:
+def _wk_generators(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
+    gens = spec.descriptor(i).wk_generators
+    if gens is None:
         raise MissingWkData(
             f"{spec.name} has no little-Weyl-group data for torus {i}; "
             "use the twisted-involution interface"
         )
-    if not desc.wk_generators:
+    return gens
+
+
+def wk_subgroup(spec: GroupSpec, i: int) -> frozenset[SignedPerm]:
+    gens = _wk_generators(spec, i)
+    if not gens:
         return frozenset({spec.group.identity()})
-    return enumerate_subgroup(desc.wk_generators)
+    return enumerate_subgroup(gens)
+
+
+def coset_table(spec: GroupSpec, i: int) -> CosetTable:
+    """The coset table of torus i's little Weyl group, built on first use."""
+    _wk_generators(spec, i)
+    return spec._coset_tables[i]
 
 
 def cosets(spec: GroupSpec, i: int) -> list[tuple[SignedPerm, frozenset[SignedPerm]]]:
-    desc = spec.descriptor(i)
-    if desc.wk_generators is None:
-        raise MissingWkData(
-            f"{spec.name} has no little-Weyl-group data for torus {i}; "
-            "use the twisted-involution interface"
-        )
-    return spec._coset_tables[i]
+    return coset_space(_wk_generators(spec, i), spec.group)
 
 
 def sweep_domain(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
@@ -587,18 +592,19 @@ def sweep_domain(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
     desc = spec.descriptor(i)
     if desc.wk_generators is None:
         return spec.group.sorted_elements()
-    return tuple(rep for rep, _ in cosets(spec, i))
+    return coset_table(spec, i).reps
 
 
 def orbit_parameters(spec: GroupSpec) -> tuple[OrbitParam, ...]:
     out = []
     for desc in spec.tori:
-        for rep, coset in cosets(spec, desc.index):
+        table = coset_table(spec, desc.index)
+        for rep in table.reps:
             out.append(
                 OrbitParam(
                     torus_index=desc.index,
                     rep=rep,
-                    coset_size=len(coset),
+                    coset_size=table.size,
                     value=springer(spec, desc.index, rep),
                     length=spec.group.length(rep),
                 )
@@ -688,6 +694,12 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     approximately."""
     claims: list[ClaimResult] = []
     struct = spec.torus_structure
+    # One instance per distinct structure, so each diagonalizer is inverted once.
+    shared = {struct: struct}
+
+    def share(s: TorusStructure) -> TorusStructure:
+        return shared.setdefault(s, s)
+
     sample = struct.sample_point()
     point = struct.embed(sample)
     realizer = spec.lattice_realizer
@@ -709,17 +721,17 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     _run_claim(claims, "theta-matches-lattice-involution", lattice_match)
 
     if spec.family in ("GL", "SL2n"):
-        _verify_gl_like(spec, claims)
+        _verify_gl_like(spec, claims, share)
     elif spec.family == "SOeven1":
-        _verify_soeven1(spec, claims)
+        _verify_soeven1(spec, claims, share)
     elif spec.family == "Upq":
-        _verify_upq(spec, claims)
+        _verify_upq(spec, claims, share)
     return tuple(claims)
 
 
-def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
+def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     n = spec.matrix_size
-    diag = diagonal_structure(n)
+    diag = share(diagonal_structure(n))
     if spec.family == "SL2n":
 
         def gbl_det():
@@ -729,7 +741,7 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
         _run_claim(claims, "block-realizer-det-one", gbl_det)
 
         def gbl_cocycle():
-            w = diagonal_structure(2).to_weyl(GBL.inverse() * GBL.conjugate())
+            w = share(diagonal_structure(2)).to_weyl(GBL.inverse() * GBL.conjugate())
             return w == transposition(1, 2, 2), f"weyl = {w.cycle_string()}"
 
         _run_claim(claims, "block-realizer-galois-cocycle", gbl_cocycle)
@@ -767,11 +779,10 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 
         _run_claim(claims, f"torus-{i}-galois-cocycle", galois_cocycle)
 
-        hstruct = TorusStructure(
-            n,
-            tuple(("pair2", 2 * j - 1, 2 * j, "circular") for j in range(1, i + 1))
-            + tuple(("coord", k) for k in range(2 * i + 1, n + 1)),
-        )
+        units = tuple(
+            ("pair2", 2 * j - 1, 2 * j, "circular") for j in range(1, i + 1)
+        ) + tuple(("coord", k) for k in range(2 * i + 1, n + 1))
+        hstruct = share(TorusStructure(n, units))
 
         def shape(g=g, hstruct=hstruct):
             vals = diag.sample_point()
@@ -781,14 +792,16 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult]) -> None:
         _run_claim(claims, f"torus-{i}-conjugate-shape", shape)
 
 
-def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
+def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     n = spec.params[0]
     size = spec.matrix_size
     g = spec.tori[1].matrix
-    fundamental = TorusStructure(
-        size,
-        tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))
-        + (("trivial", size),),
+    fundamental = share(
+        TorusStructure(
+            size,
+            tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))
+            + (("trivial", size),),
+        )
     )
 
     def det_one():
@@ -819,7 +832,7 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     def galois_weyl():
         w = fundamental.to_weyl(g.inverse() * galois_matrix(spec, g))
         return (
-            w == sign_flip([n], n) and w in wk_subgroup(spec, 1),
+            w == sign_flip([n], n) and coset_table(spec, 1).canon(w).is_identity(),
             f"weyl = {w.images}",
         )
 
@@ -834,10 +847,10 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     _run_claim(claims, "split-torus-conjugate-shape", shape)
 
 
-def _verify_upq(spec: GroupSpec, claims: list[ClaimResult]) -> None:
+def _verify_upq(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     p, q = spec.params
     n = spec.matrix_size
-    diag = diagonal_structure(n)
+    diag = share(diagonal_structure(n))
     for desc in spec.tori:
         g = desc.matrix
         i = desc.index
@@ -862,11 +875,10 @@ def _verify_upq(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 
         pairs = [(p - q + i + j, n - q + i + j) for j in range(1, q - i + 1)]
         in_pairs = {k for pair in pairs for k in pair}
-        hstruct = TorusStructure(
-            n,
-            tuple(("pair2", a, b, "hyperbolic") for a, b in pairs)
-            + tuple(("coord", k) for k in range(1, n + 1) if k not in in_pairs),
+        units = tuple(("pair2", a, b, "hyperbolic") for a, b in pairs) + tuple(
+            ("coord", k) for k in range(1, n + 1) if k not in in_pairs
         )
+        hstruct = share(TorusStructure(n, units))
 
         def shape(g=g, hstruct=hstruct):
             vals = diag.sample_point()

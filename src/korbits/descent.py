@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import catalog as _catalog
-from .catalog import GroupSpec, cosets, springer, wk_subgroup
+from .catalog import GroupSpec, coset_table, springer
 from .twisted import TwistContext
 from .weyl import SignedPerm
 
@@ -72,26 +71,18 @@ def galois_action(spec: GroupSpec, i: int) -> GaloisAction:
 
     The rule is assembled from the descriptor: an optional conjugation
     element, an optional left factor, an optional right factor.  Images
-    are reduced to canonical representatives through the coset table, so
-    the returned mapping is a permutation of the representative list.
+    are reduced to canonical representatives by the coset table, so the
+    returned mapping is a permutation of the representative list.
     """
     desc = spec.descriptor(i)
     if desc.galois_rule is None:
         raise MissingGaloisData(
             f"{spec.name} torus {i} has no conjugation rule on cosets"
         )
-    table = cosets(spec, i)
-    lookup: dict[SignedPerm, SignedPerm] = {}
-    for rep, coset in table:
-        for x in coset:
-            lookup[x] = rep
-    mapping: dict[SignedPerm, SignedPerm] = {}
-    for rep, _ in table:
-        img = _apply_rule(desc, rep)
-        mapping[rep] = lookup[img]
+    table = coset_table(spec, i)
     return GaloisAction(
-        domain=tuple(rep for rep, _ in table),
-        mapping=mapping,
+        domain=table.reps,
+        mapping={rep: table.canon(_apply_rule(desc, rep)) for rep in table.reps},
         rule=desc.galois_rule,
         name=f"{spec.name} torus {i}",
     )
@@ -212,11 +203,11 @@ def descent_report(spec: GroupSpec) -> DescentReport:
 
 def rational_parameters(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
     """Representatives whose coset satisfies the rationality condition
-    w * w0 * w^-1 in the little Weyl group (the membership route; the
-    conjugation action's fixed set gives the same answer through the
-    coset table)."""
+    w * w0 * w^-1 in the little Weyl group (the membership route, x in W_K
+    read as canon(x) = e; the conjugation action's fixed set gives the
+    same answer through the coset table)."""
     w0 = spec.group.longest_element()
-    wk = wk_subgroup(spec, i)
+    wk = coset_table(spec, i)
     return tuple(
-        rep for rep, _ in cosets(spec, i) if rep * w0 * rep.inverse() in wk
+        rep for rep in wk.reps if wk.canon(rep * w0 * rep.inverse()).is_identity()
     )

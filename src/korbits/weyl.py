@@ -4,13 +4,15 @@ Elements are signed permutations of coordinates 1..rank.  A group is one of
 the classical families needed downstream -- the symmetric group S_n acting on
 n coordinates (type A), the full hyperoctahedral group (type B), its
 even-sign-count subgroup (type D), and a block product S_r x S_r living in
-rank 2r.  Lengths are computed by root counting, coset spaces carry
-canonical (lexicographically least) representatives, and subgroups and
-conjugation orbits are generator closures, all computed by one traversal
-helper, ``closure``.  Products, inverses and enumerated elements are built
-without re-validating their images; ``SignedPerm(...)`` and
-``from_one_line`` validate values that arrive from outside.  Per-group data
-(roots, the element set) is computed once per group instance.
+rank 2r.  Lengths are computed by root counting.  A ``CosetTable`` finds
+the canonical (``canonical_key``-least) representative of each right coset
+of a subgroup as a minimal image, down a chain of pointwise stabilizers,
+with neither the group nor the subgroup enumerated.  Subgroups, conjugation
+orbits and the coset representatives are generator closures, all computed
+by one traversal helper, ``closure``.  Products, inverses and enumerated
+elements are built without re-validating their images; ``SignedPerm(...)``
+and ``from_one_line`` validate values that arrive from outside.  Per-group
+data (roots, the element set) is computed once per group instance.
 
 >>> w = transposition(1, 3, 3)
 >>> (w * w).is_identity()
@@ -45,6 +47,7 @@ __all__ = [
     "product_symmetric_group",
     "canonical_key",
     "enumerate_subgroup",
+    "CosetTable",
     "coset_space",
     "conjugacy_classes",
     "SUBGROUP_CAP",
@@ -462,29 +465,142 @@ def enumerate_subgroup(
     return closure([identity(rank)], lambda w: [g * w for g in gens], cap)
 
 
+def _sims_filter(perms: Iterable[SignedPerm]) -> tuple[SignedPerm, ...]:
+    """At most n(n-1)/2 elements generating the same group as the plain
+    permutations ``perms`` (Sims' filter: keep one element per first moved
+    point i and its image, sift every other through the kept one)."""
+    table: dict[tuple[int, int], SignedPerm] = {}
+    for g in perms:
+        while not g.is_identity():
+            i = next(j for j, v in enumerate(g.images) if v != j + 1)
+            kept = table.setdefault((i, g.images[i]), g)
+            if kept is g:
+                break
+            g = kept.inverse() * g
+    return tuple(table.values())
+
+
+def _level(gens: tuple[SignedPerm, ...], rank: int) -> tuple:
+    """(gens, transversal) for the group the plain permutations ``gens``
+    generate; the transversal maps each point b to (the least point m of
+    its orbit, an element v with v(b) = m)."""
+    inverses = [g.inverse() for g in gens]
+    transversal: dict[int, tuple[int, SignedPerm]] = {}
+    for m in range(1, rank + 1):
+        if m in transversal:
+            continue
+        transversal[m] = (m, _signed_perm(tuple(range(1, rank + 1))))
+        todo = [m]
+        while todo:
+            b = todo.pop()
+            for g, g_inv in zip(gens, inverses):
+                c = g.images[b - 1]
+                if c not in transversal:
+                    transversal[c] = (m, transversal[b][1] * g_inv)
+                    todo.append(c)
+    return gens, transversal
+
+
+class CosetTable:
+    """Right cosets W_K\\W of the subgroup W_K generated by ``generators``,
+    by canonical representatives, with neither W nor W_K enumerated.
+
+    ``canon(x)`` is the ``canonical_key``-least element of W_K·x, a minimal
+    image (Linton, ISSAC 2004) found in two phases.  Signs: the sign vector
+    of h·x depends only on the sign pattern of h; one witness per pattern
+    in the orbit of all-plus gives the least, at y0, and the members with it
+    are K·y0 for K the sign-free part of W_K (Schreier generators of
+    all-plus).  Absolute values: each position's value moves to the least
+    point of its orbit under the pointwise stabilizer in K of the values
+    already placed; each stabilizer comes from its parent by Schreier's
+    lemma, reduced by Sims' filter, cached per fixed-point set.  ``reps``
+    closes e under x -> canon(x·s) over W's simple reflections, and ``size``
+    is |W_K| = |W| / len(reps).  A group past ``SUBGROUP_CAP`` is refused
+    before anything is built.
+    """
+
+    def __init__(self, generators: Iterable[SignedPerm], group: WeylGroup):
+        group.check_enumerable()
+        self.group = group
+        self.generators = tuple(generators)
+        for g in self.generators:
+            if not group.contains(g):
+                raise NotASubgroup(f"generator {g} lies outside {group.describe()}")
+        one = group.identity()
+        self._witnesses = {one.signs(): one}
+        schreier = []
+        todo = [one]
+        while todo:
+            t = todo.pop()
+            for g in self.generators:
+                tg = t * g
+                known = self._witnesses.setdefault(tg.signs(), tg)
+                if known is tg:
+                    todo.append(tg)
+                else:
+                    schreier.append(tg * known.inverse())
+        #: The levels of K's stabilizer chain by fixed-point set.
+        self._levels = {frozenset(): _level(_sims_filter(schreier), group.rank)}
+
+    def _child(self, level: tuple, m: int, fixed: frozenset[int]) -> tuple:
+        """The stabilizer of m in ``level`` (pointwise, of ``fixed``)."""
+        gens, transversal = level
+        schreier = []
+        for root, v in transversal.values():
+            if root == m:
+                u = v.inverse()
+                for g in gens:
+                    gu = g * u
+                    schreier.append(transversal[gu.images[m - 1]][1] * gu)
+        self._levels[fixed] = _level(_sims_filter(schreier), self.group.rank)
+        return self._levels[fixed]
+
+    def canon(self, x: SignedPerm) -> SignedPerm:
+        """The canonical_key-least element of W_K·x."""
+        if len(self._witnesses) > 1:
+            x = min(
+                (t * x for t in self._witnesses.values()),
+                key=lambda y: [v < 0 for v in y.images],
+            )
+        word = [abs(v) for v in x.images]
+        level = self._levels[frozenset()]
+        for j, b in enumerate(word):
+            gens, transversal = level
+            if not gens:
+                break
+            m, v = transversal[b]
+            if b != m:
+                word[j:] = [v.images[c - 1] for c in word[j:]]
+            fixed = frozenset(word[: j + 1])
+            level = self._levels.get(fixed) or self._child(level, m, fixed)
+        return _signed_perm(tuple([w if v > 0 else -w for w, v in zip(word, x.images)]))
+
+    @cached_property
+    def reps(self) -> tuple[SignedPerm, ...]:
+        simples = self.group.simple_reflections()
+        found = closure(
+            [self.group.identity()], lambda x: [self.canon(x * s) for s in simples]
+        )
+        return tuple(sorted(found, key=canonical_key))
+
+    @property
+    def size(self) -> int:
+        return self.group.order // len(self.reps)
+
+
 def coset_space(
     subgroup_generators: Iterable[SignedPerm], group: WeylGroup
 ) -> list[tuple[SignedPerm, frozenset[SignedPerm]]]:
     """Right cosets H\\W with canonical representatives.
 
     Returns (representative, coset) pairs sorted by representative; the
-    representative is the lexicographically least member (signs first, then
+    representative is the ``canonical_key``-least member (signs first, then
     one-line), so the subgroup itself is represented by the identity.
     """
-    gens = list(subgroup_generators)
-    for g in gens:
-        if not group.contains(g):
-            raise NotASubgroup(f"generator {g} lies outside {group.describe()}")
+    table = CosetTable(subgroup_generators, group)
+    gens = table.generators
     sub = enumerate_subgroup(gens) if gens else frozenset({group.identity()})
-    out = []
-    visited: set[SignedPerm] = set()
-    for w in group.sorted_elements():
-        if w in visited:
-            continue
-        coset = frozenset(h * w for h in sub)
-        visited |= coset
-        out.append((w, coset))
-    return out
+    return [(rep, frozenset(h * rep for h in sub)) for rep in table.reps]
 
 
 def conjugacy_classes(

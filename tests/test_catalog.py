@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from korbits.catalog import (
@@ -6,6 +8,7 @@ from korbits.catalog import (
     MissingWkData,
     TorusIndexOutOfRange,
     a_max,
+    build,
     cosets,
     orbit_parameters,
     springer,
@@ -13,7 +16,7 @@ from korbits.catalog import (
     verify_matrix_claims,
     wk_subgroup,
 )
-from korbits.dyadic import ExactMatrix, permutation_matrix
+from korbits.dyadic import ExactMatrix, TorusStructure, permutation_matrix
 from korbits.twisted import is_twisted_involution, twisted_involutions
 from support import cached_build, flip, perm, tr
 
@@ -285,3 +288,22 @@ def test_gl_twisted_set_matches_context():
     spec = cached_build("GL", 3)
     inv = twisted_involutions(spec.context)
     assert inv == {perm(1, 2, 3), perm(2, 3, 1), perm(3, 1, 2), perm(3, 2, 1)}
+
+
+@pytest.mark.parametrize("family,params", [("GL", (4,)), ("Upq", (3, 2))])
+def test_verify_inverts_each_distinct_diagonalizer_once(family, params, monkeypatch):
+    """Both instances use three distinct torus structures (the diagonal one
+    twice over), so one verify call builds three diagonalizers."""
+    built = []
+    original = TorusStructure.__dict__["_diagonalizer"].func
+
+    def counting(self):
+        built.append(self)
+        return original(self)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(TorusStructure, "_diagonalizer")
+    monkeypatch.setattr(TorusStructure, "_diagonalizer", prop)
+    claims = verify_matrix_claims(build(family, *params))
+    assert all(c.ok for c in claims)
+    assert len(built) == len(set(built)) == 3

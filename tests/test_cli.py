@@ -6,7 +6,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import korbits.catalog
 import korbits.cli as cli
+import korbits.weyl
 from korbits.catalog import ClaimResult
 
 
@@ -287,6 +289,265 @@ def test_golden_verify(argv, expected, capsys):
     assert out == expected
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["orbits", "--family", "SOodd1", "--n", "4", "--format", "json"],
+            "{\n"
+            '  "command": "orbits",\n'
+            '  "family": "SOodd1",\n'
+            '  "params": [\n'
+            "    4\n"
+            "  ],\n"
+            '  "rows": [\n'
+            "    {\n"
+            '      "coset_size": 384,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 0,\n'
+            '      "partner": null,\n'
+            '      "representative": "e",\n'
+            '      "springer_value": "e",\n'
+            '      "torus_class": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 384,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 1,\n'
+            '      "partner": null,\n'
+            '      "representative": "(4 5)",\n'
+            '      "springer_value": "e[+++--]",\n'
+            '      "torus_class": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 384,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 2,\n'
+            '      "partner": null,\n'
+            '      "representative": "(3 5 4)",\n'
+            '      "springer_value": "e[++-+-]",\n'
+            '      "torus_class": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 384,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 3,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 5 4 3)",\n'
+            '      "springer_value": "e[+-++-]",\n'
+            '      "torus_class": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 384,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 4,\n'
+            '      "partner": null,\n'
+            '      "representative": "(1 5 4 3 2)",\n'
+            '      "springer_value": "e[-+++-]",\n'
+            '      "torus_class": 0\n'
+            "    }\n"
+            "  ],\n"
+            '  "summary": {\n'
+            '    "fixed": 5,\n'
+            '    "pairs": 0,\n'
+            '    "parameters": 5\n'
+            "  }\n"
+            "}\n",
+        ),
+        (
+            ["orbits", "--family", "SOeven1", "--n", "3"],
+            "orbits SO(6,1)\n"
+            "torus  representative  value   length  field   partner\n"
+            "-----  --------------  ------  ------  ------  -------\n"
+            "0      e               e       0       Z[1/2]  -\n"
+            "1      e               e[++-]  0       Z[1/2]  -\n"
+            "1      (2 3)           e[+-+]  1       Z[1/2]  -\n"
+            "1      (1 3 2)         e[-++]  2       Z[1/2]  -\n"
+            "4 parameters: 4 over Z[1/2] + 0 in 0 Galois pairs\n",
+        ),
+        (
+            ["orbits", "--family", "SL2n", "--n", "2", "--format", "json"],
+            "{\n"
+            '  "command": "orbits",\n'
+            '  "family": "SL2n",\n'
+            '  "params": [\n'
+            "    2\n"
+            "  ],\n"
+            '  "rows": [\n'
+            "    {\n"
+            '      "coset_size": 24,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 0,\n'
+            '      "partner": null,\n'
+            '      "representative": "e",\n'
+            '      "springer_value": "(1 4)(2 3)",\n'
+            '      "torus_class": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 0,\n'
+            '      "partner": null,\n'
+            '      "representative": "e",\n'
+            '      "springer_value": "(1 4 2 3)",\n'
+            '      "torus_class": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 1,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 3)",\n'
+            '      "springer_value": "(1 4 3 2)",\n'
+            '      "torus_class": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 2,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 3 4)",\n'
+            '      "springer_value": "(2 3)",\n'
+            '      "torus_class": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 2,\n'
+            '      "partner": null,\n'
+            '      "representative": "(1 3 2)",\n'
+            '      "springer_value": "(1 4)",\n'
+            '      "torus_class": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 3,\n'
+            '      "partner": null,\n'
+            '      "representative": "(1 3 4 2)",\n'
+            '      "springer_value": "(1 2 3 4)",\n'
+            '      "torus_class": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 4,\n'
+            '      "partner": null,\n'
+            '      "representative": "(1 3)(2 4)",\n'
+            '      "springer_value": "(1 3 2 4)",\n'
+            '      "torus_class": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 0,\n'
+            '      "partner": null,\n'
+            '      "representative": "e",\n'
+            '      "springer_value": "(1 3)(2 4)",\n'
+            '      "torus_class": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 1,\n'
+            '      "partner": null,\n'
+            '      "representative": "(3 4)",\n'
+            '      "springer_value": "(1 3)(2 4)",\n'
+            '      "torus_class": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 1,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 3)",\n'
+            '      "springer_value": "(1 2)(3 4)",\n'
+            '      "torus_class": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 2,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 3 4)",\n'
+            '      "springer_value": "e",\n'
+            '      "torus_class": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 2,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 4 3)",\n'
+            '      "springer_value": "(1 2)(3 4)",\n'
+            '      "torus_class": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "coset_size": 4,\n'
+            '      "field_of_definition": "Z[1/2]",\n'
+            '      "length": 3,\n'
+            '      "partner": null,\n'
+            '      "representative": "(2 4)",\n'
+            '      "springer_value": "e",\n'
+            '      "torus_class": 2\n'
+            "    }\n"
+            "  ],\n"
+            '  "summary": {\n'
+            '    "fixed": 13,\n'
+            '    "pairs": 0,\n'
+            '    "parameters": 13\n'
+            "  }\n"
+            "}\n",
+        ),
+        (
+            ["orbits", "--family", "Upq", "--p", "3", "--q", "1"],
+            "orbits U(3,1)\n"
+            "torus  representative  value  length  field          partner\n"
+            "-----  --------------  -----  ------  -------------  ----------\n"
+            "0      e               (3 4)  0       Z[1/2,i]-pair  (1 3)(2 4)\n"
+            "0      (2 3)           (2 4)  1       Z[1/2,i]-pair  (1 3 4 2)\n"
+            "0      (2 3 4)         (2 3)  2       Z[1/2]         -\n"
+            "0      (1 3 2)         (1 4)  2       Z[1/2]         -\n"
+            "0      (1 3 4 2)       (1 3)  3       Z[1/2,i]-pair  (2 3)\n"
+            "0      (1 3)(2 4)      (1 2)  4       Z[1/2,i]-pair  e\n"
+            "1      e               e      0       Z[1/2,i]-pair  (1 4 3 2)\n"
+            "1      (3 4)           e      1       Z[1/2,i]-pair  (2 4 3)\n"
+            "1      (2 4 3)         e      2       Z[1/2,i]-pair  (3 4)\n"
+            "1      (1 4 3 2)       e      3       Z[1/2,i]-pair  e\n"
+            "10 parameters: 2 over Z[1/2] + 8 in 4 Galois pairs\n",
+        ),
+    ],
+    ids=["SOodd1-4-json", "SOeven1-3", "SL2n-2-json", "U31"],
+)
+def test_golden_orbits(argv, expected, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "SL2n", "--n", "3"],
+        ["--family", "SOodd1", "--n", "4"],
+        ["--family", "Upq", "--p", "3", "--q", "2"],
+        ["--family", "Restriction", "--r", "3"],
+    ],
+    ids=["SL2n-3", "SOodd1-4", "U32", "Res-3"],
+)
+def test_orbits_never_enumerates_a_group(argv, capsys, monkeypatch, no_enumeration):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a subgroup")
+
+    monkeypatch.setattr(korbits.weyl, "enumerate_subgroup", refuse)
+    monkeypatch.setattr(korbits.catalog, "enumerate_subgroup", refuse)
+    code, out, err = run(["orbits", *argv], capsys)
+    assert code == 0, err
+    assert err == ""
+    assert out.startswith("orbits ")
+
+
 def test_dot_output_only_for_twisted(capsys):
     code, out, _ = run(["twisted", "--family", "GL", "--n", "3", "--format", "dot"], capsys)
     assert code == 0
@@ -329,6 +590,27 @@ def test_too_large_instance_exit_4(capsys, no_enumeration):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--family", "SL2n", "--n", "6"], "|S12| = 479001600 exceeds cap 10321920"),
+        (["--family", "Upq", "--p", "10", "--q", "1"], "|S11| = 39916800 exceeds cap 10321920"),
+    ],
+    ids=["SL2n-6", "U10-1"],
+)
+def test_over_cap_orbits_refused_before_any_work(
+    argv, message, capsys, monkeypatch, no_enumeration
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a closure before refusing")
+
+    monkeypatch.setattr(korbits.weyl, "closure", refuse)
+    code, out, err = run(["orbits", *argv], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == f"error: instance too large to enumerate: {message}\n"
 
 
 def test_failed_claims_exit_1(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from korbits.catalog import (
     MissingWkData,
     a_max,
     build,
+    coset_table,
     cosets,
     orbit_parameters,
     springer,
@@ -28,6 +29,7 @@ from korbits.twisted import (
     twisted_involutions,
 )
 from korbits.weyl import (
+    CosetTable,
     canonical_key,
     conjugacy_classes,
     coset_space,
@@ -129,6 +131,45 @@ def test_coset_tables_match_naive_partition(case):
         assert fast == naive_cosets(wk_subgroup(spec, i), elements)
         for rep, block in table:
             assert rep in block
+
+
+def _assert_table_matches_oracle(table, subgroup, elements):
+    """Reps are the block minima, size is |W_K|, canon sends every member
+    of a block to its minimum, and canon(x) = e exactly on W_K."""
+    blocks = naive_cosets(subgroup, elements)
+    minima = {min(block, key=canonical_key): block for block in blocks}
+    assert table.reps == tuple(sorted(minima, key=canonical_key))
+    assert table.size == len(subgroup)
+    for rep, block in minima.items():
+        for x in block:
+            assert table.canon(x) == rep
+    for x in elements:
+        assert table.canon(x).is_identity() == (x in subgroup)
+
+
+@pytest.mark.parametrize("case", SMALL, ids=_instance_id)
+def test_coset_table_reps_are_block_minima(case):
+    spec = cached_build(case[0], *case[1])
+    elements = all_elements(spec.group.kind, spec.group.rank)
+    for i, desc in enumerate(spec.tori):
+        if desc.wk_generators is not None:
+            _assert_table_matches_oracle(
+                coset_table(spec, i), wk_subgroup(spec, i), elements
+            )
+
+
+def test_coset_table_on_random_subgroups():
+    """The subgroups of test_randomized_instances_agree_with_oracles (same
+    seed, same draws), sign-changing generators in B3 and D3 included."""
+    rng = random.Random(0)
+    for _ in range(50):
+        group = rng.choice(RANDOM_GROUPS)
+        elements = group.sorted_elements()
+        gens = rng.sample(elements, rng.randint(1, 3))
+        rng.choice([w for w in elements if (w * w).is_identity()])
+        _assert_table_matches_oracle(
+            CosetTable(gens, group), naive_subgroup(gens, group.rank), elements
+        )
 
 
 @pytest.mark.parametrize("case", TORI, ids=_instance_id)
