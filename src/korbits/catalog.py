@@ -49,6 +49,7 @@ from .twisted import TwistContext, springer_value
 from .weyl import (
     CosetTable,
     SignedPerm,
+    SubgroupTooLarge,
     WeylGroup,
     coset_space,
     enumerate_subgroup,
@@ -149,6 +150,24 @@ class GroupSpec:
             None if d.wk_generators is None else CosetTable(d.wk_generators, group)
             for d in self.tori
         )
+
+    @cached_property
+    def _orbit_parameters(self) -> tuple[OrbitParam, ...]:
+        """Every orbit parameter with its Springer value, computed once."""
+        out = []
+        for desc in self.tori:
+            table = coset_table(self, desc.index)
+            for rep in table.reps:
+                out.append(
+                    OrbitParam(
+                        torus_index=desc.index,
+                        rep=rep,
+                        coset_size=table.size,
+                        value=springer(self, desc.index, rep),
+                        length=self.group.length(rep),
+                    )
+                )
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -596,20 +615,7 @@ def sweep_domain(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
 
 
 def orbit_parameters(spec: GroupSpec) -> tuple[OrbitParam, ...]:
-    out = []
-    for desc in spec.tori:
-        table = coset_table(spec, desc.index)
-        for rep in table.reps:
-            out.append(
-                OrbitParam(
-                    torus_index=desc.index,
-                    rep=rep,
-                    coset_size=table.size,
-                    value=springer(spec, desc.index, rep),
-                    length=spec.group.length(rep),
-                )
-            )
-    return tuple(out)
+    return spec._orbit_parameters
 
 
 # -- matrix-level involutions ----------------------------------------------
@@ -680,6 +686,8 @@ def _slot_reorder(
 def _run_claim(claims: list[ClaimResult], name: str, body) -> None:
     try:
         ok, detail = body()
+    except SubgroupTooLarge:  # a refusal, not a failed identity
+        raise
     except Exception as exc:  # report, never crash the sweep
         claims.append(
             ClaimResult(name=name, ok=False, detail=f"{type(exc).__name__}: {exc}")
@@ -691,7 +699,8 @@ def _run_claim(claims: list[ClaimResult], name: str, body) -> None:
 def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     """Exact verification of every matrix-level identity the family data
     relies on.  Returns one result per claim; nothing is checked
-    approximately."""
+    approximately.  A claim whose check meets the enumeration cap raises
+    ``SubgroupTooLarge`` rather than reporting a failure."""
     claims: list[ClaimResult] = []
     struct = spec.torus_structure
     # One instance per distinct structure, so each diagonalizer is inverted once.

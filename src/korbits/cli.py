@@ -35,7 +35,12 @@ from .catalog import (
     verify_matrix_claims,
 )
 from .descent import descent_report
-from .twisted import ReachabilityGraph, image_set, twisted_involutions
+from .twisted import (
+    ReachabilityGraph,
+    image_set,
+    involution_lengths,
+    twisted_involutions,
+)
 from .weyl import SubgroupTooLarge, canonical_key
 
 EXIT_OK = 0
@@ -219,9 +224,10 @@ def _cmd_twisted(spec: GroupSpec, fmt: str) -> int:
     involutions = twisted_involutions(ctx)
     top = a_max(spec)
     image = image_set(ctx, top)
-    ordered = sorted(involutions, key=lambda w: (ctx.length(w), canonical_key(w)))
+    lengths = involution_lengths(ctx)
+    ordered = sorted(involutions, key=lambda w: (lengths[w], canonical_key(w)))
     json_rows = [
-        {"element": w.cycle_string(), "length": ctx.length(w), "in_image": w in image}
+        {"element": w.cycle_string(), "length": lengths[w], "in_image": w in image}
         for w in ordered
     ]
     table_rows = [

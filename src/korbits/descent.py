@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import GroupSpec, coset_table, springer
+from .catalog import GroupSpec, coset_table, orbit_parameters
 from .twisted import TwistContext
 from .weyl import SignedPerm
 
@@ -170,6 +170,7 @@ class DescentReport:
 
 def descent_report(spec: GroupSpec) -> DescentReport:
     """Field of definition for every orbit parameter of the family."""
+    values = {(p.torus_index, p.rep): p.value for p in orbit_parameters(spec)}
     rows: list[DescentRow] = []
     fixed_total = 0
     pair_total = 0
@@ -188,7 +189,7 @@ def descent_report(spec: GroupSpec) -> DescentReport:
                 DescentRow(
                     torus_index=desc.index,
                     rep=rep,
-                    value=springer(spec, desc.index, rep),
+                    value=values[desc.index, rep],
                     field=FIELD_FIXED if rep not in partner else FIELD_PAIR,
                     partner=partner.get(rep),
                 )

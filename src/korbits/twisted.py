@@ -9,23 +9,26 @@ solutions of (t w t^-1) b w = b.
 
 On that set the monoid generated by the simple reflections acts by
 
-    s * a = s a theta(s)   if that differs from a and is longer,
-    s * a = s a            if s a theta(s) == a and s a is longer,
-    s * a = a              otherwise,
+    s * a = a              if l(s a) < l(a), that is, a^-1(alpha_s) < 0,
+    s * a = s a            if s a theta(s) == a,
+    s * a = s a theta(s)   otherwise,
 
 and the set is the closure of e under this action (Richardson-Springer,
-Hultman).  A context computes that closure once, recording every move that
-changes an element; ``twisted_involutions``, ``image_set`` and
-``ReachabilityGraph.build`` all read this sweep.  Lengths and the twist of
-each simple reflection are memoized per context.
+Hultman).  A move adds 1 to the length in the second case and 2 in the
+third, so one descent test decides each move and no length is counted.  A
+context computes that closure once, recording every move that changes an
+element and the length of every element by the kind of move that reached
+it; ``twisted_involutions``, ``involution_lengths``, ``image_set`` and
+``ReachabilityGraph.build`` all read this sweep.  The twist of each simple
+reflection is computed once per context.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
-from typing import Callable, Iterator
+from functools import cached_property
+from typing import Iterator
 
 from .weyl import SignedPerm, WeylGroup, canonical_key, closure
 
@@ -35,6 +38,7 @@ __all__ = [
     "TwistContext",
     "ReachabilityGraph",
     "twisted_involutions",
+    "involution_lengths",
     "is_twisted_involution",
     "monoid_star",
     "reachable_set",
@@ -90,25 +94,27 @@ class TwistContext:
         return {s: self.theta(s) for s in self.simples()}
 
     @cached_property
-    def length(self) -> Callable[[SignedPerm], int]:
-        """``group.length`` memoized; asked only about twisted involutions."""
-        return cache(self.group.length)
-
-    @cached_property
-    def _sweep(self) -> tuple[frozenset[SignedPerm], tuple[Move, ...]]:
+    def _sweep(
+        self,
+    ) -> tuple[frozenset[SignedPerm], tuple[Move, ...], dict[SignedPerm, int]]:
         """The twisted involutions, as the closure of e under the monoid
-        action, and every move (a, idx, s_idx * a) that changes an element;
-        simples are numbered from 1."""
+        action; every move (a, idx, s_idx * a) that changes an element,
+        simples numbered from 1; and the length of every element, carried
+        by move kind."""
         self.group.check_enumerable()
+        one = self.group.identity()
         moves: list[Move] = []
+        lengths = {one: 0}
 
         def step(a: SignedPerm) -> Iterator[SignedPerm]:
-            for idx, s in enumerate(self.simples(), start=1):
+            for idx, (s, theta_s) in enumerate(self._simple_theta.items(), start=1):
                 if (b := monoid_star(self, s, a)) != a:
                     moves.append((a, idx, b))
+                    # b = s a when b theta(s) = a, else b = s a theta(s).
+                    lengths[b] = lengths[a] + (1 if b * theta_s == a else 2)
                     yield b
 
-        return closure([self.group.identity()], step), tuple(moves)
+        return closure([one], step), tuple(moves), lengths
 
 
 def is_twisted_involution(ctx: TwistContext, w: SignedPerm) -> bool:
@@ -119,17 +125,21 @@ def twisted_involutions(ctx: TwistContext) -> frozenset[SignedPerm]:
     return ctx._sweep[0]
 
 
+def involution_lengths(ctx: TwistContext) -> dict[SignedPerm, int]:
+    """The length of every twisted involution, as the sweep carried it."""
+    return ctx._sweep[2]
+
+
 def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
     """Monoid action of a simple reflection on a twisted involution."""
     theta_s = ctx._simple_theta.get(s)
     if theta_s is None:
         raise ValueError(f"{s} is not a simple reflection")
-    length = ctx.length
+    if not ctx.group.is_left_ascent(s, a):
+        return a
     sa = s * a
     sas = sa * theta_s
-    if sas == a:
-        return sa if length(sa) > length(a) else a
-    return sas if length(sas) > length(a) else a
+    return sa if sas == a else sas
 
 
 def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
@@ -182,11 +192,10 @@ class ReachabilityGraph:
 
     def to_dot(self) -> str:
         lines = ["digraph twisted {", "  rankdir=BT;"]
+        lengths = involution_lengths(self.context)
         for a in self.nodes:
             ident = ",".join(str(v) for v in a.images)
-            lines.append(
-                f'  "{ident}" [label="{a.cycle_string()} ({self.context.length(a)})"];'
-            )
+            lines.append(f'  "{ident}" [label="{a.cycle_string()} ({lengths[a]})"];')
         for a, idx, b in self.edges:
             src = ",".join(str(v) for v in a.images)
             dst = ",".join(str(v) for v in b.images)

@@ -4,15 +4,19 @@ Elements are signed permutations of coordinates 1..rank.  A group is one of
 the classical families needed downstream -- the symmetric group S_n acting on
 n coordinates (type A), the full hyperoctahedral group (type B), its
 even-sign-count subgroup (type D), and a block product S_r x S_r living in
-rank 2r.  Lengths are computed by root counting.  A ``CosetTable`` finds
-the canonical (``canonical_key``-least) representative of each right coset
-of a subgroup as a minimal image, down a chain of pointwise stabilizers,
-with neither the group nor the subgroup enumerated.  Subgroups, conjugation
-orbits and the coset representatives are generator closures, all computed
-by one traversal helper, ``closure``.  Products, inverses and enumerated
-elements are built without re-validating their images; ``SignedPerm(...)``
-and ``from_one_line`` validate values that arrive from outside.  Per-group
-data (roots, the element set) is computed once per group instance.
+rank 2r.  Every positive root, as coded, has leading nonzero coordinate +1,
+so w(alpha) is negative exactly when its coefficient at the smallest
+coordinate is: ``length`` reads that sign from two images per root, and
+``is_left_ascent`` reads the sign of w^-1(alpha_s) from where the coordinates
+of alpha_s sit in w.  A ``CosetTable`` finds the canonical
+(``canonical_key``-least) representative of each right coset of a subgroup
+as a minimal image, down a chain of pointwise stabilizers, with neither the
+group nor the subgroup enumerated.  Subgroups, conjugation orbits and the
+coset representatives are generator closures, all computed by one traversal
+helper, ``closure``.  Products, inverses and enumerated elements are built
+without re-validating their images; ``SignedPerm(...)`` and
+``from_one_line`` validate values that arrive from outside.  Per-group data
+(roots, the element set) is computed once per group instance.
 
 >>> w = transposition(1, 3, 3)
 >>> (w * w).is_identity()
@@ -248,6 +252,14 @@ def _axa_roots(r: int) -> tuple[tuple[int, ...], ...]:
     return tuple(roots)
 
 
+def _terms(root: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(i, c_i, j, c_j) for a root c_i e_i + c_j e_j with i < j (0-based);
+    a one-coordinate root c_i e_i reads (i, c_i, i, c_i)."""
+    (i, ci), *rest = [(k, c) for k, c in enumerate(root) if c]
+    j, cj = rest[0] if rest else (i, ci)
+    return i, ci, j, cj
+
+
 @dataclass(frozen=True)
 class WeylGroup:
     """One of the classical signed-permutation groups used downstream.
@@ -305,8 +317,22 @@ class WeylGroup:
         return fn(self.rank) if fn else _axa_roots(self.rank // 2)
 
     @cached_property
-    def _negative_roots(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(tuple(-c for c in r) for r in self._positive_roots)
+    def _root_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``_terms`` of each positive root."""
+        return tuple(_terms(r) for r in self._positive_roots)
+
+    @cached_property
+    def _simple_terms(self) -> dict[SignedPerm, tuple[int, int, int, int]]:
+        """``_terms`` of the simple root of each simple reflection s: the
+        positive root that s negates."""
+        return {
+            s: next(
+                _terms(r)
+                for r in self._positive_roots
+                if s.apply(r) == tuple(-c for c in r)
+            )
+            for s in self.simple_reflections()
+        }
 
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         return self._positive_roots
@@ -338,8 +364,27 @@ class WeylGroup:
             raise RankMismatch(f"rank {w.rank} vs group rank {self.rank}")
         if not self.contains(w):
             raise NotInGroup(f"{w} is not in {self.describe()}")
-        neg = self._negative_roots
-        return sum(1 for a in self._positive_roots if w.apply(a) in neg)
+        im = w.images
+        # w(c_i e_i + c_j e_j) = c_i sign(x) e_|x| + c_j sign(y) e_|y| for
+        # x = im[i] and y = im[j]; it is negative when the term at the
+        # smaller coordinate is.
+        count = 0
+        for i, ci, j, cj in self._root_terms:
+            x, y = im[i], im[j]
+            if (ci * x if abs(x) <= abs(y) else cj * y) < 0:
+                count += 1
+        return count
+
+    def is_left_ascent(self, s: SignedPerm, w: SignedPerm) -> bool:
+        """Whether l(s w) > l(w), for a simple reflection s and w in the
+        group: whether w^-1(alpha_s) is positive."""
+        i, ci, j, cj = self._simple_terms[s]
+        im = w.images
+        # w^-1(e_k) = sign(v) e_m for im[m-1] = v = +-k; x and y are those
+        # signed m for the two coordinates of alpha_s.
+        x = im.index(i + 1) + 1 if i + 1 in im else -im.index(-i - 1) - 1
+        y = im.index(j + 1) + 1 if j + 1 in im else -im.index(-j - 1) - 1
+        return (ci * x if abs(x) <= abs(y) else cj * y) > 0
 
     def longest_element(self) -> SignedPerm:
         n = self.rank

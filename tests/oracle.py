@@ -159,6 +159,37 @@ def _roots(kind: str, rank: int) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
+def naive_length(kind: str, rank: int, w: SignedPerm) -> int:
+    """Coxeter length by root counting: the positive roots (leading nonzero
+    coordinate positive) that w sends to negative roots, each root vector
+    moved coordinate by coordinate."""
+    roots = _roots(kind, rank)
+    positive = {r for r in roots if next(c for c in r if c) > 0}
+    count = 0
+    for r in positive:
+        image = [0] * rank
+        for j, v in enumerate(w.images):
+            image[abs(v) - 1] = r[j] if v > 0 else -r[j]
+        if tuple(image) not in positive:
+            count += 1
+    return count
+
+
+def naive_monoid_star(
+    length: Callable[[SignedPerm], int],
+    s: SignedPerm,
+    theta_s: SignedPerm,
+    a: SignedPerm,
+) -> SignedPerm:
+    """The monoid action by comparing lengths: s a theta(s) if that differs
+    from a and is longer, s a if s a theta(s) == a and s a is longer, else a."""
+    sa = s * a
+    sas = sa * theta_s
+    if sas == a:
+        return sa if length(sa) > length(a) else a
+    return sas if length(sas) > length(a) else a
+
+
 def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]

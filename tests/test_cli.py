@@ -117,6 +117,203 @@ def test_golden_twisted_soodd1_dot(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (
+            ["twisted", "--family", "GL", "--n", "4", "--format", "json"],
+            "{\n"
+            '  "command": "twisted",\n'
+            '  "family": "GL",\n'
+            '  "params": [\n'
+            "    4\n"
+            "  ],\n"
+            '  "rows": [\n'
+            "    {\n"
+            '      "element": "e",\n'
+            '      "in_image": true,\n'
+            '      "length": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(2 3)",\n'
+            '      "in_image": true,\n'
+            '      "length": 1\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 2)(3 4)",\n'
+            '      "in_image": true,\n'
+            '      "length": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 2 3 4)",\n'
+            '      "in_image": true,\n'
+            '      "length": 3\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 4 3 2)",\n'
+            '      "in_image": true,\n'
+            '      "length": 3\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 3)(2 4)",\n'
+            '      "in_image": true,\n'
+            '      "length": 4\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 3 2 4)",\n'
+            '      "in_image": true,\n'
+            '      "length": 5\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 4)",\n'
+            '      "in_image": true,\n'
+            '      "length": 5\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 4 2 3)",\n'
+            '      "in_image": true,\n'
+            '      "length": 5\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 4)(2 3)",\n'
+            '      "in_image": true,\n'
+            '      "length": 6\n'
+            "    }\n"
+            "  ],\n"
+            '  "summary": {\n'
+            '    "a_max": "(1 4)(2 3)",\n'
+            '    "image_size": 10,\n'
+            '    "twisted_involutions": 10\n'
+            "  }\n"
+            "}\n",
+        ),
+        (
+            ["twisted", "--family", "Ustar", "--n", "2", "--format", "dot"],
+            "digraph twisted {\n"
+            "  rankdir=BT;\n"
+            '  "1,2,3,4" [label="e (0)"];\n'
+            '  "1,3,2,4" [label="(2 3) (1)"];\n'
+            '  "2,1,4,3" [label="(1 2)(3 4) (2)"];\n'
+            '  "2,3,4,1" [label="(1 2 3 4) (3)"];\n'
+            '  "3,4,1,2" [label="(1 3)(2 4) (4)"];\n'
+            '  "3,4,2,1" [label="(1 3 2 4) (5)"];\n'
+            '  "4,1,2,3" [label="(1 4 3 2) (3)"];\n'
+            '  "4,2,3,1" [label="(1 4) (5)"];\n'
+            '  "4,3,1,2" [label="(1 4 2 3) (5)"];\n'
+            '  "4,3,2,1" [label="(1 4)(2 3) (6)"];\n'
+            '  "1,2,3,4" -> "2,1,4,3" [label="s1"];\n'
+            '  "1,2,3,4" -> "1,3,2,4" [label="s2"];\n'
+            '  "1,2,3,4" -> "2,1,4,3" [label="s3"];\n'
+            '  "1,3,2,4" -> "2,3,4,1" [label="s1"];\n'
+            '  "1,3,2,4" -> "4,1,2,3" [label="s3"];\n'
+            '  "2,1,4,3" -> "3,4,1,2" [label="s2"];\n'
+            '  "2,3,4,1" -> "3,4,2,1" [label="s2"];\n'
+            '  "2,3,4,1" -> "4,2,3,1" [label="s3"];\n'
+            '  "3,4,1,2" -> "3,4,2,1" [label="s1"];\n'
+            '  "3,4,1,2" -> "4,3,1,2" [label="s3"];\n'
+            '  "3,4,2,1" -> "4,3,2,1" [label="s3"];\n'
+            '  "4,1,2,3" -> "4,2,3,1" [label="s1"];\n'
+            '  "4,1,2,3" -> "4,3,1,2" [label="s2"];\n'
+            '  "4,2,3,1" -> "4,3,2,1" [label="s2"];\n'
+            '  "4,3,1,2" -> "4,3,2,1" [label="s1"];\n'
+            "}\n",
+        ),
+        (
+            ["twisted", "--family", "SOodd1", "--n", "3"],
+            "twisted SO(7,1)\n"
+            "element      length  in-image\n"
+            "-----------  ------  --------\n"
+            "e            0       yes\n"
+            "(2 3)        1       no\n"
+            "(1 2)        1       no\n"
+            "e[++--]      2       yes\n"
+            "(1 3)        3       no\n"
+            "(2 4)[++--]  3       no\n"
+            "(1 2)[++--]  3       no\n"
+            "(2 4)[+--+]  3       no\n"
+            "e[+-+-]      4       yes\n"
+            "(1 4)[++--]  5       no\n"
+            "(3 4)[+-+-]  5       no\n"
+            "(1 3)[+-+-]  5       no\n"
+            "(3 4)[+--+]  5       no\n"
+            "(2 3)[+--+]  5       no\n"
+            "(1 4)[-+-+]  5       no\n"
+            "e[+--+]      6       no\n"
+            "e[-++-]      6       yes\n"
+            "(1 4)[+-+-]  7       no\n"
+            "(3 4)[-++-]  7       no\n"
+            "(2 3)[-++-]  7       no\n"
+            "(3 4)[-+-+]  7       no\n"
+            "(1 3)[-+-+]  7       no\n"
+            "(1 4)[--++]  7       no\n"
+            "e[-+-+]      8       no\n"
+            "(2 4)[-++-]  9       no\n"
+            "(2 4)[--++]  9       no\n"
+            "(1 2)[--++]  9       no\n"
+            "(1 3)[----]  9       no\n"
+            "e[--++]      10      no\n"
+            "(2 3)[----]  11      no\n"
+            "(1 2)[----]  11      no\n"
+            "e[----]      12      no\n"
+            "|I| = 32, |I'| = 4, a_max = e[-++-]\n",
+        ),
+        (
+            ["twisted", "--family", "Restriction", "--r", "3", "--format", "json"],
+            "{\n"
+            '  "command": "twisted",\n'
+            '  "family": "Restriction",\n'
+            '  "params": [\n'
+            "    3\n"
+            "  ],\n"
+            '  "rows": [\n'
+            "    {\n"
+            '      "element": "e",\n'
+            '      "in_image": true,\n'
+            '      "length": 0\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(2 3)(5 6)",\n'
+            '      "in_image": true,\n'
+            '      "length": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 2)(4 5)",\n'
+            '      "in_image": true,\n'
+            '      "length": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 2 3)(4 6 5)",\n'
+            '      "in_image": true,\n'
+            '      "length": 4\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 3 2)(4 5 6)",\n'
+            '      "in_image": true,\n'
+            '      "length": 4\n'
+            "    },\n"
+            "    {\n"
+            '      "element": "(1 3)(4 6)",\n'
+            '      "in_image": true,\n'
+            '      "length": 6\n'
+            "    }\n"
+            "  ],\n"
+            '  "summary": {\n'
+            '    "a_max": "(1 3)(4 6)",\n'
+            '    "image_size": 6,\n'
+            '    "twisted_involutions": 6\n'
+            "  }\n"
+            "}\n",
+        ),
+    ],
+    ids=["GL-4-json", "Ustar-2-dot", "SOodd1-3", "Res-3-json"],
+)
+def test_golden_twisted(argv, expected, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["classify-tori", "--family", "Upq", "--p", "3", "--q", "2"],
@@ -590,6 +787,20 @@ def test_too_large_instance_exit_4(capsys, no_enumeration):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_over_cap_verify_claim_exit_4(capsys):
+    code, out, err = run(["verify", "--family", "SOeven1", "--n", "9"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "error: instance too large to enumerate: "
+        "|B9| = 185794560 exceeds cap 10321920\n"
+    )
+    code, out, err = run(["verify", "--family", "SOeven1", "--n", "8"], capsys)
+    assert code == 0
+    assert err == ""
+    assert out.endswith("8 claims: 8 passed, 0 failed\n")
 
 
 @pytest.mark.parametrize(

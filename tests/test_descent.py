@@ -32,6 +32,8 @@ WITH_GALOIS = [
 ]
 
 UPQ_RANGE = [(p, q) for q in range(1, 4) for p in range(q, 7 - q)]
+# every U(p,q) with p >= q >= 1 and p + q <= 8
+UPQ_LAW_RANGE = [(p, q) for q in range(1, 5) for p in range(q, 9 - q)]
 
 
 def test_missing_galois_data():
@@ -156,7 +158,7 @@ def test_descent_counting_identity(family, params):
 # -- the hermitian tower, exhaustively --------------------------------------
 
 
-@pytest.mark.parametrize("p,q", UPQ_RANGE)
+@pytest.mark.parametrize("p,q", UPQ_LAW_RANGE)
 def test_membership_route_agrees_with_action_route(p, q):
     spec = cached_build("Upq", p, q)
     for i in range(len(spec.tori)):
@@ -165,13 +167,15 @@ def test_membership_route_agrees_with_action_route(p, q):
         assert by_membership == by_action
 
 
-@pytest.mark.parametrize("p,q", UPQ_RANGE)
+@pytest.mark.parametrize("p,q", UPQ_LAW_RANGE)
 def test_emptiness_pattern(p, q):
-    # the fixed part of torus i is empty exactly when p-q is even and i odd
+    # the fixed part of torus i is empty exactly when p-q is even and i odd,
+    # by the membership route and by the action route alike
     spec = cached_build("Upq", p, q)
     for i in range(len(spec.tori)):
-        empty = len(rational_parameters(spec, i)) == 0
-        assert empty == ((p - q) % 2 == 0 and i % 2 == 1)
+        law = (p - q) % 2 == 0 and i % 2 == 1
+        assert (not rational_parameters(spec, i)) == law
+        assert (not fixed_and_pairs(galois_action(spec, i))[0]) == law
 
 
 def test_u22_even_even_is_nonempty():

@@ -24,6 +24,7 @@ from korbits.descent import GaloisAction, fixed_and_pairs, galois_action
 from korbits.twisted import (
     ReachabilityGraph,
     image_set,
+    involution_lengths,
     monoid_star,
     reachable_set,
     twisted_involutions,
@@ -44,6 +45,8 @@ from oracle import (
     naive_conjugacy,
     naive_cosets,
     naive_galois_orbits,
+    naive_length,
+    naive_monoid_star,
     naive_subgroup,
     naive_torus_classes,
     naive_twisted,
@@ -116,6 +119,29 @@ def test_twisted_involutions_match_naive_filter(case):
         all_elements(spec.group.kind, spec.group.rank), ctx.twist, ctx.base
     )
     assert twisted_involutions(ctx) == naive
+
+
+@pytest.mark.parametrize("case", SMALL, ids=_instance_id)
+def test_monoid_star_matches_length_comparison(case):
+    spec = cached_build(case[0], *case[1])
+    ctx, group = spec.context, spec.group
+
+    def length(w):
+        return naive_length(group.kind, group.rank, w)
+
+    for s in ctx.simples():
+        theta_s = ctx.theta(s)
+        for a in twisted_involutions(ctx):
+            assert monoid_star(ctx, s, a) == naive_monoid_star(length, s, theta_s, a)
+
+
+@pytest.mark.parametrize("case", LARGE, ids=_instance_id)
+def test_sweep_lengths_match_group_length(case):
+    spec = cached_build(case[0], *case[1])
+    lengths = involution_lengths(spec.context)
+    assert lengths.keys() == twisted_involutions(spec.context)
+    for a, ell in lengths.items():
+        assert ell == spec.group.length(a)
 
 
 @pytest.mark.parametrize("case", SMALL, ids=_instance_id)

@@ -24,6 +24,7 @@ from korbits.weyl import (
     symmetric_group,
     transposition,
 )
+from oracle import naive_length
 from support import flip, perm, tr
 
 
@@ -144,6 +145,22 @@ def test_length_properties(group, order, npos):
     for w in group.element_set():
         assert group.length(w) == group.length(w.inverse())
         assert group.length(w0 * w) == npos - group.length(w)
+
+
+@pytest.mark.parametrize("group,order,npos", GROUPS)
+def test_length_matches_root_counting(group, order, npos):
+    for w in group.element_set():
+        assert group.length(w) == naive_length(group.kind, group.rank, w)
+
+
+@pytest.mark.parametrize("group,order,npos", GROUPS)
+def test_left_ascent_matches_root_counting(group, order, npos):
+    lengths = {
+        w: naive_length(group.kind, group.rank, w) for w in group.element_set()
+    }
+    for s in group.simple_reflections():
+        for w, ell in lengths.items():
+            assert group.is_left_ascent(s, w) == (lengths[s * w] > ell)
 
 
 def test_membership():
