@@ -124,7 +124,6 @@ class GroupSpec:
     lattice: ThetaLattice
     tori: tuple[TorusDescriptor, ...]
     reference_orbit: tuple[int, SignedPerm]
-    matrix_size: int
     torus_structure: TorusStructure
     lattice_realizer: ExactMatrix | None = None
 
@@ -220,9 +219,7 @@ def _gl_spec(n: int) -> GroupSpec:
     if n < 1:
         raise InvalidParams("GL needs n >= 1")
     W = symmetric_group(n)
-    ctx = TwistContext(
-        W, sign_flip(range(1, n + 1), n), W.longest_element(), name=f"GL({n})"
-    )
+    ctx = TwistContext(W, sign_flip(range(1, n + 1), n), W.longest_element())
     lattice = ThetaLattice(
         W, tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
     )
@@ -240,7 +237,6 @@ def _gl_spec(n: int) -> GroupSpec:
         lattice=lattice,
         tori=tuple(tori),
         reference_orbit=(0, identity(n)),
-        matrix_size=n,
         torus_structure=diagonal_structure(n),
     )
 
@@ -289,9 +285,7 @@ def _sl2n_spec(n: int) -> GroupSpec:
         raise InvalidParams("SL2n needs n >= 1")
     r = 2 * n
     W = symmetric_group(r)
-    ctx = TwistContext(
-        W, sign_flip(range(1, r + 1), r), W.longest_element(), name=f"SL({r})"
-    )
+    ctx = TwistContext(W, sign_flip(range(1, r + 1), r), W.longest_element())
     tori = []
     for i in range(n + 1):
         c = _transposition_product([(2 * j - 1, 2 * j) for j in range(1, i + 1)], r)
@@ -315,7 +309,6 @@ def _sl2n_spec(n: int) -> GroupSpec:
         lattice=_pairing_lattice(W, n),
         tori=tuple(tori),
         reference_orbit=(0, identity(r)),
-        matrix_size=r,
         torus_structure=diagonal_structure(r),
     )
 
@@ -330,7 +323,7 @@ def _ustar_spec(n: int) -> GroupSpec:
     )
     minus_pairing = SignedPerm(tuple(-v for v in pairing.images))
     base = pairing * W.longest_element()
-    ctx = TwistContext(W, minus_pairing, base, name=f"U*({r})")
+    ctx = TwistContext(W, minus_pairing, base)
     tori = (TorusDescriptor(index=0, twist_class=identity(r)),)
     return GroupSpec(
         family="Ustar",
@@ -341,7 +334,6 @@ def _ustar_spec(n: int) -> GroupSpec:
         lattice=_pairing_lattice(W, n),
         tori=tori,
         reference_orbit=(0, identity(r)),
-        matrix_size=r,
         torus_structure=diagonal_structure(r),
     )
 
@@ -352,7 +344,7 @@ def _soodd1_spec(n: int) -> GroupSpec:
     rank = n + 1
     W = even_hyperoctahedral_group(rank)
     d = sign_flip([rank], rank)
-    ctx = TwistContext(W, d, identity(rank), name=f"SO({2 * n + 1},1)")
+    ctx = TwistContext(W, d, identity(rank))
     lattice = ThetaLattice(
         W,
         tuple(
@@ -387,7 +379,6 @@ def _soodd1_spec(n: int) -> GroupSpec:
         lattice=lattice,
         tori=tori,
         reference_orbit=(0, transposition(1, rank, rank)),
-        matrix_size=2 * rank,
         torus_structure=structure,
     )
 
@@ -396,7 +387,7 @@ def _soeven1_spec(n: int) -> GroupSpec:
     if n < 1:
         raise InvalidParams("SOeven1 needs n >= 1")
     W = hyperoctahedral_group(n)
-    ctx = TwistContext(W, identity(n), identity(n), name=f"SO({2 * n},1)")
+    ctx = TwistContext(W, identity(n), identity(n))
     lattice = ThetaLattice(
         W,
         tuple(
@@ -444,7 +435,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
         lattice=lattice,
         tori=tori,
         reference_orbit=(1, ref_rep),
-        matrix_size=size,
         torus_structure=structure,
     )
 
@@ -469,7 +459,7 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         raise InvalidParams("Upq needs p >= q >= 1")
     n = p + q
     W = symmetric_group(n)
-    ctx = TwistContext(W, identity(n), identity(n), name=f"U({p},{q})")
+    ctx = TwistContext(W, identity(n), identity(n))
     c0 = _transposition_product([(p - q + j, n - q + j) for j in range(1, q + 1)], n)
     lattice = ThetaLattice(W, tuple(tuple(r) for r in c0.matrix()))
     w0 = W.longest_element()
@@ -503,7 +493,6 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         lattice=lattice,
         tori=tuple(tori),
         reference_orbit=(0, from_one_line(w_ref)),
-        matrix_size=n,
         torus_structure=diagonal_structure(n),
         lattice_realizer=tori[0].matrix,
     )
@@ -515,7 +504,7 @@ def _restriction_spec(r: int) -> GroupSpec:
     W = product_symmetric_group(r)
     rank = 2 * r
     tau = from_one_line(list(range(r + 1, rank + 1)) + list(range(1, r + 1)))
-    ctx = TwistContext(W, tau, identity(rank), name=f"Res({r})")
+    ctx = TwistContext(W, tau, identity(rank))
     lattice = ThetaLattice(W, tuple(tuple(r) for r in tau.matrix()))
     wk = tuple(
         transposition(j, j + 1, rank) * transposition(r + j, r + j + 1, rank)
@@ -539,7 +528,6 @@ def _restriction_spec(r: int) -> GroupSpec:
         lattice=lattice,
         tori=tori,
         reference_orbit=(0, ref),
-        matrix_size=rank,
         torus_structure=diagonal_structure(rank),
     )
 
@@ -630,7 +618,7 @@ def theta_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
         j = _symplectic_j(spec.params[0])
         return j * m.transpose().inverse() * j.inverse()
     if fam in ("SOodd1", "SOeven1"):
-        q = ExactMatrix.diagonal([1] * (spec.matrix_size - 1) + [-1])
+        q = ExactMatrix.diagonal([1] * (spec.torus_structure.size - 1) + [-1])
         return q * m * q
     if fam == "Upq":
         p, qq = spec.params
@@ -739,7 +727,7 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
 
 
 def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
-    n = spec.matrix_size
+    n = spec.torus_structure.size
     diag = share(diagonal_structure(n))
     if spec.family == "SL2n":
 
@@ -803,7 +791,7 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
 
 def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     n = spec.params[0]
-    size = spec.matrix_size
+    size = spec.torus_structure.size
     g = spec.tori[1].matrix
     fundamental = share(
         TorusStructure(
@@ -858,7 +846,7 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
 
 def _verify_upq(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     p, q = spec.params
-    n = spec.matrix_size
+    n = spec.torus_structure.size
     diag = share(diagonal_structure(n))
     for desc in spec.tori:
         g = desc.matrix

@@ -14,12 +14,14 @@ invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 failed verification claims, 2 invalid input,
 3 query unsupported for the family (no little-Weyl-group data), 4 instance
-too large to enumerate (a group or closure past ``weyl.SUBGROUP_CAP``).
+too large to enumerate (a group or closure past ``weyl.SUBGROUP_CAP``, or a
+rank past ``weyl.RANK_CAP``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -52,6 +54,7 @@ EXIT_TOO_LARGE = 4
 _PARAM_NAMES = ("n", "p", "q", "r")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="korbits",
@@ -289,13 +292,11 @@ _COMMANDS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        params = _collect_params(args)
-        spec = build(args.family, *params)
+        spec = build(args.family, *_collect_params(args))
+        return _COMMANDS[args.command](spec, args.format)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](spec, args.format)
     except MissingWkData as exc:
         print(f"error: {exc} (the 'twisted' subcommand)", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -162,7 +162,6 @@ class DescentRow:
 
 @dataclass(frozen=True)
 class DescentReport:
-    name: str
     rows: tuple[DescentRow, ...]
     fixed_count: int
     pair_count: int
@@ -195,7 +194,6 @@ def descent_report(spec: GroupSpec) -> DescentReport:
                 )
             )
     return DescentReport(
-        name=spec.name,
         rows=tuple(rows),
         fixed_count=fixed_total,
         pair_count=pair_total,

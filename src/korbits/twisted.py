@@ -54,7 +54,6 @@ class TwistContext:
     group: WeylGroup
     twist: SignedPerm
     base: SignedPerm
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not self.group.contains(self.base):

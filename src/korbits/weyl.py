@@ -4,11 +4,16 @@ Elements are signed permutations of coordinates 1..rank.  A group is one of
 the classical families needed downstream -- the symmetric group S_n acting on
 n coordinates (type A), the full hyperoctahedral group (type B), its
 even-sign-count subgroup (type D), and a block product S_r x S_r living in
-rank 2r.  Every positive root, as coded, has leading nonzero coordinate +1,
-so w(alpha) is negative exactly when its coefficient at the smallest
-coordinate is: ``length`` reads that sign from two images per root, and
-``is_left_ascent`` reads the sign of w^-1(alpha_s) from where the coordinates
-of alpha_s sit in w.  A ``CosetTable`` finds the canonical
+rank 2r.  Each kind is one entry of the table ``_KINDS``: how many blocks of
+coordinates it permutes and which sign changes it allows; membership,
+order, roots, simple reflections, w0 and enumeration all read that entry.
+Positive roots are kept sparse, as (i, c_i, j, c_j) for c_i e_i + c_j e_j;
+``positive_roots`` alone builds them as vectors.  Every positive root has
+leading nonzero coordinate +1, so w(alpha) is negative exactly when its
+coefficient at the smallest coordinate is: ``length`` reads that sign from
+two images per root, and ``is_left_ascent`` reads the sign of w^-1(alpha_s)
+from where the coordinates of alpha_s sit in w.  A rank past ``RANK_CAP``
+is refused before anything is allocated.  A ``CosetTable`` finds the canonical
 (``canonical_key``-least) representative of each right coset of a subgroup
 as a minimal image, down a chain of pointwise stabilizers, with neither the
 group nor the subgroup enumerated.  Subgroups, conjugation orbits and the
@@ -28,8 +33,9 @@ True
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -55,10 +61,14 @@ __all__ = [
     "coset_space",
     "conjugacy_classes",
     "SUBGROUP_CAP",
+    "RANK_CAP",
 ]
 
 #: Hard cap on group enumeration sizes (2^8 * 8!).
 SUBGROUP_CAP = 2**8 * 40320
+
+#: Hard cap on the rank of a group, checked before anything is allocated.
+RANK_CAP = 1024
 
 
 class RankMismatch(ValueError):
@@ -207,57 +217,30 @@ def canonical_key(w: SignedPerm) -> tuple:
     )
 
 
-def _a_roots(n: int) -> tuple[tuple[int, ...], ...]:
-    roots = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = [0] * n
-            r[i], r[j] = 1, -1
-            roots.append(tuple(r))
-    return tuple(roots)
+#: Each kind of group as (blocks, sign rule): it permutes each of ``blocks``
+#: runs of rank/blocks consecutive coordinates by the full symmetric group,
+#: and allows the sign changes of its rule -- "none", an "even" number of
+#: them, or "any" (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 8).
+_KINDS = {"A": (1, "none"), "B": (1, "any"), "D": (1, "even"), "AxA": (2, "none")}
+
+#: Whether a sign rule allows a given number of sign changes.
+_SIGN_RULES: dict[str, Callable[[int], bool]] = {
+    "none": lambda flips: flips == 0,
+    "even": lambda flips: flips % 2 == 0,
+    "any": lambda flips: True,
+}
+
+#: A root c_i e_i + c_j e_j with i < j (0-based) as (i, c_i, j, c_j); a
+#: one-coordinate root c_i e_i reads (i, c_i, i, c_i).
+Term = tuple[int, int, int, int]
 
 
-def _b_roots(n: int) -> tuple[tuple[int, ...], ...]:
-    roots = list(_a_roots(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = [0] * n
-            r[i], r[j] = 1, 1
-            roots.append(tuple(r))
-    for i in range(n):
-        r = [0] * n
-        r[i] = 1
-        roots.append(tuple(r))
-    return tuple(roots)
-
-
-def _d_roots(n: int) -> tuple[tuple[int, ...], ...]:
-    roots = list(_a_roots(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = [0] * n
-            r[i], r[j] = 1, 1
-            roots.append(tuple(r))
-    return tuple(roots)
-
-
-def _axa_roots(r: int) -> tuple[tuple[int, ...], ...]:
-    roots = []
-    for block in (0, r):
-        for i in range(block, block + r):
-            for j in range(i + 1, block + r):
-                v = [0] * (2 * r)
-                v[i], v[j] = 1, -1
-                roots.append(tuple(v))
-    return tuple(roots)
-
-
-def _terms(root: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """(i, c_i, j, c_j) for a root c_i e_i + c_j e_j with i < j (0-based);
-    a one-coordinate root c_i e_i reads (i, c_i, i, c_i)."""
-    (i, ci), *rest = [(k, c) for k, c in enumerate(root) if c]
-    j, cj = rest[0] if rest else (i, ci)
-    return i, ci, j, cj
+def _reflection(term: Term, rank: int) -> SignedPerm:
+    """The reflection in the root ``term``."""
+    i, ci, j, cj = term
+    out = list(range(1, rank + 1))
+    out[i], out[j] = -ci * cj * (j + 1), -ci * cj * (i + 1)
+    return _signed_perm(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -266,7 +249,8 @@ class WeylGroup:
 
     ``kind`` is "A" (plain permutations), "B" (all signed permutations),
     "D" (even number of sign flips) or "AxA" (block-preserving permutations
-    of rank 2r, no signs).
+    of rank 2r, no signs); ``_KINDS`` holds each as (blocks, sign rule).
+    A group past ``RANK_CAP`` is refused on construction.
     """
 
     kind: str
@@ -274,90 +258,81 @@ class WeylGroup:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("A", "B", "D", "AxA"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "AxA" and self.rank % 2:
-            raise ValueError("AxA groups need even rank")
+        if self.rank > RANK_CAP:
+            raise SubgroupTooLarge(
+                f"rank of {self.describe()} = {self.rank} exceeds cap {RANK_CAP}"
+            )
+        blocks = _KINDS[self.kind][0]
+        if self.rank % blocks:
+            raise ValueError(f"{self.kind} groups need a rank divisible by {blocks}")
+
+    @cached_property
+    def _blocks(self) -> tuple[range, ...]:
+        """The runs of coordinates (0-based) that the group permutes."""
+        blocks = _KINDS[self.kind][0]
+        r = self.rank // blocks
+        return tuple(range(b * r, (b + 1) * r) for b in range(blocks))
+
+    @cached_property
+    def _allows(self) -> Callable[[int], bool]:
+        """Whether the group has elements with the given number of sign changes."""
+        return _SIGN_RULES[_KINDS[self.kind][1]]
 
     # -- membership and sizes -------------------------------------------
 
     def contains(self, w: SignedPerm) -> bool:
-        if w.rank != self.rank:
-            return False
-        signs = w.signs()
-        perm = w.permutation()
-        if self.kind == "A":
-            return all(s == 1 for s in signs)
-        if self.kind == "B":
-            return True
-        if self.kind == "D":
-            return signs.count(-1) % 2 == 0
-        r = self.rank // 2
-        if any(s != 1 for s in signs):
-            return False
-        return all((perm[j] <= r) == (j < r) for j in range(self.rank))
+        im = w.images
+        return (
+            w.rank == self.rank
+            and self._allows(sum(v < 0 for v in im))
+            and all(abs(im[k]) - 1 in b for b in self._blocks for k in b)
+        )
 
-    @property
+    @cached_property
     def order(self) -> int:
         n = self.rank
-        if self.kind == "A":
-            return _factorial(n)
-        if self.kind == "B":
-            return 2**n * _factorial(n)
-        if self.kind == "D":
-            return 2 ** (n - 1) * _factorial(n) if n else 1
-        r = n // 2
-        return _factorial(r) ** 2
+        signs = sum(math.comb(n, k) for k in range(n + 1) if self._allows(k))
+        return math.prod(math.factorial(len(b)) for b in self._blocks) * signs
 
     # -- roots, simples, lengths ----------------------------------------
 
     @cached_property
-    def _positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        fn = {"A": _a_roots, "B": _b_roots, "D": _d_roots}.get(self.kind)
-        return fn(self.rank) if fn else _axa_roots(self.rank // 2)
+    def _root_terms(self) -> tuple[Term, ...]:
+        """The positive roots: e_i - e_j within each block, then e_i + e_j
+        when two sign changes are allowed, then e_i when one is."""
+        pairs = [p for b in self._blocks for p in itertools.combinations(b, 2)]
+        terms = [(i, 1, j, -1) for i, j in pairs]
+        if self._allows(2):
+            terms += [(i, 1, j, 1) for i, j in pairs]
+        if self._allows(1):
+            terms += [(i, 1, i, 1) for i in range(self.rank)]
+        return tuple(terms)
 
     @cached_property
-    def _root_terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        """``_terms`` of each positive root."""
-        return tuple(_terms(r) for r in self._positive_roots)
-
-    @cached_property
-    def _simple_terms(self) -> dict[SignedPerm, tuple[int, int, int, int]]:
-        """``_terms`` of the simple root of each simple reflection s: the
-        positive root that s negates."""
-        return {
-            s: next(
-                _terms(r)
-                for r in self._positive_roots
-                if s.apply(r) == tuple(-c for c in r)
-            )
-            for s in self.simple_reflections()
-        }
+    def _simple_terms(self) -> dict[SignedPerm, Term]:
+        """Each simple reflection, in order, with its simple root: e_i -
+        e_(i+1) within each block, then e_n if one sign change is allowed,
+        else e_(n-1) + e_n if two are."""
+        n = self.rank
+        terms = [(i, 1, i + 1, -1) for b in self._blocks for i in b[:-1]]
+        if self._allows(1):
+            terms.append((n - 1, 1, n - 1, 1))
+        elif self._allows(2) and n >= 2:
+            terms.append((n - 2, 1, n - 1, 1))
+        return {_reflection(t, n): t for t in terms}
 
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        return self._positive_roots
+        out = []
+        for i, ci, j, cj in self._root_terms:
+            root = [0] * self.rank
+            root[i], root[j] = ci, cj
+            out.append(tuple(root))
+        return tuple(out)
 
     def simple_reflections(self) -> tuple[SignedPerm, ...]:
-        n = self.rank
-        if self.kind == "A":
-            return tuple(transposition(i, i + 1, n) for i in range(1, n))
-        if self.kind == "B":
-            simples = [transposition(i, i + 1, n) for i in range(1, n)]
-            simples.append(sign_flip([n], n))
-            return tuple(simples)
-        if self.kind == "D":
-            simples = [transposition(i, i + 1, n) for i in range(1, n)]
-            if n >= 2:
-                # Reflection in e_{n-1} + e_n: swap the last two
-                # coordinates and negate both.
-                out = list(range(1, n + 1))
-                out[n - 2], out[n - 1] = -n, -(n - 1)
-                simples.append(SignedPerm(tuple(out)))
-            return tuple(simples)
-        r = n // 2
-        simples = [transposition(i, i + 1, n) for i in range(1, r)]
-        simples += [transposition(r + i, r + i + 1, n) for i in range(1, r)]
-        return tuple(simples)
+        return tuple(self._simple_terms)
 
     def length(self, w: SignedPerm) -> int:
         if w.rank != self.rank:
@@ -387,41 +362,33 @@ class WeylGroup:
         return (ci * x if abs(x) <= abs(y) else cj * y) > 0
 
     def longest_element(self) -> SignedPerm:
+        """Negates as many leading coordinates as the sign rule allows (all,
+        or all but the last for D of odd rank); with no sign change allowed
+        it reverses each block."""
         n = self.rank
-        if self.kind == "A":
-            w0 = SignedPerm(tuple(range(n, 0, -1)))
-        elif self.kind == "B":
-            w0 = sign_flip(range(1, n + 1), n)
-        elif self.kind == "D":
-            if n % 2 == 0:
-                w0 = sign_flip(range(1, n + 1), n)
-            else:
-                w0 = sign_flip(range(1, n), n)
+        flips = max(k for k in range(n + 1) if self._allows(k))
+        if flips:
+            images = tuple(range(-1, -flips - 1, -1)) + tuple(range(flips + 1, n + 1))
         else:
-            r = n // 2
-            out = list(range(r, 0, -1)) + list(range(n, r, -1))
-            w0 = SignedPerm(tuple(out))
-        assert self.length(w0) == len(self.positive_roots())
+            images = tuple(k + 1 for b in self._blocks for k in reversed(b))
+        w0 = _signed_perm(images)
+        assert self.length(w0) == len(self._root_terms)
         return w0
 
     # -- enumeration ------------------------------------------------------
 
     def elements(self) -> Iterator[SignedPerm]:
-        n = self.rank
-        if self.kind == "A":
-            for p in itertools.permutations(range(1, n + 1)):
-                yield _signed_perm(p)
-        elif self.kind in ("B", "D"):
-            for p in itertools.permutations(range(1, n + 1)):
-                for mask in itertools.product((1, -1), repeat=n):
-                    if self.kind == "D" and mask.count(-1) % 2:
-                        continue
-                    yield _signed_perm(tuple([s * v for s, v in zip(mask, p)]))
-        else:
-            r = n // 2
-            for p in itertools.permutations(range(1, r + 1)):
-                for q in itertools.permutations(range(r + 1, n + 1)):
-                    yield _signed_perm(p + q)
+        masks = [
+            m
+            for m in itertools.product((1, -1), repeat=self.rank)
+            if self._allows(m.count(-1))
+        ]
+        for parts in itertools.product(
+            *(itertools.permutations(range(b.start + 1, b.stop + 1)) for b in self._blocks)
+        ):
+            p = sum(parts, ())
+            for mask in masks:
+                yield _signed_perm(tuple([s * v for s, v in zip(mask, p)]))
 
     def check_enumerable(self) -> None:
         """Raise ``SubgroupTooLarge`` if the group is past ``SUBGROUP_CAP``."""
@@ -450,14 +417,6 @@ class WeylGroup:
 
     def describe(self) -> str:
         return self.name or f"{self.kind}(rank {self.rank})"
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def symmetric_group(n: int) -> WeylGroup:

@@ -824,6 +824,32 @@ def test_over_cap_orbits_refused_before_any_work(
     assert err == f"error: instance too large to enumerate: {message}\n"
 
 
+@pytest.mark.parametrize("n", ["99999999999999999999", "100000"])
+@pytest.mark.parametrize("command", ["classify-tori", "orbits", "twisted", "verify"])
+def test_over_rank_cap_exit_4(command, n, capsys, no_enumeration):
+    code, out, err = run([command, "--family", "GL", "--n", n], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        f"error: instance too large to enumerate: rank of S{n} = {n} exceeds cap 1024\n"
+    )
+
+
+def test_usage_errors_repeat_identically(capsys):
+    # the parser is built once per process; reusing it must not change
+    # what a usage error prints, nor what a later valid query prints
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            run(["orbits", "--family", "GL", "--n", "3", "--format", "dot"], capsys)
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "invalid choice: 'dot'" in errors[0]
+    code, out, err = run(["twisted", "--family", "GL", "--n", "2"], capsys)
+    assert code == 0 and err == "" and "|I| = 2" in out
+
+
 def test_failed_claims_exit_1(capsys, monkeypatch):
     def fake(spec):
         return (

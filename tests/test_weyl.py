@@ -5,6 +5,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from korbits.weyl import (
+    RANK_CAP,
     NotASubgroup,
     NotInGroup,
     RankMismatch,
@@ -102,6 +103,13 @@ GROUPS = [
     (even_hyperoctahedral_group(4), 192, 12),
     (product_symmetric_group(2), 4, 2),
     (product_symmetric_group(3), 36, 6),
+    # the edge cases of each kind: rank one, D2 = A1 x A1, D of odd rank
+    (symmetric_group(1), 1, 0),
+    (hyperoctahedral_group(1), 2, 1),
+    (even_hyperoctahedral_group(1), 1, 0),
+    (even_hyperoctahedral_group(2), 4, 2),
+    (even_hyperoctahedral_group(5), 1920, 20),
+    (product_symmetric_group(1), 1, 0),
 ]
 
 
@@ -187,6 +195,15 @@ def test_sorted_elements_start_at_identity():
 def test_element_set_cap():
     with pytest.raises(SubgroupTooLarge):
         hyperoctahedral_group(9).element_set()
+
+
+def test_rank_cap():
+    assert symmetric_group(RANK_CAP).rank == RANK_CAP
+    for build in (symmetric_group, hyperoctahedral_group, even_hyperoctahedral_group):
+        with pytest.raises(SubgroupTooLarge):
+            build(RANK_CAP + 1)
+    with pytest.raises(SubgroupTooLarge):
+        product_symmetric_group(RANK_CAP // 2 + 1)
 
 
 def test_enumerate_subgroup():
