@@ -274,7 +274,7 @@ def _pairing_lattice(W: WeylGroup, n: int) -> ThetaLattice:
     return ThetaLattice(
         W,
         tuple(
-            tuple(-1 if pairing.images[j] == i + 1 else 0 for j in range(r))
+            tuple(-1 if pairing[j] == i + 1 else 0 for j in range(r))
             for i in range(r)
         ),
     )
@@ -321,7 +321,7 @@ def _ustar_spec(n: int) -> GroupSpec:
     pairing = _transposition_product(
         [(2 * j - 1, 2 * j) for j in range(1, n + 1)], r
     )
-    minus_pairing = SignedPerm(tuple(-v for v in pairing.images))
+    minus_pairing = SignedPerm(-v for v in pairing)
     base = pairing * W.longest_element()
     ctx = TwistContext(W, minus_pairing, base)
     tori = (TorusDescriptor(index=0, twist_class=identity(r)),)
@@ -653,7 +653,7 @@ def _lattice_transform(
 ) -> tuple[DyadicGauss, ...]:
     sp = spec.lattice.as_signed_perm()
     out: list[DyadicGauss] = [G1] * len(values)
-    for j, img in enumerate(sp.images):
+    for j, img in enumerate(sp):
         out[abs(img) - 1] = values[j] if img > 0 else values[j].inverse()
     return tuple(out)
 
@@ -717,50 +717,54 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
 
     _run_claim(claims, "theta-matches-lattice-involution", lattice_match)
 
-    if spec.family in ("GL", "SL2n"):
-        _verify_gl_like(spec, claims, share)
+    if spec.family == "SL2n":
+        _verify_block_realizer(claims, share)
+    if spec.family in ("GL", "SL2n", "Upq"):
+        _verify_tori(spec, claims, share)
     elif spec.family == "SOeven1":
         _verify_soeven1(spec, claims, share)
-    elif spec.family == "Upq":
-        _verify_upq(spec, claims, share)
     return tuple(claims)
 
 
-def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
+def _verify_block_realizer(claims: list[ClaimResult], share) -> None:
+    def gbl_det():
+        d = GBL.det()
+        return d == G1, f"det = {d}"
+
+    _run_claim(claims, "block-realizer-det-one", gbl_det)
+
+    def gbl_cocycle():
+        w = share(diagonal_structure(2)).to_weyl(GBL.inverse() * GBL.conjugate())
+        return w == transposition(1, 2, 2), f"weyl = {w.cycle_string()}"
+
+    _run_claim(claims, "block-realizer-galois-cocycle", gbl_cocycle)
+
+
+def _verify_tori(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
+    """Four claims per torus realizer g: det g is a unit, g^-1 theta(g)
+    (theta(g) = g for SL2n) and g^-1 Galois(g) give the twist class, and g
+    conjugates the diagonal torus into the torus's block shape (circular
+    pairs (2j-1, 2j) for GL and SL2n, hyperbolic pairs for U(p,q))."""
     n = spec.torus_structure.size
     diag = share(diagonal_structure(n))
-    if spec.family == "SL2n":
-
-        def gbl_det():
-            d = GBL.det()
-            return d == G1, f"det = {d}"
-
-        _run_claim(claims, "block-realizer-det-one", gbl_det)
-
-        def gbl_cocycle():
-            w = share(diagonal_structure(2)).to_weyl(GBL.inverse() * GBL.conjugate())
-            return w == transposition(1, 2, 2), f"weyl = {w.cycle_string()}"
-
-        _run_claim(claims, "block-realizer-galois-cocycle", gbl_cocycle)
-
     for desc in spec.tori:
         g = desc.matrix
         i = desc.index
+        if spec.family == "Upq":
+            p, q = spec.params
+            pairs = [(p - q + i + j, n - q + i + j) for j in range(1, q - i + 1)]
+            style, expect = "hyperbolic", f" (expect a unit, 2^{q - i})"
+        else:
+            pairs = [(2 * j - 1, 2 * j) for j in range(1, i + 1)]
+            style, expect = "circular", ""
 
-        def det_unit(g=g):
+        def det_unit(g=g, expect=expect):
             d = g.det()
-            return d.is_unit(), f"det = {d}"
+            return d.is_unit(), f"det = {d}{expect}"
 
         _run_claim(claims, f"torus-{i}-realizer-det-unit", det_unit)
 
-        if spec.family == "GL":
-
-            def theta_cocycle(g=g, c=desc.twist_class):
-                w = diag.to_weyl(g.inverse() * theta_matrix(spec, g))
-                return w == c, f"weyl = {w.cycle_string()}"
-
-            _run_claim(claims, f"torus-{i}-theta-cocycle", theta_cocycle)
-        else:
+        if spec.family == "SL2n":
             # The split realizers land in the fixed subgroup (any block of
             # determinant one preserves the alternating form), so all
             # their torus conjugates are stable; the twist class shows up
@@ -769,6 +773,13 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
                 return theta_matrix(spec, g) == g, ""
 
             _run_claim(claims, f"torus-{i}-realizer-theta-fixed", theta_fixed)
+        else:
+
+            def theta_cocycle(g=g, c=desc.twist_class):
+                w = diag.to_weyl(g.inverse() * theta_matrix(spec, g))
+                return w == c, f"weyl = {w.cycle_string()}"
+
+            _run_claim(claims, f"torus-{i}-theta-cocycle", theta_cocycle)
 
         def galois_cocycle(g=g, c=desc.twist_class):
             w = diag.to_weyl(g.inverse() * galois_matrix(spec, g))
@@ -776,9 +787,10 @@ def _verify_gl_like(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
 
         _run_claim(claims, f"torus-{i}-galois-cocycle", galois_cocycle)
 
-        units = tuple(
-            ("pair2", 2 * j - 1, 2 * j, "circular") for j in range(1, i + 1)
-        ) + tuple(("coord", k) for k in range(2 * i + 1, n + 1))
+        in_pairs = {k for pair in pairs for k in pair}
+        units = tuple(("pair2", a, b, style) for a, b in pairs) + tuple(
+            ("coord", k) for k in range(1, n + 1) if k not in in_pairs
+        )
         hstruct = share(TorusStructure(n, units))
 
         def shape(g=g, hstruct=hstruct):
@@ -842,44 +854,3 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
         return got == want, ""
 
     _run_claim(claims, "split-torus-conjugate-shape", shape)
-
-
-def _verify_upq(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
-    p, q = spec.params
-    n = spec.torus_structure.size
-    diag = share(diagonal_structure(n))
-    for desc in spec.tori:
-        g = desc.matrix
-        i = desc.index
-
-        def det_unit(g=g, i=i):
-            d = g.det()
-            return d.is_unit(), f"det = {d} (expect a unit, 2^{q - i})"
-
-        _run_claim(claims, f"torus-{i}-realizer-det-unit", det_unit)
-
-        def theta_cocycle(g=g, c=desc.twist_class):
-            w = diag.to_weyl(g.inverse() * theta_matrix(spec, g))
-            return w == c, f"weyl = {w.cycle_string()}"
-
-        _run_claim(claims, f"torus-{i}-theta-cocycle", theta_cocycle)
-
-        def galois_cocycle(g=g, c=desc.twist_class):
-            w = diag.to_weyl(g.inverse() * galois_matrix(spec, g))
-            return w == c, f"weyl = {w.cycle_string()}"
-
-        _run_claim(claims, f"torus-{i}-galois-cocycle", galois_cocycle)
-
-        pairs = [(p - q + i + j, n - q + i + j) for j in range(1, q - i + 1)]
-        in_pairs = {k for pair in pairs for k in pair}
-        units = tuple(("pair2", a, b, "hyperbolic") for a, b in pairs) + tuple(
-            ("coord", k) for k in range(1, n + 1) if k not in in_pairs
-        )
-        hstruct = share(TorusStructure(n, units))
-
-        def shape(g=g, hstruct=hstruct):
-            vals = diag.sample_point()
-            got = hstruct.extract(g * ExactMatrix.diagonal(vals) * g.inverse())
-            return got == _slot_reorder(hstruct, vals), ""
-
-        _run_claim(claims, f"torus-{i}-conjugate-shape", shape)

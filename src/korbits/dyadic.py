@@ -349,7 +349,7 @@ class ExactMatrix:
         """Inverse within the Gaussian dyadic ring (determinant must be a
         unit, otherwise the inverse has entries outside the ring)."""
         if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
+            raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         rows, e = _ints(self.entries)
         for i, row in enumerate(rows):
@@ -548,7 +548,7 @@ class TorusStructure:
                 images[k - 1] = img
             elif images[k - 1] != img:
                 raise NotMonomial("paired slots map inconsistently")
-        return SignedPerm(tuple(images))
+        return SignedPerm(images)
 
 
 def diagonal_structure(n: int) -> TorusStructure:

@@ -27,6 +27,7 @@ from typing import Sequence
 from .weyl import (
     SignedPerm,
     WeylGroup,
+    _signed_perm,
     canonical_key,
     closure,
     enumerate_subgroup,
@@ -98,7 +99,7 @@ def root_reflection(alpha: Sequence[int], rank: int) -> SignedPerm:
             out[i - 1], out[j - 1] = -j, -i
         else:
             out[i - 1], out[j - 1] = j, i
-        return SignedPerm(tuple(out))
+        return SignedPerm(out)
     raise ValueError(f"no monomial reflection for root {tuple(alpha)}")
 
 
@@ -123,15 +124,16 @@ class ThetaLattice:
         n = self.group.rank
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("lattice involution must be rank x rank")
-        sq = [
-            [
-                sum(self.rows[i][k] * self.rows[k][j] for k in range(n))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if sq != [[int(i == j) for j in range(n)] for i in range(n)]:
-            raise ValueError("lattice map is not an involution")
+        # Square the map over the nonzero entries of each row.
+        sparse = [[(k, c) for k, c in enumerate(row) if c] for row in self.rows]
+        for i, row in enumerate(sparse):
+            sq = [0] * n
+            for k, c in row:
+                for j, d in sparse[k]:
+                    sq[j] += c * d
+            sq[i] -= 1
+            if any(sq):
+                raise ValueError("lattice map is not an involution")
 
     @property
     def rank(self) -> int:
@@ -155,7 +157,7 @@ class ThetaLattice:
                 raise ValueError("lattice map is not a signed permutation")
             i, c = nz[0]
             images[j] = (i + 1) * (1 if c > 0 else -1)
-        return SignedPerm(tuple(images))
+        return SignedPerm(images)
 
     def all_roots(self) -> tuple[tuple[int, ...], ...]:
         pos = self.group.positive_roots()
@@ -243,7 +245,6 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     involutions = sorted(
         (w for w in w_psi if (w * w).is_identity()), key=canonical_key
     )
-    member = {w.images: w for w in w_psi}
 
     # per restricted-root line: p, N and the columns N*s(e_j)
     lines = []
@@ -272,8 +273,8 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
                 raise ValueError("conjugate leaves the reflection subgroup")
             i, c = nz[0]
             images.append(i if c > 0 else -i)
-        conj = member.get(tuple(images))
-        if conj is None:
+        conj = _signed_perm(images)
+        if conj not in w_psi:
             raise ValueError("conjugate leaves the reflection subgroup")
         return conj
 

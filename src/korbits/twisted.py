@@ -193,11 +193,11 @@ class ReachabilityGraph:
         lines = ["digraph twisted {", "  rankdir=BT;"]
         lengths = involution_lengths(self.context)
         for a in self.nodes:
-            ident = ",".join(str(v) for v in a.images)
+            ident = ",".join(map(str, a))
             lines.append(f'  "{ident}" [label="{a.cycle_string()} ({lengths[a]})"];')
         for a, idx, b in self.edges:
-            src = ",".join(str(v) for v in a.images)
-            dst = ",".join(str(v) for v in b.images)
+            src = ",".join(map(str, a))
+            dst = ",".join(map(str, b))
             lines.append(f'  "{src}" -> "{dst}" [label="s{idx}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

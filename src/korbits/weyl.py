@@ -1,8 +1,10 @@
 """Classical Weyl groups realized as signed permutations.
 
-Elements are signed permutations of coordinates 1..rank.  A group is one of
-the classical families needed downstream -- the symmetric group S_n acting on
-n coordinates (type A), the full hyperoctahedral group (type B), its
+An element is a signed permutation of coordinates 1..rank, and it is the
+tuple of its signed images: ``SignedPerm`` subclasses ``tuple``, so hashing,
+equality and indexing are the tuple's.  A group is one of the classical
+families needed downstream -- the symmetric group S_n acting on n
+coordinates (type A), the full hyperoctahedral group (type B), its
 even-sign-count subgroup (type D), and a block product S_r x S_r living in
 rank 2r.  Each kind is one entry of the table ``_KINDS``: how many blocks of
 coordinates it permutes and which sign changes it allows; membership,
@@ -87,52 +89,62 @@ class SubgroupTooLarge(RuntimeError):
     """Raised when a generator closure exceeds the enumeration cap."""
 
 
-@dataclass(frozen=True, order=False)
-class SignedPerm:
-    """A signed permutation, stored as the tuple of signed images.
+class SignedPerm(tuple):
+    """A signed permutation: the tuple of its signed images.
 
-    ``images[j-1] == s*k`` means coordinate j maps to coordinate k with
-    sign s (s is +1 or -1, coordinates are 1-based).
+    ``w[j-1] == s*k`` means coordinate j maps to coordinate k with sign s
+    (s is +1 or -1, coordinates are 1-based).  Hashing and equality are the
+    tuple's.  ``SignedPerm(images)`` validates through ``__post_init__``;
+    products, inverses and enumerated elements are built unchecked by
+    ``_signed_perm``.
     """
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
+    def __new__(cls, images: Iterable[int]) -> "SignedPerm":
+        w = tuple.__new__(cls, images)
+        w.__post_init__()
+        return w
+
+    # Named as in a dataclass: perfbench's tracer counts the validations
+    # through this class attribute.
     def __post_init__(self) -> None:
-        seen = sorted(abs(v) for v in self.images)
-        if seen != list(range(1, len(self.images) + 1)):
+        if sorted(map(abs, self)) != list(range(1, len(self) + 1)):
             raise ValueError(f"not a signed permutation: {self.images}")
 
     @property
+    def images(self) -> tuple[int, ...]:
+        """The signed images as a plain tuple."""
+        return tuple(self)
+
+    @property
     def rank(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def __mul__(self, other: "SignedPerm") -> "SignedPerm":
         """Composition: ``(w * v)`` applies v first, then w."""
-        if self.rank != other.rank:
-            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
-        mine = self.images
-        return _signed_perm(
-            tuple([mine[v - 1] if v > 0 else -mine[-v - 1] for v in other.images])
-        )
+        if len(self) != len(other):
+            raise RankMismatch(f"rank {len(self)} vs {len(other)}")
+        return _signed_perm([self[v - 1] if v > 0 else -self[-v - 1] for v in other])
 
     def inverse(self) -> "SignedPerm":
-        out = [0] * self.rank
-        for j, v in enumerate(self.images, start=1):
+        out = [0] * len(self)
+        for j, v in enumerate(self, start=1):
             out[abs(v) - 1] = j if v > 0 else -j
-        return _signed_perm(tuple(out))
+        return _signed_perm(out)
 
     def is_identity(self) -> bool:
-        return all(v == j for j, v in enumerate(self.images, start=1))
+        return all(v == j for j, v in enumerate(self, start=1))
 
     def is_involution(self) -> bool:
         return (self * self).is_identity()
 
     def apply(self, vector: Sequence) -> tuple:
         """Act on a rank-length coordinate vector."""
-        if len(vector) != self.rank:
-            raise RankMismatch(f"vector length {len(vector)} vs rank {self.rank}")
-        out = [0] * self.rank
-        for j, v in enumerate(self.images):
+        if len(vector) != len(self):
+            raise RankMismatch(f"vector length {len(vector)} vs rank {len(self)}")
+        out = [0] * len(self)
+        for j, v in enumerate(self):
             out[abs(v) - 1] = vector[j] if v > 0 else -vector[j]
         return tuple(out)
 
@@ -141,23 +153,23 @@ class SignedPerm:
         return t * self * t.inverse()
 
     def signs(self) -> tuple[int, ...]:
-        return tuple(1 if v > 0 else -1 for v in self.images)
+        return tuple(1 if v > 0 else -1 for v in self)
 
     def permutation(self) -> tuple[int, ...]:
-        return tuple(abs(v) for v in self.images)
+        return tuple(abs(v) for v in self)
 
     def matrix(self) -> list[list[int]]:
-        m = [[0] * self.rank for _ in range(self.rank)]
-        for j, v in enumerate(self.images):
+        m = [[0] * len(self) for _ in self]
+        for j, v in enumerate(self):
             m[abs(v) - 1][j] = 1 if v > 0 else -1
         return m
 
     def cycle_string(self) -> str:
         """Disjoint-cycle notation; sign flips appended as a +/- vector."""
         perm = self.permutation()
-        seen = [False] * self.rank
+        seen = [False] * len(self)
         cycles = []
-        for start in range(1, self.rank + 1):
+        for start in range(1, len(self) + 1):
             if seen[start - 1] or perm[start - 1] == start:
                 seen[start - 1] = True
                 continue
@@ -170,7 +182,7 @@ class SignedPerm:
                 nxt = perm[nxt - 1]
             cycles.append("(" + " ".join(str(c) for c in cyc) + ")")
         body = "".join(cycles) if cycles else "e"
-        if any(v < 0 for v in self.images):
+        if any(v < 0 for v in self):
             marks = "".join("+" if s > 0 else "-" for s in self.signs())
             return f"{body}[{marks}]"
         return body
@@ -179,41 +191,39 @@ class SignedPerm:
         return f"SignedPerm{self.images}"
 
 
-def _signed_perm(images: tuple[int, ...]) -> SignedPerm:
+def _signed_perm(images: Iterable[int]) -> SignedPerm:
     """A SignedPerm from images already known to be a signed permutation
     (products, inverses, enumerated elements): skips the validation."""
-    w = object.__new__(SignedPerm)
-    object.__setattr__(w, "images", images)
-    return w
+    return tuple.__new__(SignedPerm, images)
 
 
 def identity(rank: int) -> SignedPerm:
-    return SignedPerm(tuple(range(1, rank + 1)))
+    return SignedPerm(range(1, rank + 1))
 
 
 def transposition(i: int, j: int, rank: int) -> SignedPerm:
     """The plain transposition (i j); with i == j this is the identity."""
     out = list(range(1, rank + 1))
     out[i - 1], out[j - 1] = j, i
-    return SignedPerm(tuple(out))
+    return SignedPerm(out)
 
 
 def sign_flip(coords: Iterable[int], rank: int) -> SignedPerm:
     out = list(range(1, rank + 1))
     for c in coords:
         out[c - 1] = -out[c - 1]
-    return SignedPerm(tuple(out))
+    return SignedPerm(out)
 
 
 def from_one_line(images: Sequence[int]) -> SignedPerm:
-    return SignedPerm(tuple(images))
+    return SignedPerm(images)
 
 
 def canonical_key(w: SignedPerm) -> tuple:
     """Sort key for canonical representatives: signs first, then one-line."""
     return (
-        tuple(0 if v > 0 else 1 for v in w.images),
-        tuple(abs(v) for v in w.images),
+        tuple(0 if v > 0 else 1 for v in w),
+        tuple(abs(v) for v in w),
     )
 
 
@@ -240,7 +250,7 @@ def _reflection(term: Term, rank: int) -> SignedPerm:
     i, ci, j, cj = term
     out = list(range(1, rank + 1))
     out[i], out[j] = -ci * cj * (j + 1), -ci * cj * (i + 1)
-    return _signed_perm(tuple(out))
+    return _signed_perm(out)
 
 
 @dataclass(frozen=True)
@@ -283,11 +293,10 @@ class WeylGroup:
     # -- membership and sizes -------------------------------------------
 
     def contains(self, w: SignedPerm) -> bool:
-        im = w.images
         return (
-            w.rank == self.rank
-            and self._allows(sum(v < 0 for v in im))
-            and all(abs(im[k]) - 1 in b for b in self._blocks for k in b)
+            len(w) == self.rank
+            and self._allows(sum(v < 0 for v in w))
+            and all(abs(w[k]) - 1 in b for b in self._blocks for k in b)
         )
 
     @cached_property
@@ -339,13 +348,12 @@ class WeylGroup:
             raise RankMismatch(f"rank {w.rank} vs group rank {self.rank}")
         if not self.contains(w):
             raise NotInGroup(f"{w} is not in {self.describe()}")
-        im = w.images
         # w(c_i e_i + c_j e_j) = c_i sign(x) e_|x| + c_j sign(y) e_|y| for
-        # x = im[i] and y = im[j]; it is negative when the term at the
+        # x = w[i] and y = w[j]; it is negative when the term at the
         # smaller coordinate is.
         count = 0
         for i, ci, j, cj in self._root_terms:
-            x, y = im[i], im[j]
+            x, y = w[i], w[j]
             if (ci * x if abs(x) <= abs(y) else cj * y) < 0:
                 count += 1
         return count
@@ -354,11 +362,10 @@ class WeylGroup:
         """Whether l(s w) > l(w), for a simple reflection s and w in the
         group: whether w^-1(alpha_s) is positive."""
         i, ci, j, cj = self._simple_terms[s]
-        im = w.images
-        # w^-1(e_k) = sign(v) e_m for im[m-1] = v = +-k; x and y are those
+        # w^-1(e_k) = sign(v) e_m for w[m-1] = v = +-k; x and y are those
         # signed m for the two coordinates of alpha_s.
-        x = im.index(i + 1) + 1 if i + 1 in im else -im.index(-i - 1) - 1
-        y = im.index(j + 1) + 1 if j + 1 in im else -im.index(-j - 1) - 1
+        x = w.index(i + 1) + 1 if i + 1 in w else -w.index(-i - 1) - 1
+        y = w.index(j + 1) + 1 if j + 1 in w else -w.index(-j - 1) - 1
         return (ci * x if abs(x) <= abs(y) else cj * y) > 0
 
     def longest_element(self) -> SignedPerm:
@@ -388,7 +395,7 @@ class WeylGroup:
         ):
             p = sum(parts, ())
             for mask in masks:
-                yield _signed_perm(tuple([s * v for s, v in zip(mask, p)]))
+                yield _signed_perm([s * v for s, v in zip(mask, p)])
 
     def check_enumerable(self) -> None:
         """Raise ``SubgroupTooLarge`` if the group is past ``SUBGROUP_CAP``."""
@@ -476,8 +483,8 @@ def _sims_filter(perms: Iterable[SignedPerm]) -> tuple[SignedPerm, ...]:
     table: dict[tuple[int, int], SignedPerm] = {}
     for g in perms:
         while not g.is_identity():
-            i = next(j for j, v in enumerate(g.images) if v != j + 1)
-            kept = table.setdefault((i, g.images[i]), g)
+            i = next(j for j, v in enumerate(g) if v != j + 1)
+            kept = table.setdefault((i, g[i]), g)
             if kept is g:
                 break
             g = kept.inverse() * g
@@ -493,12 +500,12 @@ def _level(gens: tuple[SignedPerm, ...], rank: int) -> tuple:
     for m in range(1, rank + 1):
         if m in transversal:
             continue
-        transversal[m] = (m, _signed_perm(tuple(range(1, rank + 1))))
+        transversal[m] = (m, _signed_perm(range(1, rank + 1)))
         todo = [m]
         while todo:
             b = todo.pop()
             for g, g_inv in zip(gens, inverses):
-                c = g.images[b - 1]
+                c = g[b - 1]
                 if c not in transversal:
                     transversal[c] = (m, transversal[b][1] * g_inv)
                     todo.append(c)
@@ -555,7 +562,7 @@ class CosetTable:
                 u = v.inverse()
                 for g in gens:
                     gu = g * u
-                    schreier.append(transversal[gu.images[m - 1]][1] * gu)
+                    schreier.append(transversal[gu[m - 1]][1] * gu)
         self._levels[fixed] = _level(_sims_filter(schreier), self.group.rank)
         return self._levels[fixed]
 
@@ -564,9 +571,9 @@ class CosetTable:
         if len(self._witnesses) > 1:
             x = min(
                 (t * x for t in self._witnesses.values()),
-                key=lambda y: [v < 0 for v in y.images],
+                key=lambda y: [v < 0 for v in y],
             )
-        word = [abs(v) for v in x.images]
+        word = [abs(v) for v in x]
         level = self._levels[frozenset()]
         for j, b in enumerate(word):
             gens, transversal = level
@@ -574,10 +581,10 @@ class CosetTable:
                 break
             m, v = transversal[b]
             if b != m:
-                word[j:] = [v.images[c - 1] for c in word[j:]]
+                word[j:] = [v[c - 1] for c in word[j:]]
             fixed = frozenset(word[: j + 1])
             level = self._levels.get(fixed) or self._child(level, m, fixed)
-        return _signed_perm(tuple([w if v > 0 else -w for w, v in zip(word, x.images)]))
+        return _signed_perm([w if v > 0 else -w for w, v in zip(word, x)])
 
     @cached_property
     def reps(self) -> tuple[SignedPerm, ...]:

@@ -125,6 +125,10 @@ def test_matrix_inverse_errors():
         ExactMatrix.from_rows([[1, 1], [1, 1]]).inverse()
     with pytest.raises(NotAUnit):
         ExactMatrix.from_rows([[3]]).inverse()
+    with pytest.raises(ValueError, match="^inverse of a non-square matrix$"):
+        ExactMatrix.from_rows([[1, 0]]).inverse()
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        ExactMatrix.from_rows([[1, 0]]).det()
 
 
 def test_permutation_matrix_convention():

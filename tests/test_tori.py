@@ -4,7 +4,13 @@ from math import comb, factorial
 import pytest
 
 from korbits.tori import ThetaLattice, TorusClass, root_reflection, torus_classification
-from korbits.weyl import canonical_key, enumerate_subgroup, identity, symmetric_group
+from korbits.weyl import (
+    RANK_CAP,
+    canonical_key,
+    enumerate_subgroup,
+    identity,
+    symmetric_group,
+)
 from support import cached_build, flip, perm, tr
 
 
@@ -21,6 +27,18 @@ def test_lattice_validation():
         ThetaLattice(s2, ((1, 1), (0, 1)))  # squares to I + 2E12, not I
     with pytest.raises(ValueError):
         ThetaLattice(s2, ((1, 0, 0), (0, 1, 0)))
+
+
+def test_lattice_validation_at_rank_cap():
+    # the involution check runs over nonzero entries, so a monomial
+    # lattice at the rank cap builds quickly
+    n = RANK_CAP
+    swaps = [j ^ 1 for j in range(n)]  # (1 2)(3 4)... as 0-based images
+    rows = tuple(tuple(-int(j == swaps[i]) for j in range(n)) for i in range(n))
+    assert ThetaLattice(symmetric_group(n), rows).rank == n
+    cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+    with pytest.raises(ValueError, match="^lattice map is not an involution$"):
+        ThetaLattice(symmetric_group(n), cycle)
 
 
 def test_lattice_apply_and_signed_perm():

@@ -37,12 +37,43 @@ def signed_perms(draw, rank=4):
 
 
 def test_signed_perm_validation():
-    with pytest.raises(ValueError):
-        SignedPerm((1, 1, 3))
-    with pytest.raises(ValueError):
-        SignedPerm((1, 4))
-    with pytest.raises(RankMismatch):
+    # any iterable of images builds an element, and bad images are refused
+    assert SignedPerm([2, -1]) == SignedPerm(v for v in (2, -1)) == perm(2, -1)
+    assert type(SignedPerm(iter([1]))) is SignedPerm
+    for bad in ((1, 1, 3), (1, 4), [0], (v for v in (-2, 2))):
+        with pytest.raises(ValueError, match=r"^not a signed permutation: \("):
+            SignedPerm(bad)
+    with pytest.raises(RankMismatch, match="^rank 2 vs 3$"):
         perm(2, 1) * perm(2, 1, 3)
+    with pytest.raises(RankMismatch, match="^rank 3 vs 2$"):
+        perm(1, 2, 3) * perm(2, 1)
+
+
+def test_images_print_as_a_plain_tuple():
+    w = perm(2, -1, 3)
+    assert f"{w.images}" == "(2, -1, 3)"
+    assert f"{perm(1).images}" == "(1,)"
+    assert repr(w) == "SignedPerm(2, -1, 3)"
+    assert f"{w}" == str(w) == "SignedPerm(2, -1, 3)"
+
+
+def test_only_the_constructor_validates(monkeypatch):
+    # a counter on __post_init__ sees every validation, as a tracer hooking
+    # the class attribute would
+    calls = []
+    validate = SignedPerm.__dict__["__post_init__"]
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SignedPerm, "__post_init__", counting)
+    w = SignedPerm((2, -3, 1))
+    assert calls == [w]
+    group = hyperoctahedral_group(3)
+    elements = list(group.elements())
+    products = [w * v for v in elements] + [v.inverse() for v in elements]
+    assert len(calls) == 1 and all(type(x) is SignedPerm for x in products)
 
 
 def _act(w, j):
