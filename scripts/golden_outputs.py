@@ -8,6 +8,14 @@ table is ``tests/golden_outputs.json``; ``tests/test_golden_outputs.py``
 recomputes it, so a change to any printed byte fails the suite.
 
     python3 scripts/golden_outputs.py > tests/golden_outputs.json
+
+``verify`` is the one command that reads the torus realizers, so a second
+table, ``tests/golden_verify_large.json``, fingerprints ``verify --format
+table`` on a fixed list of larger instances (``VERIFY_LARGE``), checked by
+``tests/test_golden_outputs.py`` as well:
+
+    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
+        g.main(g.golden_verify_large)" > tests/golden_verify_large.json
 """
 
 import contextlib
@@ -29,15 +37,29 @@ FORMATS = {
 }
 
 
+#: Instances past |W| <= 5040 whose ``verify`` output is fingerprinted.
+VERIFY_LARGE = (
+    [("GL", (n,)) for n in range(8, 15)]
+    + [("SL2n", (n,)) for n in range(4, 8)]
+    + [("Upq", (s - q, q)) for s in range(8, 13) for q in range(1, s // 2 + 1)]
+    + [("SOodd1", (n,)) for n in range(6, 12)]
+    + [("SOeven1", (n,)) for n in range(7, 9)]
+)
+
+
+def command_line(command, family, params, fmt):
+    options = []
+    for name, value in zip(FAMILIES[family][1], params):
+        options += [f"--{name}", str(value)]
+    return [command, "--family", family, *options, "--format", fmt]
+
+
 def queries(max_order=MAX_ORDER):
     """The argument vector of every query, instance by instance."""
     for spec in instances(max_order):
-        params = []
-        for name, value in zip(FAMILIES[spec.family][1], spec.params):
-            params += [f"--{name}", str(value)]
         for command, formats in FORMATS.items():
             for fmt in formats:
-                yield [command, "--family", spec.family, *params, "--format", fmt]
+                yield command_line(command, spec.family, spec.params, fmt)
 
 
 def digest(argv):
@@ -53,8 +75,13 @@ def golden(max_order=MAX_ORDER):
     return {" ".join(argv): digest(argv) for argv in queries(max_order)}
 
 
-def main():
-    json.dump(golden(), sys.stdout, indent=1, sort_keys=True)
+def golden_verify_large():
+    lines = [command_line("verify", f, p, "table") for f, p in VERIFY_LARGE]
+    return {" ".join(argv): digest(argv) for argv in lines}
+
+
+def main(table=golden):
+    json.dump(table(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 
 

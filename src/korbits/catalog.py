@@ -9,6 +9,13 @@ group when a closed form is known, and the Galois rule on orbit
 parameters), and the reference orbit whose value is the top of the monoid
 order.
 
+For GL, SL(2n)/Sp and U(p,q) a torus is its list of disjoint index pairs:
+the twist class swaps each pair, and the realizer places one 2x2 block on
+each.  A descriptor keeps its realizer as the blocks it places and builds
+the dense matrix the first time it is read, which only ``verify`` does.
+The lattice involution of every family is the matrix of one signed
+permutation the builder already has.
+
 Families:
 
 - ``GL(n)``      split general linear group, orthogonal fixed points;
@@ -100,16 +107,28 @@ class TorusIndexOutOfRange(IndexError):
 
 @dataclass(frozen=True)
 class TorusDescriptor:
-    """One known class of stable maximal tori inside a family."""
+    """One known class of stable maximal tori inside a family.
+
+    ``realizer`` is the realizing matrix as the blocks it places, ``(size,
+    block, places)``: ``block`` at each index tuple of ``places`` inside the
+    size x size identity; None when no realizer is known.  ``matrix`` is
+    that dense matrix, built on first read."""
 
     index: int
     twist_class: SignedPerm
-    matrix: ExactMatrix | None = None
     wk_generators: tuple[SignedPerm, ...] | None = None
     galois_conj: SignedPerm | None = None
     galois_left: SignedPerm | None = None
     galois_right: SignedPerm | None = None
     galois_rule: str | None = None  # trivial | right_w0 | general
+    realizer: tuple[int, ExactMatrix, tuple[tuple[int, ...], ...]] | None = None
+
+    @cached_property
+    def matrix(self) -> ExactMatrix | None:
+        if self.realizer is None:
+            return None
+        size, block, places = self.realizer
+        return placed(size, [(idx, block) for idx in places])
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,6 @@ class GroupSpec:
     tori: tuple[TorusDescriptor, ...]
     reference_orbit: tuple[int, SignedPerm]
     torus_structure: TorusStructure
-    lattice_realizer: ExactMatrix | None = None
 
     def descriptor(self, i: int) -> TorusDescriptor:
         if not 0 <= i < len(self.tori):
@@ -198,13 +216,22 @@ HSPLIT = ExactMatrix.from_rows([[1, -1], [1, 1]])
 M3 = ExactMatrix.from_rows([[0, 0, -GI], [1, 0, 0], [0, GI, 0]])
 
 
-def _transposition_product(
-    pairs: Iterable[tuple[int, int]], rank: int
-) -> SignedPerm:
-    w = identity(rank)
-    for i, j in pairs:
-        w = w * transposition(i, j, rank)
-    return w
+def _swaps(pairs: Iterable[tuple[int, int]], rank: int, sign: int = 1) -> SignedPerm:
+    """``sign`` times the product of the disjoint transpositions ``pairs``."""
+    out = [sign * k for k in range(1, rank + 1)]
+    for a, b in pairs:
+        out[a - 1], out[b - 1] = sign * b, sign * a
+    return SignedPerm(out)
+
+
+def _circular_pairs(i: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (2j-1, 2j) for j = 1..i."""
+    return tuple((2 * j - 1, 2 * j) for j in range(1, i + 1))
+
+
+def _lattice(W: WeylGroup, w: SignedPerm) -> ThetaLattice:
+    """The lattice involution given by the matrix of w."""
+    return ThetaLattice(W, tuple(map(tuple, w.matrix())))
 
 
 def _symplectic_j(n: int) -> ExactMatrix:
@@ -216,26 +243,22 @@ def _symplectic_j(n: int) -> ExactMatrix:
 
 
 def _gl_spec(n: int) -> GroupSpec:
-    if n < 1:
-        raise InvalidParams("GL needs n >= 1")
     W = symmetric_group(n)
     ctx = TwistContext(W, sign_flip(range(1, n + 1), n), W.longest_element())
-    lattice = ThetaLattice(
-        W, tuple(tuple(-int(i == j) for j in range(n)) for i in range(n))
+    tori = tuple(
+        TorusDescriptor(
+            index=i, twist_class=_swaps(pairs, n), realizer=(n, UCIRC, pairs)
+        )
+        for i, pairs in enumerate(map(_circular_pairs, range(n // 2 + 1)))
     )
-    tori = []
-    for i in range(n // 2 + 1):
-        c = _transposition_product([(2 * j - 1, 2 * j) for j in range(1, i + 1)], n)
-        g = placed(n, [((2 * j - 1, 2 * j), UCIRC) for j in range(1, i + 1)])
-        tori.append(TorusDescriptor(index=i, twist_class=c, matrix=g))
     return GroupSpec(
         family="GL",
         params=(n,),
         name=f"GL({n})",
         group=W,
         context=ctx,
-        lattice=lattice,
-        tori=tuple(tori),
+        lattice=_lattice(W, ctx.twist),
+        tori=tori,
         reference_orbit=(0, identity(n)),
         torus_structure=diagonal_structure(n),
     )
@@ -247,57 +270,34 @@ def _sl2n_wk_generators(n: int, i: int) -> tuple[SignedPerm, ...]:
     if i < n:
         gens += [transposition(2 * j - 1, 2 * j, r) for j in range(1, i + 1)]
         gens += [
-            transposition(2 * j - 1, 2 * j + 1, r)
-            * transposition(2 * j, 2 * j + 2, r)
-            for j in range(1, i)
+            _swaps([(2 * j - 1, 2 * j + 1), (2 * j, 2 * j + 2)], r) for j in range(1, i)
         ]
         gens += [transposition(j, j + 1, r) for j in range(2 * i + 1, r)]
     else:
         gens += [
-            transposition(2 * j - 1, 2 * j, r)
-            * transposition(2 * j + 1, 2 * j + 2, r)
-            for j in range(1, n)
+            _swaps([(2 * j - 1, 2 * j), (2 * j + 1, 2 * j + 2)], r) for j in range(1, n)
         ]
         gens += [
-            transposition(2 * j - 1, 2 * j + 1, r)
-            * transposition(2 * j, 2 * j + 2, r)
-            for j in range(1, n)
+            _swaps([(2 * j - 1, 2 * j + 1), (2 * j, 2 * j + 2)], r) for j in range(1, n)
         ]
     return tuple(gens)
 
 
-def _pairing_lattice(W: WeylGroup, n: int) -> ThetaLattice:
-    r = 2 * n
-    pairing = _transposition_product(
-        [(2 * j - 1, 2 * j) for j in range(1, n + 1)], r
-    )
-    return ThetaLattice(
-        W,
-        tuple(
-            tuple(-1 if pairing[j] == i + 1 else 0 for j in range(r))
-            for i in range(r)
-        ),
-    )
-
-
 def _sl2n_spec(n: int) -> GroupSpec:
-    if n < 1:
-        raise InvalidParams("SL2n needs n >= 1")
     r = 2 * n
     W = symmetric_group(r)
     ctx = TwistContext(W, sign_flip(range(1, r + 1), r), W.longest_element())
     tori = []
-    for i in range(n + 1):
-        c = _transposition_product([(2 * j - 1, 2 * j) for j in range(1, i + 1)], r)
-        g = placed(r, [((2 * j - 1, 2 * j), GBL) for j in range(1, i + 1)])
+    for i, pairs in enumerate(map(_circular_pairs, range(n + 1))):
+        c = _swaps(pairs, r)
         tori.append(
             TorusDescriptor(
                 index=i,
                 twist_class=c,
-                matrix=g,
                 wk_generators=_sl2n_wk_generators(n, i),
                 galois_left=c,
                 galois_rule="general",
+                realizer=(r, GBL, pairs),
             )
         )
     return GroupSpec(
@@ -306,7 +306,7 @@ def _sl2n_spec(n: int) -> GroupSpec:
         name=f"SL({r})/Sp",
         group=W,
         context=ctx,
-        lattice=_pairing_lattice(W, n),
+        lattice=_lattice(W, _swaps(_circular_pairs(n), r, -1)),
         tori=tuple(tori),
         reference_orbit=(0, identity(r)),
         torus_structure=diagonal_structure(r),
@@ -314,16 +314,10 @@ def _sl2n_spec(n: int) -> GroupSpec:
 
 
 def _ustar_spec(n: int) -> GroupSpec:
-    if n < 1:
-        raise InvalidParams("Ustar needs n >= 1")
     r = 2 * n
     W = symmetric_group(r)
-    pairing = _transposition_product(
-        [(2 * j - 1, 2 * j) for j in range(1, n + 1)], r
-    )
-    minus_pairing = SignedPerm(-v for v in pairing)
-    base = pairing * W.longest_element()
-    ctx = TwistContext(W, minus_pairing, base)
+    pairs = _circular_pairs(n)
+    ctx = TwistContext(W, _swaps(pairs, r, -1), _swaps(pairs, r) * W.longest_element())
     tori = (TorusDescriptor(index=0, twist_class=identity(r)),)
     return GroupSpec(
         family="Ustar",
@@ -331,7 +325,7 @@ def _ustar_spec(n: int) -> GroupSpec:
         name=f"U*({r})",
         group=W,
         context=ctx,
-        lattice=_pairing_lattice(W, n),
+        lattice=_lattice(W, ctx.twist),
         tori=tori,
         reference_orbit=(0, identity(r)),
         torus_structure=diagonal_structure(r),
@@ -339,19 +333,10 @@ def _ustar_spec(n: int) -> GroupSpec:
 
 
 def _soodd1_spec(n: int) -> GroupSpec:
-    if n < 1:
-        raise InvalidParams("SOodd1 needs n >= 1")
     rank = n + 1
     W = even_hyperoctahedral_group(rank)
     d = sign_flip([rank], rank)
     ctx = TwistContext(W, d, identity(rank))
-    lattice = ThetaLattice(
-        W,
-        tuple(
-            tuple((1 if i < rank - 1 else -1) if i == j else 0 for j in range(rank))
-            for i in range(rank)
-        ),
-    )
     wk = tuple(transposition(i, i + 1, rank) for i in range(1, n)) + (
         sign_flip([n, rank], rank),
     )
@@ -376,7 +361,7 @@ def _soodd1_spec(n: int) -> GroupSpec:
         name=f"SO({2 * n + 1},1)",
         group=W,
         context=ctx,
-        lattice=lattice,
+        lattice=_lattice(W, d),
         tori=tori,
         reference_orbit=(0, transposition(1, rank, rank)),
         torus_structure=structure,
@@ -384,23 +369,14 @@ def _soodd1_spec(n: int) -> GroupSpec:
 
 
 def _soeven1_spec(n: int) -> GroupSpec:
-    if n < 1:
-        raise InvalidParams("SOeven1 needs n >= 1")
     W = hyperoctahedral_group(n)
     ctx = TwistContext(W, identity(n), identity(n))
-    lattice = ThetaLattice(
-        W,
-        tuple(
-            tuple((1 if i < n - 1 else -1) if i == j else 0 for j in range(n))
-            for i in range(n)
-        ),
-    )
+    last = sign_flip([n], n)
     size = 2 * n + 1
-    g0 = placed(size, [((size - 2, size - 1, size), M3)])
     centralizer = (
         tuple(transposition(i, i + 1, n) for i in range(1, n - 1))
         + ((sign_flip([n - 1], n),) if n >= 2 else ())
-        + (sign_flip([n], n),)
+        + (last,)
     )
     tori = (
         TorusDescriptor(
@@ -411,11 +387,11 @@ def _soeven1_spec(n: int) -> GroupSpec:
         ),
         TorusDescriptor(
             index=1,
-            twist_class=sign_flip([n], n),
-            matrix=g0,
+            twist_class=last,
             wk_generators=centralizer,
-            galois_left=sign_flip([n], n),
+            galois_left=last,
             galois_rule="trivial",
+            realizer=(size, M3, ((size - 2, size - 1, size),)),
         ),
     )
     # Reference structure is the torus of the split class: n-1 rotation
@@ -432,7 +408,7 @@ def _soeven1_spec(n: int) -> GroupSpec:
         name=f"SO({2 * n},1)",
         group=W,
         context=ctx,
-        lattice=lattice,
+        lattice=_lattice(W, last),
         tori=tori,
         reference_orbit=(1, ref_rep),
         torus_structure=structure,
@@ -445,8 +421,7 @@ def _upq_wk_generators(p: int, q: int, i: int) -> tuple[SignedPerm, ...]:
     gens: list[SignedPerm] = []
     gens += [transposition(j, j + 1, n) for j in range(1, head)]
     gens += [
-        transposition(head + j, head + j + 1, n)
-        * transposition(n - q + i + j, n - q + i + j + 1, n)
+        _swaps([(head + j, head + j + 1), (n - q + i + j, n - q + i + j + 1)], n)
         for j in range(1, q - i)
     ]
     gens += [transposition(head + j, n - q + i + j, n) for j in range(1, q - i + 1)]
@@ -455,27 +430,21 @@ def _upq_wk_generators(p: int, q: int, i: int) -> tuple[SignedPerm, ...]:
 
 
 def _upq_spec(p: int, q: int) -> GroupSpec:
-    if q < 1 or p < q:
-        raise InvalidParams("Upq needs p >= q >= 1")
     n = p + q
     W = symmetric_group(n)
     ctx = TwistContext(W, identity(n), identity(n))
-    c0 = _transposition_product([(p - q + j, n - q + j) for j in range(1, q + 1)], n)
-    lattice = ThetaLattice(W, tuple(tuple(r) for r in c0.matrix()))
     w0 = W.longest_element()
     tori = []
     for i in range(q + 1):
-        pairs = [(p - q + i + j, n - q + i + j) for j in range(1, q - i + 1)]
-        c = _transposition_product(pairs, n)
-        g = placed(n, [(pair, HSPLIT) for pair in pairs])
+        pairs = tuple((p - q + i + j, n - q + i + j) for j in range(1, q - i + 1))
         tori.append(
             TorusDescriptor(
                 index=i,
-                twist_class=c,
-                matrix=g,
+                twist_class=_swaps(pairs, n),
                 wk_generators=_upq_wk_generators(p, q, i),
                 galois_right=w0,
                 galois_rule="right_w0",
+                realizer=(n, HSPLIT, pairs),
             )
         )
     w_ref = [0] * n
@@ -490,26 +459,19 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         name=f"U({p},{q})",
         group=W,
         context=ctx,
-        lattice=lattice,
+        lattice=_lattice(W, tori[0].twist_class),
         tori=tuple(tori),
         reference_orbit=(0, from_one_line(w_ref)),
         torus_structure=diagonal_structure(n),
-        lattice_realizer=tori[0].matrix,
     )
 
 
 def _restriction_spec(r: int) -> GroupSpec:
-    if r < 1:
-        raise InvalidParams("Restriction needs r >= 1")
     W = product_symmetric_group(r)
     rank = 2 * r
     tau = from_one_line(list(range(r + 1, rank + 1)) + list(range(1, r + 1)))
     ctx = TwistContext(W, tau, identity(rank))
-    lattice = ThetaLattice(W, tuple(tuple(r) for r in tau.matrix()))
-    wk = tuple(
-        transposition(j, j + 1, rank) * transposition(r + j, r + j + 1, rank)
-        for j in range(1, r)
-    )
+    wk = tuple(_swaps([(j, j + 1), (r + j, r + j + 1)], rank) for j in range(1, r))
     tori = (
         TorusDescriptor(
             index=0,
@@ -525,7 +487,7 @@ def _restriction_spec(r: int) -> GroupSpec:
         name=f"Res({r})",
         group=W,
         context=ctx,
-        lattice=lattice,
+        lattice=_lattice(W, tau),
         tori=tori,
         reference_orbit=(0, ref),
         torus_structure=diagonal_structure(rank),
@@ -551,6 +513,8 @@ def build(family: str, *params: int) -> GroupSpec:
     builder, names = FAMILIES[family]
     if len(params) != len(names):
         raise InvalidParams(f"{family} takes parameters {names}, got {len(params)}")
+    if min(params) < 1 or any(a < b for a, b in zip(params, params[1:])):
+        raise InvalidParams(f"{family} needs {' >= '.join(names)} >= 1")
     return builder(*params)
 
 
@@ -699,7 +663,8 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
 
     sample = struct.sample_point()
     point = struct.embed(sample)
-    realizer = spec.lattice_realizer
+    # U(p,q)'s lattice involution is split by the realizer of torus 0.
+    realizer = spec.tori[0].matrix if spec.family == "Upq" else None
     if realizer is not None:
         point = realizer * point * realizer.inverse()
 
@@ -743,19 +708,17 @@ def _verify_block_realizer(claims: list[ClaimResult], share) -> None:
 def _verify_tori(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     """Four claims per torus realizer g: det g is a unit, g^-1 theta(g)
     (theta(g) = g for SL2n) and g^-1 Galois(g) give the twist class, and g
-    conjugates the diagonal torus into the torus's block shape (circular
-    pairs (2j-1, 2j) for GL and SL2n, hyperbolic pairs for U(p,q))."""
+    conjugates the diagonal torus into the block shape of the descriptor's
+    pairs (circular for GL and SL2n, hyperbolic for U(p,q))."""
     n = spec.torus_structure.size
     diag = share(diagonal_structure(n))
     for desc in spec.tori:
         g = desc.matrix
         i = desc.index
+        pairs = desc.realizer[2]
         if spec.family == "Upq":
-            p, q = spec.params
-            pairs = [(p - q + i + j, n - q + i + j) for j in range(1, q - i + 1)]
-            style, expect = "hyperbolic", f" (expect a unit, 2^{q - i})"
+            style, expect = "hyperbolic", f" (expect a unit, 2^{len(pairs)})"
         else:
-            pairs = [(2 * j - 1, 2 * j) for j in range(1, i + 1)]
             style, expect = "circular", ""
 
         def det_unit(g=g, expect=expect):

@@ -125,7 +125,7 @@ class ThetaLattice:
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("lattice involution must be rank x rank")
         # Square the map over the nonzero entries of each row.
-        sparse = [[(k, c) for k, c in enumerate(row) if c] for row in self.rows]
+        sparse = self._sparse
         for i, row in enumerate(sparse):
             sq = [0] * n
             for k, c in row:
@@ -135,6 +135,11 @@ class ThetaLattice:
             if any(sq):
                 raise ValueError("lattice map is not an involution")
 
+    @cached_property
+    def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero (column, entry) pairs of each row."""
+        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in self.rows)
+
     @property
     def rank(self) -> int:
         return self.group.rank
@@ -142,10 +147,7 @@ class ThetaLattice:
     def apply(self, v: Sequence) -> tuple:
         if len(v) != self.rank:
             raise ValueError(f"vector length {len(v)} vs lattice rank {self.rank}")
-        return tuple(
-            sum(self.rows[i][j] * v[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+        return tuple(sum(c * v[k] for k, c in row) for row in self._sparse)
 
     def as_signed_perm(self) -> SignedPerm:
         """The lattice map as a signed permutation (it must be monomial)."""

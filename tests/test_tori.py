@@ -53,6 +53,39 @@ def test_lattice_apply_and_signed_perm():
         ).apply((1,))
 
 
+def _dense_apply(theta, v):
+    n = theta.rank
+    return tuple(sum(theta.rows[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
+def test_lattice_apply_matches_dense_product_off_monomial():
+    # an involution that is not a signed permutation: rows (1, 0), (1, -1)
+    theta = ThetaLattice(symmetric_group(2), ((1, 0), (1, -1)))
+    for v in [(1, 0), (0, 1), (3, -2), (Fraction(1, 2), Fraction(-5, 3))]:
+        assert theta.apply(v) == _dense_apply(theta, v)
+    assert theta.apply((3, -2)) == (3, 5)
+
+
+RANK_8_LATTICES = (
+    [("GL", (n,)) for n in range(1, 9)]
+    + [(f, (n,)) for f in ("SL2n", "Ustar") for n in range(1, 5)]
+    + [("SOodd1", (n,)) for n in range(1, 8)]
+    + [("SOeven1", (n,)) for n in range(1, 9)]
+    + [("Upq", (p, q)) for q in range(1, 5) for p in range(q, 9 - q)]
+    + [("Restriction", (r,)) for r in range(1, 5)]
+)
+
+
+@pytest.mark.parametrize("family,params", RANK_8_LATTICES)
+def test_lattice_apply_matches_dense_product_on_catalog(family, params):
+    theta = cached_build(family, *params).lattice
+    assert theta.rank <= 8
+    vectors = list(theta.all_roots())
+    vectors.append(tuple(Fraction(k + 1, 3) for k in range(theta.rank)))
+    for v in vectors:
+        assert theta.apply(v) == _dense_apply(theta, v)
+
+
 def test_root_reflection_shapes():
     assert root_reflection((1, -1, 0), 3) == tr(1, 2, 3)
     assert root_reflection((0, 1, 1), 3) == perm(1, -3, -2)
