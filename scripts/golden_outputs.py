@@ -16,6 +16,13 @@ table`` on a fixed list of larger instances (``VERIFY_LARGE``), checked by
 
     PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
         g.main(g.golden_verify_large)" > tests/golden_verify_large.json
+
+A third table, ``tests/golden_tori_large.json``, fingerprints
+``classify-tori`` in table and json form on the larger instances of
+``TORI_LARGE``:
+
+    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
+        g.main(g.golden_tori_large)" > tests/golden_tori_large.json
 """
 
 import contextlib
@@ -44,6 +51,16 @@ VERIFY_LARGE = (
     + [("Upq", (s - q, q)) for s in range(8, 13) for q in range(1, s // 2 + 1)]
     + [("SOodd1", (n,)) for n in range(6, 12)]
     + [("SOeven1", (n,)) for n in range(7, 9)]
+)
+
+#: Instances past |W| <= 5040 whose ``classify-tori`` output is fingerprinted.
+TORI_LARGE = (
+    [("GL", (n,)) for n in (7, 8)]
+    + [("Upq", (s - q, q)) for s in (8, 9) for q in range(1, s // 2 + 1)]
+    + [("SL2n", (n,)) for n in (5, 6)]
+    + [("Ustar", (5,))]
+    + [(f, (n,)) for f in ("SOodd1", "SOeven1") for n in (7, 8)]
+    + [("Restriction", (6,))]
 )
 
 
@@ -77,6 +94,15 @@ def golden(max_order=MAX_ORDER):
 
 def golden_verify_large():
     lines = [command_line("verify", f, p, "table") for f, p in VERIFY_LARGE]
+    return {" ".join(argv): digest(argv) for argv in lines}
+
+
+def golden_tori_large():
+    lines = [
+        command_line("classify-tori", f, p, fmt)
+        for f, p in TORI_LARGE
+        for fmt in FORMATS["classify-tori"]
+    ]
     return {" ".join(argv): digest(argv) for argv in lines}
 
 

@@ -3,17 +3,20 @@ cocharacter lattice.
 
 The input is an integer involution M on the lattice of a maximally split
 stable torus, together with the ambient Weyl group.  From M come the
-(-1)-eigenspace, the restricted root vectors (projections
-(alpha - M alpha)/2, kept with their non-reduced multiplicities) and the
-subsystem Psi0 of roots sent to their negatives, all by exact rational
-arithmetic.  The classification itself -- involutions in the reflection
+subsystem Psi0 of roots sent to their negatives, the dimension of the
+(-1)-eigenspace, which is (rank - trace M)/2 since M has eigenvalues +-1
+only, and the restricted root vectors (projections (alpha - M alpha)/2,
+kept with their non-reduced multiplicities); only these last are
+rational.  The classification itself -- involutions in the reflection
 group of Psi0, up to conjugation by the reflections of the restricted roots
--- runs in integers: each reflection is scaled by the squared length N of
-the primitive integer direction of its root, so a conjugate s w s is an
-integer matrix divided by N^2, read off as a signed permutation (see
-``torus_classification``).  Each class corresponds to one conjugacy class
-of stable maximal tori; its ``minus_dimension`` is the split dimension of
-the corresponding torus.
+-- runs in integers.  The involutions are the products of reflections in
+pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed.  Each
+reflection is scaled by the squared length N of the primitive integer
+direction of its root, so a conjugate s w s is an integer matrix divided
+by N^2, read off as a signed permutation (see ``torus_classification``).
+Each class corresponds to one conjugacy class of stable maximal tori; its
+``minus_dimension``, the split dimension of the corresponding torus, is a
+trace as well.
 """
 
 from __future__ import annotations
@@ -25,12 +28,13 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .weyl import (
+    SUBGROUP_CAP,
     SignedPerm,
+    SubgroupTooLarge,
     WeylGroup,
     _signed_perm,
     canonical_key,
     closure,
-    enumerate_subgroup,
     identity,
     sign_flip,
 )
@@ -41,36 +45,6 @@ __all__ = [
     "root_reflection",
     "torus_classification",
 ]
-
-
-def _kernel(rows: list[list[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of a rational matrix."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def _primitive_line(v: Sequence[Fraction | int]) -> tuple[int, ...]:
@@ -165,18 +139,11 @@ class ThetaLattice:
         pos = self.group.positive_roots()
         return pos + tuple(tuple(-c for c in a) for a in pos)
 
-    def minus_space(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Basis of the (-1)-eigenspace (the split directions)."""
-        return self._minus_space
-
-    @cached_property
-    def _minus_space(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.rank
-        rows = [
-            [Fraction(self.rows[i][j] + int(i == j)) for j in range(n)]
-            for i in range(n)
-        ]
-        return tuple(_kernel(rows, n))
+    @property
+    def minus_dimension(self) -> int:
+        """Dimension of the (-1)-eigenspace (the split directions): an
+        involution has eigenvalues +-1 only, so it is (rank - trace)/2."""
+        return (self.rank - sum(row[i] for i, row in enumerate(self.rows))) // 2
 
     def restricted_roots(self) -> tuple[tuple[Fraction, ...], ...]:
         """Distinct nonzero projections (alpha - theta alpha)/2 of all
@@ -202,20 +169,42 @@ class ThetaLattice:
         return tuple(sorted(out))
 
 
-def _fix_dimension_on_minus(
-    w: SignedPerm, minus_basis: Sequence[Sequence[Fraction]]
-) -> int:
-    """dim { v in span(minus_basis) : w v = v }."""
-    if not minus_basis:
-        return 0
-    n = w.rank
-    k = len(minus_basis)
-    cols = [w.apply(b) for b in minus_basis]
-    rows = [
-        [Fraction(cols[j][i]) - Fraction(minus_basis[j][i]) for j in range(k)]
-        for i in range(n)
+def _involutions(psi: Sequence[Sequence[int]], rank: int) -> set[SignedPerm]:
+    """The involutions (including e) of the reflection group W(Psi0).
+
+    Each is a product of reflections in pairwise-orthogonal roots of Psi0
+    (Carter 1972; Richardson 1982), so one walk over the sets of
+    pairwise-orthogonal Psi0 lines finds them all.  A stack entry is a
+    product w together with the lines still free to extend its set: those
+    orthogonal to every line in it and below the last one taken, so each
+    set is reached once.  Different sets can give the same involution (-1
+    on B2 is s(e1) s(e2) and s(e1 - e2) s(e1 + e2)), hence the set.
+    Raises ``SubgroupTooLarge`` past ``SUBGROUP_CAP`` involutions.
+    """
+    lines = list(dict.fromkeys(map(_primitive_line, psi)))
+    refl = [root_reflection(p, rank) for p in lines]
+    orth = [
+        sum(
+            1 << k
+            for k, q in enumerate(lines)
+            if not sum(a * b for a, b in zip(p, q))
+        )
+        for p in lines
     ]
-    return len(_kernel(rows, k))
+    out: set[SignedPerm] = set()
+    stack = [(identity(rank), (1 << len(lines)) - 1)]
+    while stack:
+        w, free = stack.pop()
+        out.add(w)
+        if len(out) > SUBGROUP_CAP:
+            raise SubgroupTooLarge(
+                f"involutions of W(Psi0) exceed cap {SUBGROUP_CAP}"
+            )
+        while free:
+            j = free.bit_length() - 1
+            free ^= 1 << j
+            stack.append((refl[j] * w, free & orth[j]))
+    return out
 
 
 def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
@@ -231,22 +220,15 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     as a signed permutation, then N*s again, and the result divided by N^2
     is read off as a signed permutation.  A column not divisible by N^2
     means the reflection does not normalize the subsystem; a column that is
-    not +-e_i, or a result outside W(Psi0), means the conjugate leaves the
-    reflection subgroup.  Both raise ``ValueError``.
+    not +-e_i, or a result outside the involutions of W(Psi0), means the
+    conjugate leaves the reflection subgroup.  Both raise ``ValueError``.
+
+    The (-1)-eigenspace of w lies in span Psi0, inside the minus space of
+    theta, so the minus dimension of w's class is theta's less that of w:
+    ``theta.minus_dimension + (trace(w) - rank) / 2``.
     """
     rank = theta.rank
-    psi = theta.psi0()
-    refl = []
-    seen_lines = set()
-    for a in psi:
-        line = _primitive_line(a)
-        if line not in seen_lines:
-            seen_lines.add(line)
-            refl.append(root_reflection(a, rank))
-    w_psi = enumerate_subgroup(refl + [identity(rank)])
-    involutions = sorted(
-        (w for w in w_psi if (w * w).is_identity()), key=canonical_key
-    )
+    involutions = _involutions(theta.psi0(), rank)
 
     # per restricted-root line: p, N and the columns N*s(e_j)
     lines = []
@@ -276,11 +258,11 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
             i, c = nz[0]
             images.append(i if c > 0 else -i)
         conj = _signed_perm(images)
-        if conj not in w_psi:
+        if conj not in involutions:
             raise ValueError("conjugate leaves the reflection subgroup")
         return conj
 
-    minus = theta.minus_space()
+    minus = theta.minus_dimension
     classes = []
     seen: set[SignedPerm] = set()
     for w in involutions:
@@ -289,7 +271,8 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
         orbit = closure([w], lambda x: [conjugate(x, line) for line in lines])
         seen |= orbit
         rep = min(orbit, key=canonical_key)
-        classes.append((rep, len(orbit), _fix_dimension_on_minus(rep, minus)))
+        trace = sum((v == j) - (v == -j) for j, v in enumerate(rep, start=1))
+        classes.append((rep, len(orbit), minus + (trace - rank) // 2))
     classes.sort(key=lambda t: (-t[2], canonical_key(t[0])))
     return tuple(
         TorusClass(i, rep, size, dim)

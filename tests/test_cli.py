@@ -8,6 +8,7 @@ import pytest
 
 import korbits.catalog
 import korbits.cli as cli
+import korbits.tori
 import korbits.weyl
 from korbits.catalog import ClaimResult
 
@@ -787,6 +788,23 @@ def test_too_large_instance_exit_4(capsys, no_enumeration):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_classify_tori_refuses_past_involution_cap(capsys, monkeypatch):
+    # W(Psi0) = S6 has 76 involutions; with the cap below that the walk
+    # over orthogonal root sets refuses with exit 4
+    monkeypatch.setattr(korbits.tori, "SUBGROUP_CAP", 75)
+    code, out, err = run(["classify-tori", "--family", "GL", "--n", "6"], capsys)
+    assert code == 4
+    assert out == ""
+    assert err == (
+        "error: instance too large to enumerate: "
+        "involutions of W(Psi0) exceed cap 75\n"
+    )
+    monkeypatch.setattr(korbits.tori, "SUBGROUP_CAP", 76)
+    code, out, err = run(["classify-tori", "--family", "GL", "--n", "6"], capsys)
+    assert code == 0
+    assert out.endswith("4 torus classes\n")
 
 
 def test_over_cap_verify_claim_exit_4(capsys):

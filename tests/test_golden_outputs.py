@@ -1,6 +1,7 @@
 """Every query of ``scripts/golden_outputs.py`` prints what it printed when
-``tests/golden_outputs.json`` (and, for the larger ``verify`` queries,
-``tests/golden_verify_large.json``) was generated: same exit status, same
+``tests/golden_outputs.json`` (and, for the larger ``verify`` and
+``classify-tori`` queries, ``tests/golden_verify_large.json`` and
+``tests/golden_tori_large.json``) was generated: same exit status, same
 stdout, same stderr, byte for byte."""
 
 import json
@@ -10,21 +11,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from golden_outputs import golden, golden_verify_large  # noqa: E402
+from golden_outputs import golden, golden_tori_large, golden_verify_large  # noqa: E402
 
 
-def test_cli_outputs_match_golden_hashes():
-    expected = json.loads((ROOT / "tests" / "golden_outputs.json").read_text())
-    actual = golden()
-    assert len(expected) == 342
+def _assert_matches(name, actual):
+    expected = json.loads((ROOT / "tests" / name).read_text())
     changed = sorted(q for q in expected if actual.get(q) != expected[q])
     assert not changed, f"{len(changed)} queries print differently: {changed[:10]}"
     assert actual.keys() == expected.keys()
+    return expected
+
+
+def test_cli_outputs_match_golden_hashes():
+    assert len(_assert_matches("golden_outputs.json", golden())) == 342
 
 
 def test_large_verify_outputs_match_golden_hashes():
-    expected = json.loads((ROOT / "tests" / "golden_verify_large.json").read_text())
-    actual = golden_verify_large()
-    changed = sorted(q for q in expected if actual.get(q) != expected[q])
-    assert not changed, f"{len(changed)} verify queries print differently: {changed[:10]}"
-    assert actual.keys() == expected.keys()
+    _assert_matches("golden_verify_large.json", golden_verify_large())
+
+
+def test_large_tori_outputs_match_golden_hashes():
+    assert len(_assert_matches("golden_tori_large.json", golden_tori_large())) == 36

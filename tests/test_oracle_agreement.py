@@ -21,6 +21,7 @@ from korbits.catalog import (
     wk_subgroup,
 )
 from korbits.descent import GaloisAction, fixed_and_pairs, galois_action
+from korbits.tori import ThetaLattice, torus_classification
 from korbits.twisted import (
     ReachabilityGraph,
     image_set,
@@ -68,7 +69,7 @@ SMALL = (
 LARGE = SMALL + [("GL", (7,)), ("Ustar", (4,)), ("SOodd1", (5,))]
 
 # the census instances whose torus oracle runs in under about 0.5 s (GL(6)
-# takes 4 s; test_tori.py checks GL(6) and GL(7) against closed forms)
+# takes 4 s; test_tori.py checks GL(6), GL(7) and GL(8) against closed forms)
 TORI = (
     [("GL", (n,)) for n in range(1, 6)]
     + [("SL2n", (n,)) for n in range(1, 5)]
@@ -198,19 +199,49 @@ def test_coset_table_on_random_subgroups():
         )
 
 
-@pytest.mark.parametrize("case", TORI, ids=_instance_id)
-def test_torus_classes_match_naive(case):
-    spec = cached_build(case[0], *case[1])
-    naive = naive_torus_classes(spec.group.kind, spec.group.rank, spec.lattice.rows)
+def _assert_tori_match_naive(theta, classes):
+    naive = naive_torus_classes(theta.group.kind, theta.rank, theta.rows)
     expected = sorted(
         ((min(orbit, key=canonical_key), len(orbit), dim) for orbit, dim in naive),
         key=lambda t: (-t[2], canonical_key(t[0])),
     )
-    got = [
-        (c.representative, c.orbit_size, c.minus_dimension)
-        for c in spec.torus_classes()
-    ]
+    got = [(c.representative, c.orbit_size, c.minus_dimension) for c in classes]
     assert got == expected
+
+
+@pytest.mark.parametrize("case", TORI, ids=_instance_id)
+def test_torus_classes_match_naive(case):
+    spec = cached_build(case[0], *case[1])
+    _assert_tori_match_naive(spec.lattice, spec.torus_classes())
+
+
+def _diagonal(*entries):
+    return tuple(
+        tuple(x if i == j else 0 for j in range(len(entries)))
+        for i, x in enumerate(entries)
+    )
+
+
+# lattices outside the catalog: no catalog Psi0 is of type B or D, and only
+# there do two orthogonal root sets give one involution (-1 on B2 is both
+# s(e1) s(e2) and s(e1 - e2) s(e1 + e2)); the last is not a signed permutation
+OFF_CATALOG_TORI = [
+    ("B2-minus", hyperoctahedral_group(2), _diagonal(-1, -1)),
+    ("B3-minus", hyperoctahedral_group(3), _diagonal(-1, -1, -1)),
+    ("D3-minus", even_hyperoctahedral_group(3), _diagonal(-1, -1, -1)),
+    ("D4-minus", even_hyperoctahedral_group(4), _diagonal(-1, -1, -1, -1)),
+    ("B3-diag", hyperoctahedral_group(3), _diagonal(-1, -1, 1)),
+    ("D4-diag", even_hyperoctahedral_group(4), _diagonal(-1, -1, 1, 1)),
+    ("S2-off-monomial", symmetric_group(2), ((1, 0), (1, -1))),
+]
+
+
+@pytest.mark.parametrize(
+    "group,rows", [c[1:] for c in OFF_CATALOG_TORI], ids=[c[0] for c in OFF_CATALOG_TORI]
+)
+def test_off_catalog_torus_classes_match_naive(group, rows):
+    theta = ThetaLattice(group, rows)
+    _assert_tori_match_naive(theta, torus_classification(theta))
 
 
 @pytest.mark.parametrize(
