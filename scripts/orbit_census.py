@@ -11,6 +11,7 @@ change anywhere in the pipeline shows up as a diff of this table.
 import argparse
 
 from korbits.catalog import MissingWkData, a_max, build, orbit_parameters
+from korbits.cli import render_table
 from korbits.descent import descent_report
 from korbits.twisted import image_set, twisted_involutions
 
@@ -65,11 +66,7 @@ def main():
 
     columns = ("instance", "|W|", "tori", "classes", "params", "fixed", "pairs", "|I|", "|I'|")
     rows = [census_row(spec) for spec in instances(args.max_order)]
-    widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in columns}
-    print("  ".join(c.ljust(widths[c]) for c in columns).rstrip())
-    print("  ".join("-" * widths[c] for c in columns))
-    for row in rows:
-        print("  ".join(str(row[c]).ljust(widths[c]) for c in columns).rstrip())
+    print(render_table(columns, [[str(row[c]) for c in columns] for row in rows]))
 
 
 if __name__ == "__main__":

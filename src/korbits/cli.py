@@ -15,7 +15,8 @@ invocations produce byte-identical output.
 Exit codes: 0 success, 1 failed verification claims, 2 invalid input,
 3 query unsupported for the family (no little-Weyl-group data), 4 instance
 too large to enumerate (a group or closure past ``weyl.SUBGROUP_CAP``, or a
-rank past ``weyl.RANK_CAP``).
+rank past ``weyl.RANK_CAP``).  A reader that closes stdout early ends the
+query quietly, with the exit code it had already earned.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -51,7 +53,8 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_TOO_LARGE = 4
 
-_PARAM_NAMES = ("n", "p", "q", "r")
+# Every family parameter, in first-seen order: n, p, q, r.
+_PARAM_NAMES = tuple(dict.fromkeys(n for _, names in FAMILIES.values() for n in names))
 
 
 @functools.cache
@@ -96,189 +99,114 @@ def _collect_params(args: argparse.Namespace) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)).rstrip(),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return "\n".join(lines)
+def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Left-aligned columns, two spaces apart, under a line of dashes."""
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(headers)]
+    lines = [headers, ["-" * w for w in widths], *rows]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+        for line in lines
+    )
 
 
-def _emit(
-    spec: GroupSpec,
-    command: str,
-    fmt: str,
-    json_rows: list[dict],
-    summary: dict,
-    headers: Sequence[str],
-    table_rows: Sequence[Sequence[str]],
-    summary_line: str,
-) -> None:
-    if fmt == "json":
-        payload = {
-            "command": command,
-            "family": spec.family,
-            "params": list(spec.params),
-            "rows": json_rows,
-            "summary": summary,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"{command} {spec.name}")
-        print(_render_table(headers, table_rows))
-        print(summary_line)
+# Table spelling of the JSON values that are not printed as str(value), by
+# JSON key: a value is looked up only in its own column's table.
+_SPELLING = {
+    "in_image": {True: "yes", False: "no"},
+    "ok": {True: "pass", False: "FAIL"},
+    "partner": {None: "-"},
+}
+
+# A command's answer: its JSON rows, the summary, the table columns as
+# header -> JSON key, the table's summary line, and the exit code.
+_Answer = tuple[list[dict], dict, dict[str, str], str, int]
 
 
-def _cmd_classify_tori(spec: GroupSpec, fmt: str) -> int:
-    classes = spec.torus_classes()
-    json_rows = [
+def _cmd_classify_tori(spec: GroupSpec) -> _Answer:
+    rows = [
         {
             "index": c.index,
             "representative": c.representative.cycle_string(),
             "minus_dimension": c.minus_dimension,
             "class_size": c.orbit_size,
         }
-        for c in classes
+        for c in spec.torus_classes()
     ]
-    table_rows = [
-        [str(r["index"]), r["representative"], str(r["minus_dimension"]), str(r["class_size"])]
-        for r in json_rows
-    ]
-    count = len(classes)
-    _emit(
-        spec,
-        "classify-tori",
-        fmt,
-        json_rows,
-        {"classes": count},
-        ("class", "representative", "minus-dim", "size"),
-        table_rows,
-        f"{count} torus class{'es' if count != 1 else ''}",
-    )
-    return EXIT_OK
+    count = len(rows)
+    columns = {
+        "class": "index",
+        "representative": "representative",
+        "minus-dim": "minus_dimension",
+        "size": "class_size",
+    }
+    line = f"{count} torus class{'es' if count != 1 else ''}"
+    return rows, {"classes": count}, columns, line, EXIT_OK
 
 
-def _cmd_orbits(spec: GroupSpec, fmt: str) -> int:
-    params = {(p.torus_index, p.rep): p for p in orbit_parameters(spec)}
+def _cmd_orbits(spec: GroupSpec) -> _Answer:
     report = descent_report(spec)
-    ordered = sorted(report.rows, key=lambda r: (r.torus_index, canonical_key(r.rep)))
-    json_rows = []
-    for row in ordered:
-        orbit = params[(row.torus_index, row.rep)]
-        json_rows.append(
-            {
-                "torus_class": row.torus_index,
-                "representative": row.rep.cycle_string(),
-                "springer_value": row.value.cycle_string(),
-                "length": orbit.length,
-                "coset_size": orbit.coset_size,
-                "field_of_definition": row.field,
-                "partner": None if row.partner is None else row.partner.cycle_string(),
-            }
-        )
-    table_rows = [
-        [
-            str(r["torus_class"]),
-            r["representative"],
-            r["springer_value"],
-            str(r["length"]),
-            r["field_of_definition"],
-            r["partner"] if r["partner"] is not None else "-",
-        ]
-        for r in json_rows
+    rows = [
+        {
+            "torus_class": row.torus_index,
+            "representative": row.rep.cycle_string(),
+            "springer_value": row.value.cycle_string(),
+            "length": orbit.length,
+            "coset_size": orbit.coset_size,
+            "field_of_definition": row.field,
+            "partner": None if row.partner is None else row.partner.cycle_string(),
+        }
+        for orbit, row in zip(orbit_parameters(spec), report.rows, strict=True)
     ]
-    total = len(json_rows)
-    summary = {
-        "parameters": total,
-        "fixed": report.fixed_count,
-        "pairs": report.pair_count,
+    fixed, pairs = report.fixed_count, report.pair_count
+    summary = {"parameters": len(rows), "fixed": fixed, "pairs": pairs}
+    columns = {
+        "torus": "torus_class",
+        "representative": "representative",
+        "value": "springer_value",
+        "length": "length",
+        "field": "field_of_definition",
+        "partner": "partner",
     }
     line = (
-        f"{total} parameters: {report.fixed_count} over Z[1/2] + "
-        f"{2 * report.pair_count} in {report.pair_count} Galois pair"
-        f"{'s' if report.pair_count != 1 else ''}"
+        f"{len(rows)} parameters: {fixed} over Z[1/2] + "
+        f"{2 * pairs} in {pairs} Galois pair{'s' if pairs != 1 else ''}"
     )
-    _emit(
-        spec,
-        "orbits",
-        fmt,
-        json_rows,
-        summary,
-        ("torus", "representative", "value", "length", "field", "partner"),
-        table_rows,
-        line,
-    )
-    return EXIT_OK
+    return rows, summary, columns, line, EXIT_OK
 
 
-def _cmd_twisted(spec: GroupSpec, fmt: str) -> int:
+def _cmd_twisted(spec: GroupSpec) -> _Answer:
     ctx = spec.context
-    if fmt == "dot":
-        sys.stdout.write(ReachabilityGraph.build(ctx).to_dot())
-        return EXIT_OK
     involutions = twisted_involutions(ctx)
     top = a_max(spec)
     image = image_set(ctx, top)
     lengths = involution_lengths(ctx)
     ordered = sorted(involutions, key=lambda w: (lengths[w], canonical_key(w)))
-    json_rows = [
+    rows = [
         {"element": w.cycle_string(), "length": lengths[w], "in_image": w in image}
         for w in ordered
-    ]
-    table_rows = [
-        [r["element"], str(r["length"]), "yes" if r["in_image"] else "no"]
-        for r in json_rows
     ]
     summary = {
         "twisted_involutions": len(involutions),
         "image_size": len(image),
         "a_max": top.cycle_string(),
     }
+    columns = {"element": "element", "length": "length", "in-image": "in_image"}
     line = (
         f"|I| = {len(involutions)}, |I'| = {len(image)}, "
         f"a_max = {top.cycle_string()}"
     )
-    _emit(
-        spec,
-        "twisted",
-        fmt,
-        json_rows,
-        summary,
-        ("element", "length", "in-image"),
-        table_rows,
-        line,
-    )
-    return EXIT_OK
+    return rows, summary, columns, line, EXIT_OK
 
 
-def _cmd_verify(spec: GroupSpec, fmt: str) -> int:
+def _cmd_verify(spec: GroupSpec) -> _Answer:
     claims = verify_matrix_claims(spec)
-    json_rows = [{"claim": c.name, "ok": c.ok, "detail": c.detail} for c in claims]
-    table_rows = [
-        ["pass" if r["ok"] else "FAIL", r["claim"], r["detail"]] for r in json_rows
-    ]
+    rows = [{"claim": c.name, "ok": c.ok, "detail": c.detail} for c in claims]
     failures = sum(1 for c in claims if not c.ok)
     summary = {"claims": len(claims), "failures": failures}
+    columns = {"status": "ok", "claim": "claim", "detail": "detail"}
     line = f"{len(claims)} claims: {len(claims) - failures} passed, {failures} failed"
-    _emit(
-        spec,
-        "verify",
-        fmt,
-        json_rows,
-        summary,
-        ("status", "claim", "detail"),
-        table_rows,
-        line,
-    )
-    return EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+    code = EXIT_OK if failures == 0 else EXIT_VERIFY_FAILED
+    return rows, summary, columns, line, code
 
 
 _COMMANDS = {
@@ -289,11 +217,43 @@ _COMMANDS = {
 }
 
 
+def _write(spec: GroupSpec, command: str, fmt: str) -> int:
+    """Print one query's whole output as a single string; return its exit code."""
+    if fmt == "dot":
+        text, code = ReachabilityGraph.build(spec.context).to_dot(), EXIT_OK
+    else:
+        rows, summary, columns, line, code = _COMMANDS[command](spec)
+        if fmt == "json":
+            payload = {
+                "command": command,
+                "family": spec.family,
+                "params": list(spec.params),
+                "rows": rows,
+                "summary": summary,
+            }
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        else:
+            spellings = [(key, _SPELLING.get(key, {})) for key in columns.values()]
+            cells = [[str(sp.get(r[k], r[k])) for k, sp in spellings] for r in rows]
+            table = render_table(list(columns), cells)
+            text = f"{command} {spec.name}\n{table}\n{line}\n"
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early: send what is left to devnull so the
+        # interpreter's exit flush does not raise again, and keep the code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         spec = build(args.family, *_collect_params(args))
-        return _COMMANDS[args.command](spec, args.format)
+        return _write(spec, args.command, args.format)
     except InvalidParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -343,14 +343,92 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_table_and_json_agree_on_summary(capsys):
-    base = ["orbits", "--family", "SL2n", "--n", "1"]
-    _, table_out, _ = run(base, capsys)
-    _, json_out, _ = run(base + ["--format", "json"], capsys)
+# The JSON key under each table column, in table order.
+_COLUMN_KEYS = {
+    "classify-tori": ("index", "representative", "minus_dimension", "class_size"),
+    "orbits": (
+        "torus_class",
+        "representative",
+        "springer_value",
+        "length",
+        "field_of_definition",
+        "partner",
+    ),
+    "twisted": ("element", "length", "in_image"),
+    "verify": ("ok", "claim", "detail"),
+}
+
+
+def _spelled(key, value):
+    if key == "in_image":
+        return "yes" if value else "no"
+    if key == "ok":
+        return "pass" if value else "FAIL"
+    if key == "partner" and value is None:
+        return "-"
+    return str(value)
+
+
+@pytest.mark.parametrize(
+    "argv,summary,line",
+    [
+        (
+            ["classify-tori", "--family", "Upq", "--p", "3", "--q", "2"],
+            {"classes": 3},
+            "3 torus classes",
+        ),
+        (
+            ["orbits", "--family", "SL2n", "--n", "1"],
+            {"parameters": 3, "fixed": 1, "pairs": 1},
+            "3 parameters: 1 over Z[1/2] + 2 in 1 Galois pair",
+        ),
+        (
+            ["twisted", "--family", "GL", "--n", "4"],
+            {"twisted_involutions": 10, "image_size": 10, "a_max": "(1 4)(2 3)"},
+            "|I| = 10, |I'| = 10, a_max = (1 4)(2 3)",
+        ),
+        (
+            ["verify", "--family", "Upq", "--p", "2", "--q", "1"],
+            {"claims": 10, "failures": 0},
+            "10 claims: 10 passed, 0 failed",
+        ),
+    ],
+)
+def test_table_and_json_agree_on_summary(argv, summary, line, capsys):
+    table_code, table_out, _ = run(argv, capsys)
+    json_code, json_out, _ = run(argv + ["--format", "json"], capsys)
     payload = json.loads(json_out)
-    assert payload["summary"] == {"parameters": 3, "fixed": 1, "pairs": 1}
-    assert "3 parameters: 1 over Z[1/2] + 2 in 1 Galois pair" in table_out
-    assert len(payload["rows"]) == 3
+    assert table_code == json_code == 0
+    assert payload["summary"] == summary
+    _, _, dashes, *body, last = table_out.splitlines()
+    assert last == line
+    assert len(body) == len(payload["rows"])
+    start, spans = 0, []
+    for dash in dashes.split("  "):
+        spans.append((start, start + len(dash)))
+        start += len(dash) + 2
+    keys = _COLUMN_KEYS[argv[0]]
+    assert len(spans) == len(keys)
+    for text, row in zip(body, payload["rows"]):
+        cells = [text[a:b].rstrip() for a, b in spans]
+        assert cells == [_spelled(k, row[k]) for k in keys]
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after one line (``| head -1``) gets no traceback:
+    the query still exits 0 and says nothing on stderr.  The output (about
+    157 kB) is larger than a pipe buffer, so the write meets the closed pipe."""
+    argv = ["orbits", "--family", "Upq", "--p", "4", "--q", "3", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "korbits.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_classify_tori_counts(capsys):
