@@ -23,6 +23,13 @@ A third table, ``tests/golden_tori_large.json``, fingerprints
 
     PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
         g.main(g.golden_tori_large)" > tests/golden_tori_large.json
+
+A fourth table, ``tests/golden_orbits_large.json``, fingerprints ``orbits``
+in table and json form on the instances of ``ORBITS_LARGE``, whose Weyl
+groups are past 5040 elements:
+
+    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
+        g.main(g.golden_orbits_large)" > tests/golden_orbits_large.json
 """
 
 import contextlib
@@ -61,6 +68,14 @@ TORI_LARGE = (
     + [("Ustar", (5,))]
     + [(f, (n,)) for f in ("SOodd1", "SOeven1") for n in (7, 8)]
     + [("Restriction", (6,))]
+)
+
+#: Instances past |W| <= 5040 whose ``orbits`` output is fingerprinted.
+ORBITS_LARGE = (
+    [("SL2n", (4,))]
+    + [("Upq", (8 - q, q)) for q in range(1, 5)]
+    + [(f, (n,)) for f, ns in (("SOodd1", (5, 6, 7)), ("SOeven1", (7, 8))) for n in ns]
+    + [("Restriction", (r,)) for r in (5, 6)]
 )
 
 
@@ -102,6 +117,15 @@ def golden_tori_large():
         command_line("classify-tori", f, p, fmt)
         for f, p in TORI_LARGE
         for fmt in FORMATS["classify-tori"]
+    ]
+    return {" ".join(argv): digest(argv) for argv in lines}
+
+
+def golden_orbits_large():
+    lines = [
+        command_line("orbits", f, p, fmt)
+        for f, p in ORBITS_LARGE
+        for fmt in FORMATS["orbits"]
     ]
     return {" ".join(argv): digest(argv) for argv in lines}
 

@@ -36,8 +36,8 @@ raise ``MissingWkData`` from the coset-based entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 from .dyadic import (
     D0,
@@ -109,19 +109,25 @@ class TorusIndexOutOfRange(IndexError):
 class TorusDescriptor:
     """One known class of stable maximal tori inside a family.
 
-    ``realizer`` is the realizing matrix as the blocks it places, ``(size,
-    block, places)``: ``block`` at each index tuple of ``places`` inside the
-    size x size identity; None when no realizer is known.  ``matrix`` is
-    that dense matrix, built on first read."""
+    ``wk`` builds the generators of the little Weyl group, None when no
+    closed form is known; ``wk_generators`` is their tuple, built on first
+    read.  ``realizer`` is the realizing matrix as the blocks it places,
+    ``(size, block, places)``: ``block`` at each index tuple of ``places``
+    inside the size x size identity; None when no realizer is known.
+    ``matrix`` is that dense matrix, built on first read."""
 
     index: int
     twist_class: SignedPerm
-    wk_generators: tuple[SignedPerm, ...] | None = None
+    wk: Callable[[], tuple[SignedPerm, ...]] | None = None
     galois_conj: SignedPerm | None = None
     galois_left: SignedPerm | None = None
     galois_right: SignedPerm | None = None
     galois_rule: str | None = None  # trivial | right_w0 | general
     realizer: tuple[int, ExactMatrix, tuple[tuple[int, ...], ...]] | None = None
+
+    @cached_property
+    def wk_generators(self) -> tuple[SignedPerm, ...] | None:
+        return None if self.wk is None else self.wk()
 
     @cached_property
     def matrix(self) -> ExactMatrix | None:
@@ -161,10 +167,12 @@ class GroupSpec:
 
     @cached_property
     def _coset_tables(self) -> tuple[CosetTable | None, ...]:
-        """Coset table of each torus's little Weyl group (None without data)."""
+        """Coset table of each torus's little Weyl group (None without data);
+        a group past the cap is refused before any generator list is built."""
         group = self.group
+        group.check_enumerable()
         return tuple(
-            None if d.wk_generators is None else CosetTable(d.wk_generators, group)
+            None if d.wk is None else CosetTable(d.wk_generators, group)
             for d in self.tori
         )
 
@@ -294,7 +302,7 @@ def _sl2n_spec(n: int) -> GroupSpec:
             TorusDescriptor(
                 index=i,
                 twist_class=c,
-                wk_generators=_sl2n_wk_generators(n, i),
+                wk=partial(_sl2n_wk_generators, n, i),
                 galois_left=c,
                 galois_rule="general",
                 realizer=(r, GBL, pairs),
@@ -337,14 +345,12 @@ def _soodd1_spec(n: int) -> GroupSpec:
     W = even_hyperoctahedral_group(rank)
     d = sign_flip([rank], rank)
     ctx = TwistContext(W, d, identity(rank))
-    wk = tuple(transposition(i, i + 1, rank) for i in range(1, n)) + (
-        sign_flip([n, rank], rank),
-    )
     tori = (
         TorusDescriptor(
             index=0,
             twist_class=identity(rank),
-            wk_generators=wk,
+            wk=lambda: tuple(transposition(i, i + 1, rank) for i in range(1, n))
+            + (sign_flip([n, rank], rank),),
             galois_conj=d,
             galois_right=W.longest_element(),
             galois_rule="general",
@@ -373,22 +379,19 @@ def _soeven1_spec(n: int) -> GroupSpec:
     ctx = TwistContext(W, identity(n), identity(n))
     last = sign_flip([n], n)
     size = 2 * n + 1
-    centralizer = (
-        tuple(transposition(i, i + 1, n) for i in range(1, n - 1))
-        + ((sign_flip([n - 1], n),) if n >= 2 else ())
-        + (last,)
-    )
     tori = (
         TorusDescriptor(
             index=0,
             twist_class=identity(n),
-            wk_generators=W.simple_reflections(),
+            wk=W.simple_reflections,
             galois_rule="trivial",
         ),
         TorusDescriptor(
             index=1,
             twist_class=last,
-            wk_generators=centralizer,
+            wk=lambda: tuple(transposition(i, i + 1, n) for i in range(1, n - 1))
+            + ((sign_flip([n - 1], n),) if n >= 2 else ())
+            + (last,),
             galois_left=last,
             galois_rule="trivial",
             realizer=(size, M3, ((size - 2, size - 1, size),)),
@@ -441,7 +444,7 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
             TorusDescriptor(
                 index=i,
                 twist_class=_swaps(pairs, n),
-                wk_generators=_upq_wk_generators(p, q, i),
+                wk=partial(_upq_wk_generators, p, q, i),
                 galois_right=w0,
                 galois_rule="right_w0",
                 realizer=(n, HSPLIT, pairs),
@@ -471,12 +474,13 @@ def _restriction_spec(r: int) -> GroupSpec:
     rank = 2 * r
     tau = from_one_line(list(range(r + 1, rank + 1)) + list(range(1, r + 1)))
     ctx = TwistContext(W, tau, identity(rank))
-    wk = tuple(_swaps([(j, j + 1), (r + j, r + j + 1)], rank) for j in range(1, r))
     tori = (
         TorusDescriptor(
             index=0,
             twist_class=identity(rank),
-            wk_generators=wk,
+            wk=lambda: tuple(
+                _swaps([(j, j + 1), (r + j, r + j + 1)], rank) for j in range(1, r)
+            ),
             galois_rule="trivial",
         ),
     )
@@ -530,18 +534,19 @@ def springer(spec: GroupSpec, i: int, w: SignedPerm) -> SignedPerm:
     return springer_value(spec.context, spec.descriptor(i).twist_class, w)
 
 
-def _wk_generators(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
-    gens = spec.descriptor(i).wk_generators
-    if gens is None:
+def _with_wk(spec: GroupSpec, i: int) -> TorusDescriptor:
+    """Torus i's descriptor, refused without W_K data; builds no list."""
+    desc = spec.descriptor(i)
+    if desc.wk is None:
         raise MissingWkData(
             f"{spec.name} has no little-Weyl-group data for torus {i}; "
             "use the twisted-involution interface"
         )
-    return gens
+    return desc
 
 
 def wk_subgroup(spec: GroupSpec, i: int) -> frozenset[SignedPerm]:
-    gens = _wk_generators(spec, i)
+    gens = _with_wk(spec, i).wk_generators
     if not gens:
         return frozenset({spec.group.identity()})
     return enumerate_subgroup(gens)
@@ -549,19 +554,18 @@ def wk_subgroup(spec: GroupSpec, i: int) -> frozenset[SignedPerm]:
 
 def coset_table(spec: GroupSpec, i: int) -> CosetTable:
     """The coset table of torus i's little Weyl group, built on first use."""
-    _wk_generators(spec, i)
+    _with_wk(spec, i)
     return spec._coset_tables[i]
 
 
 def cosets(spec: GroupSpec, i: int) -> list[tuple[SignedPerm, frozenset[SignedPerm]]]:
-    return coset_space(_wk_generators(spec, i), spec.group)
+    return coset_space(_with_wk(spec, i).wk_generators, spec.group)
 
 
 def sweep_domain(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
     """Elements to sweep for torus i: coset representatives when the
     little Weyl group is known, the whole group otherwise."""
-    desc = spec.descriptor(i)
-    if desc.wk_generators is None:
+    if spec.descriptor(i).wk is None:
         return spec.group.sorted_elements()
     return coset_table(spec, i).reps
 

@@ -17,13 +17,14 @@ two images per root, and ``is_left_ascent`` reads the sign of w^-1(alpha_s)
 from where the coordinates of alpha_s sit in w.  A rank past ``RANK_CAP``
 is refused before anything is allocated.  A ``CosetTable`` finds the canonical
 (``canonical_key``-least) representative of each right coset of a subgroup
-as a minimal image, down a chain of pointwise stabilizers, with neither the
-group nor the subgroup enumerated.  Subgroups, conjugation orbits and the
-coset representatives are generator closures, all computed by one traversal
-helper, ``closure``.  Products, inverses and enumerated elements are built
-without re-validating their images; ``SignedPerm(...)`` and
-``from_one_line`` validate values that arrive from outside.  Per-group data
-(roots, the element set) is computed once per group instance.
+as a minimal image, down a chain of pointwise stabilizers, and lists the
+representatives as the elements that minimal image fixes, with neither the
+group nor the subgroup enumerated.  Subgroups and conjugation orbits are
+generator closures, computed by one traversal helper, ``closure``.
+Products, inverses and enumerated elements are built without re-validating
+their images; ``SignedPerm(...)`` and ``from_one_line`` validate values
+that arrive from outside.  Per-group data (roots, the element set) is
+computed once per group instance.
 
 >>> w = transposition(1, 3, 3)
 >>> (w * w).is_identity()
@@ -384,17 +385,21 @@ class WeylGroup:
 
     # -- enumeration ------------------------------------------------------
 
+    @cached_property
+    def _sign_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Every sign vector the group allows, as +-1 tuples; only all-plus
+        when it allows no sign change, without listing the 2^rank others."""
+        if _KINDS[self.kind][1] == "none":
+            return ((1,) * self.rank,)
+        masks = itertools.product((1, -1), repeat=self.rank)
+        return tuple(m for m in masks if self._allows(m.count(-1)))
+
     def elements(self) -> Iterator[SignedPerm]:
-        masks = [
-            m
-            for m in itertools.product((1, -1), repeat=self.rank)
-            if self._allows(m.count(-1))
-        ]
         for parts in itertools.product(
             *(itertools.permutations(range(b.start + 1, b.stop + 1)) for b in self._blocks)
         ):
             p = sum(parts, ())
-            for mask in masks:
+            for mask in self._sign_masks:
                 yield _signed_perm([s * v for s, v in zip(mask, p)])
 
     def check_enumerable(self) -> None:
@@ -525,9 +530,10 @@ class CosetTable:
     point of its orbit under the pointwise stabilizer in K of the values
     already placed; each stabilizer comes from its parent by Schreier's
     lemma, reduced by Sims' filter, cached per fixed-point set.  ``reps``
-    closes e under x -> canon(x·s) over W's simple reflections, and ``size``
-    is |W_K| = |W| / len(reps).  A group past ``SUBGROUP_CAP`` is refused
-    before anything is built.
+    lists the x with canon(x) == x one position at a time: each value the
+    least of its orbit at its level, each sign vector no larger than any
+    witness makes it; ``size`` is |W_K| = |W| / len(reps).  A group past
+    ``SUBGROUP_CAP`` is refused before anything is built.
     """
 
     def __init__(self, generators: Iterable[SignedPerm], group: WeylGroup):
@@ -588,10 +594,40 @@ class CosetTable:
 
     @cached_property
     def reps(self) -> tuple[SignedPerm, ...]:
-        simples = self.group.simple_reflections()
-        found = closure(
-            [self.group.identity()], lambda x: [self.canon(x * s) for s in simples]
-        )
+        """The fixed points of ``canon``, one per coset, listed directly by
+        orderly generation (McKay, J. Algorithms 26, 1998)."""
+        blocks, masks, found = self.group._blocks, self.group._sign_masks, []
+        others = list(self._witnesses.values())[1:]
+
+        def walk(word: tuple[int, ...], level: tuple) -> None:
+            gens, transversal = level
+            if gens:
+                # canon leaves each value the least of its orbit under the
+                # pointwise stabilizer of the values before it.
+                b = next(b for b in blocks if len(word) in b)
+                for c in range(b.start + 1, b.stop + 1):
+                    if c not in word and transversal[c][0] == c:
+                        fixed = frozenset(word + (c,))
+                        child = self._levels.get(fixed) or self._child(level, c, fixed)
+                        walk(word + (c,), child)
+                return
+            # No generators left: every arrangement of the rest is canonical,
+            # and canon keeps the signs of x exactly when, for each witness t
+            # but e, x is positive where t first turns a value of x negative.
+            j = len(word)
+            rest = [[k + 1 for k in b if k + 1 not in word] for b in blocks if b.stop > j]
+            for parts in itertools.product(*map(itertools.permutations, rest)):
+                u = word + sum(parts, ())
+                pinned = {
+                    next(k for k, v in enumerate(u) if t[v - 1] < 0) for t in others
+                }
+                found.extend(
+                    _signed_perm([s * v for s, v in zip(m, u)])
+                    for m in masks
+                    if all(m[k] > 0 for k in pinned)
+                )
+
+        walk((), self._levels[frozenset()])
         return tuple(sorted(found, key=canonical_key))
 
     @property

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import pytest
 
@@ -9,6 +10,7 @@ from korbits.catalog import (
     TorusIndexOutOfRange,
     a_max,
     build,
+    coset_table,
     cosets,
     orbit_parameters,
     springer,
@@ -205,6 +207,34 @@ def test_coset_counts(family, params, table):
 @pytest.mark.parametrize("n,total", [(1, 3), (2, 13), (3, 91)])
 def test_sl2n_parameter_totals(n, total):
     assert len(orbit_parameters(cached_build("SL2n", n))) == total
+
+
+# Closed forms check the parameter counts where brute force cannot reach:
+# the K-orbits of U(p,q) are Yamamoto's (p,q)-clans, sum over k of
+# n!/(k!(p-k)!(q-k)!2^k) for n = p+q, and SO(2n+1,1) has n+1 of them.
+UPQ_UP_TO_9 = [(s - q, q) for s in range(2, 10) for q in range(1, s // 2 + 1)]
+
+
+def _clans(p, q):
+    f = math.factorial
+    return sum(f(p + q) // (f(k) * f(p - k) * f(q - k) * 2**k) for k in range(q + 1))
+
+
+@pytest.mark.parametrize("p,q", UPQ_UP_TO_9)
+def test_upq_parameter_count_is_the_clan_count(p, q):
+    spec = build("Upq", p, q)
+    reps = sum(len(coset_table(spec, i).reps) for i in range(len(spec.tori)))
+    assert reps == _clans(p, q)
+
+
+def test_clan_counts_frozen():
+    assert _clans(5, 4) == 9891
+    assert _clans(4, 4) == 2835
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_soodd1_parameter_count_is_n_plus_one(n):
+    assert len(coset_table(build("SOodd1", n), 0).reps) == n + 1
 
 
 def test_sl2_parameters_frozen():

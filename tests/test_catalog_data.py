@@ -7,7 +7,8 @@ descriptions are checked field by field.  The golden output hashes see
 only what the CLI prints, not these fields.
 
 The second half checks that realizers are built only when read: only
-``verify`` reads them.
+``verify`` reads them.  Little-Weyl-group generator lists are built on
+first read too, and never for a refused instance.
 """
 
 import pytest
@@ -203,3 +204,31 @@ def test_gl_513_orbits_refuses_without_building_realizers(placed_calls, capsys):
         "twisted-involution interface (the 'twisted' subcommand)\n"
     )
     assert placed_calls == []
+
+
+def test_sl2n_128_orbits_refuses_without_building_wk_lists(monkeypatch, capsys):
+    built = []
+    real = catalog._sl2n_wk_generators
+    monkeypatch.setattr(
+        catalog, "_sl2n_wk_generators", lambda n, i: built.append(i) or real(n, i)
+    )
+    code = cli.main(["orbits", "--family", "SL2n", "--n", "128"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: instance too large to enumerate: |S256| = ")
+    assert built == []
+
+
+def test_wk_generators_are_built_once_on_first_read(monkeypatch):
+    built = []
+    real = catalog._upq_wk_generators
+    monkeypatch.setattr(
+        catalog, "_upq_wk_generators", lambda p, q, i: built.append(i) or real(p, q, i)
+    )
+    spec = build("Upq", 3, 2)
+    assert all(d.wk is not None for d in spec.tori)
+    assert built == []
+    first = spec.tori[1].wk_generators
+    assert spec.tori[1].wk_generators is first
+    assert built == [1]

@@ -1,8 +1,8 @@
 """Every query of ``scripts/golden_outputs.py`` prints what it printed when
-``tests/golden_outputs.json`` (and, for the larger ``verify`` and
-``classify-tori`` queries, ``tests/golden_verify_large.json`` and
-``tests/golden_tori_large.json``) was generated: same exit status, same
-stdout, same stderr, byte for byte."""
+``tests/golden_outputs.json`` (and, for the larger ``verify``,
+``classify-tori`` and ``orbits`` queries, ``tests/golden_verify_large.json``,
+``tests/golden_tori_large.json`` and ``tests/golden_orbits_large.json``) was
+generated: same exit status, same stdout, same stderr, byte for byte."""
 
 import json
 import sys
@@ -11,7 +11,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
 
-from golden_outputs import golden, golden_tori_large, golden_verify_large  # noqa: E402
+from golden_outputs import (  # noqa: E402
+    golden,
+    golden_orbits_large,
+    golden_tori_large,
+    golden_verify_large,
+)
 
 
 def _assert_matches(name, actual):
@@ -32,3 +37,7 @@ def test_large_verify_outputs_match_golden_hashes():
 
 def test_large_tori_outputs_match_golden_hashes():
     assert len(_assert_matches("golden_tori_large.json", golden_tori_large())) == 36
+
+
+def test_large_orbits_outputs_match_golden_hashes():
+    assert len(_assert_matches("golden_orbits_large.json", golden_orbits_large())) == 24

@@ -39,7 +39,9 @@ from korbits.weyl import (
     even_hyperoctahedral_group,
     hyperoctahedral_group,
     product_symmetric_group,
+    sign_flip,
     symmetric_group,
+    transposition,
 )
 from oracle import (
     all_elements,
@@ -197,6 +199,43 @@ def test_coset_table_on_random_subgroups():
         _assert_table_matches_oracle(
             CosetTable(gens, group), naive_subgroup(gens, group.rank), elements
         )
+
+
+B3, D4, S3xS3 = (
+    hyperoctahedral_group(3),
+    even_hyperoctahedral_group(4),
+    product_symmetric_group(3),
+)
+
+# Hand-picked subgroups for the orderly listing of coset representatives:
+# with no sign change in W_K every allowed sign vector appears; sign changes
+# alone pin signs; the trivial W_K keeps all of W and W itself keeps only e.
+TARGETED_SUBGROUPS = [
+    ("B3-transposition", B3, [transposition(1, 2, 3)]),
+    ("D4-transposition", D4, [transposition(1, 2, 4)]),
+    ("B3-sign-changes", B3, [sign_flip([1], 3), sign_flip([3], 3)]),
+    ("D4-sign-changes", D4, [sign_flip([1, 2], 4), sign_flip([2, 4], 4)]),
+    ("B3-trivial", B3, []),
+    ("D4-trivial", D4, []),
+    ("S4-trivial", symmetric_group(4), []),
+    ("B3-whole", B3, list(B3.simple_reflections())),
+    ("D4-whole", D4, list(D4.simple_reflections())),
+    ("S3xS3-whole", S3xS3, list(S3xS3.simple_reflections())),
+    ("S3xS3-one-block", S3xS3, [transposition(1, 2, 6), transposition(2, 3, 6)]),
+]
+
+
+@pytest.mark.parametrize(
+    "group,gens",
+    [c[1:] for c in TARGETED_SUBGROUPS],
+    ids=[c[0] for c in TARGETED_SUBGROUPS],
+)
+def test_coset_table_on_targeted_subgroups(group, gens):
+    elements = group.sorted_elements()
+    table = CosetTable(gens, group)
+    _assert_table_matches_oracle(table, naive_subgroup(gens, group.rank), elements)
+    if all(v > 0 for g in gens for v in g):
+        assert {w.signs() for w in table.reps} == {w.signs() for w in elements}
 
 
 def _assert_tori_match_naive(theta, classes):
