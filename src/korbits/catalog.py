@@ -58,8 +58,8 @@ from .weyl import (
     SignedPerm,
     SubgroupTooLarge,
     WeylGroup,
-    coset_space,
-    enumerate_subgroup,
+    # not called here; perfbench's tests read korbits.catalog.enumerate_subgroup
+    enumerate_subgroup,  # noqa: F401
     even_hyperoctahedral_group,
     from_one_line,
     hyperoctahedral_group,
@@ -82,10 +82,7 @@ __all__ = [
     "build",
     "a_max",
     "springer",
-    "wk_subgroup",
     "coset_table",
-    "cosets",
-    "sweep_domain",
     "orbit_parameters",
     "theta_matrix",
     "galois_matrix",
@@ -545,29 +542,10 @@ def _with_wk(spec: GroupSpec, i: int) -> TorusDescriptor:
     return desc
 
 
-def wk_subgroup(spec: GroupSpec, i: int) -> frozenset[SignedPerm]:
-    gens = _with_wk(spec, i).wk_generators
-    if not gens:
-        return frozenset({spec.group.identity()})
-    return enumerate_subgroup(gens)
-
-
 def coset_table(spec: GroupSpec, i: int) -> CosetTable:
     """The coset table of torus i's little Weyl group, built on first use."""
     _with_wk(spec, i)
     return spec._coset_tables[i]
-
-
-def cosets(spec: GroupSpec, i: int) -> list[tuple[SignedPerm, frozenset[SignedPerm]]]:
-    return coset_space(_with_wk(spec, i).wk_generators, spec.group)
-
-
-def sweep_domain(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
-    """Elements to sweep for torus i: coset representatives when the
-    little Weyl group is known, the whole group otherwise."""
-    if spec.descriptor(i).wk is None:
-        return spec.group.sorted_elements()
-    return coset_table(spec, i).reps
 
 
 def orbit_parameters(spec: GroupSpec) -> tuple[OrbitParam, ...]:

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import GroupSpec, coset_table, orbit_parameters
-from .twisted import TwistContext
 from .weyl import SignedPerm
 
 __all__ = [
@@ -30,10 +29,8 @@ __all__ = [
     "FIELD_FIXED",
     "FIELD_PAIR",
     "galois_action",
-    "twisted_galois",
     "fixed_and_pairs",
     "descent_report",
-    "rational_parameters",
 ]
 
 FIELD_FIXED = "Z[1/2]"
@@ -54,16 +51,7 @@ class GaloisAction:
 
     domain: tuple[SignedPerm, ...]
     mapping: dict[SignedPerm, SignedPerm]
-    rule: str
     name: str = ""
-
-    def apply(self, w: SignedPerm) -> SignedPerm:
-        if w not in self.mapping:
-            raise ValueError(f"{w} is not in the domain of {self.name or 'action'}")
-        return self.mapping[w]
-
-    def is_trivial(self) -> bool:
-        return all(self.mapping[w] == w for w in self.domain)
 
 
 def galois_action(spec: GroupSpec, i: int) -> GaloisAction:
@@ -83,7 +71,6 @@ def galois_action(spec: GroupSpec, i: int) -> GaloisAction:
     return GaloisAction(
         domain=table.reps,
         mapping={rep: table.canon(_apply_rule(desc, rep)) for rep in table.reps},
-        rule=desc.galois_rule,
         name=f"{spec.name} torus {i}",
     )
 
@@ -97,35 +84,6 @@ def _apply_rule(desc, w: SignedPerm) -> SignedPerm:
     if desc.galois_right is not None:
         x = x * desc.galois_right
     return x
-
-
-def twisted_galois(
-    ctx: TwistContext, rule: str, domain: tuple[SignedPerm, ...]
-) -> GaloisAction:
-    """Conjugation action on a set of twisted involutions.
-
-    Rules: ``trivial`` (identity), ``conj_w0`` (a -> w0 a^-1 w0) and
-    ``twist_conj`` (a -> w0 a w0).
-    """
-    w0 = ctx.group.longest_element()
-    if rule == "trivial":
-        sigma = lambda a: a  # noqa: E731
-    elif rule == "conj_w0":
-        sigma = lambda a: w0 * a.inverse() * w0  # noqa: E731
-    elif rule == "twist_conj":
-        sigma = lambda a: w0 * a * w0  # noqa: E731
-    else:
-        raise MissingGaloisData(f"unknown twisted conjugation rule {rule!r}")
-    pool = set(domain)
-    mapping = {}
-    for a in domain:
-        img = sigma(a)
-        if img not in pool:
-            raise ValueError(
-                f"conjugation rule {rule!r} leaves the domain at {a}"
-            )
-        mapping[a] = img
-    return GaloisAction(domain=tuple(domain), mapping=mapping, rule=rule)
 
 
 def fixed_and_pairs(
@@ -197,16 +155,4 @@ def descent_report(spec: GroupSpec) -> DescentReport:
         rows=tuple(rows),
         fixed_count=fixed_total,
         pair_count=pair_total,
-    )
-
-
-def rational_parameters(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
-    """Representatives whose coset satisfies the rationality condition
-    w * w0 * w^-1 in the little Weyl group (the membership route, x in W_K
-    read as canon(x) = e; the conjugation action's fixed set gives the
-    same answer through the coset table)."""
-    w0 = spec.group.longest_element()
-    wk = coset_table(spec, i)
-    return tuple(
-        rep for rep in wk.reps if wk.canon(rep * w0 * rep.inverse()).is_identity()
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .weyl import SignedPerm
@@ -68,22 +67,6 @@ class Dyadic:
                 exp += 1
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "Dyadic":
-        den = q.denominator
-        exp = 0
-        while den % 2 == 0:
-            den //= 2
-            exp -= 1
-        if den != 1:
-            raise DivisionNotDyadic(f"{q} has odd denominator {den}")
-        return Dyadic(q.numerator, exp)
-
-    def to_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(self.num * 2**self.exp)
-        return Fraction(self.num, 2**-self.exp)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = min(self.exp, other.exp)
@@ -270,12 +253,6 @@ class ExactMatrix:
         return ExactMatrix(tuple(tuple(_as_gauss(v) for v in row) for row in rows))
 
     @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
         vals = [_as_gauss(v) for v in values]
         n = len(vals)
@@ -371,11 +348,6 @@ class ExactMatrix:
         return "\n".join(
             "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
         )
-
-
-def permutation_matrix(w: SignedPerm) -> ExactMatrix:
-    """Signed permutation matrix M with M[w(j), j] = sign."""
-    return ExactMatrix.from_rows(w.matrix())
 
 
 def placed(

@@ -41,7 +41,6 @@ __all__ = [
     "involution_lengths",
     "is_twisted_involution",
     "monoid_star",
-    "reachable_set",
     "image_set",
     "springer_value",
 ]
@@ -139,11 +138,6 @@ def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
     sa = s * a
     sas = sa * theta_s
     return sa if sas == a else sas
-
-
-def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
-    """All twisted involutions obtainable from a by repeated monoid moves."""
-    return closure([a], lambda x: [monoid_star(ctx, s, x) for s in ctx.simples()])
 
 
 def image_set(ctx: TwistContext, top: SignedPerm) -> frozenset[SignedPerm]:

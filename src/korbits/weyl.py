@@ -8,7 +8,8 @@ coordinates (type A), the full hyperoctahedral group (type B), its
 even-sign-count subgroup (type D), and a block product S_r x S_r living in
 rank 2r.  Each kind is one entry of the table ``_KINDS``: how many blocks of
 coordinates it permutes and which sign changes it allows; membership,
-order, roots, simple reflections, w0 and enumeration all read that entry.
+order, roots, simple reflections, w0 and the allowed sign vectors all read
+that entry.
 Positive roots are kept sparse, as (i, c_i, j, c_j) for c_i e_i + c_j e_j;
 ``positive_roots`` alone builds them as vectors.  Every positive root has
 leading nonzero coordinate +1, so w(alpha) is negative exactly when its
@@ -21,10 +22,11 @@ as a minimal image, down a chain of pointwise stabilizers, and lists the
 representatives as the elements that minimal image fixes, with neither the
 group nor the subgroup enumerated.  Subgroups and conjugation orbits are
 generator closures, computed by one traversal helper, ``closure``.
-Products, inverses and enumerated elements are built without re-validating
-their images; ``SignedPerm(...)`` and ``from_one_line`` validate values
-that arrive from outside.  Per-group data (roots, the element set) is
-computed once per group instance.
+Products, inverses, reflections and coset representatives are built
+without re-validating their images; ``SignedPerm(...)`` and
+``from_one_line`` validate values that arrive from outside.  Per-group data
+(roots, simple reflections, sign vectors) is computed once per group
+instance.  Nothing here lists a whole Weyl group.
 
 >>> w = transposition(1, 3, 3)
 >>> (w * w).is_identity()
@@ -61,13 +63,14 @@ __all__ = [
     "canonical_key",
     "enumerate_subgroup",
     "CosetTable",
-    "coset_space",
     "conjugacy_classes",
     "SUBGROUP_CAP",
     "RANK_CAP",
 ]
 
-#: Hard cap on group enumeration sizes (2^8 * 8!).
+#: Hard cap (2^8 * 8!) on the order of a group whose coset tables or
+#: twisted involutions are computed, and on the size of a closure or of a
+#: list of involutions.
 SUBGROUP_CAP = 2**8 * 40320
 
 #: Hard cap on the rank of a group, checked before anything is allocated.
@@ -96,7 +99,7 @@ class SignedPerm(tuple):
     ``w[j-1] == s*k`` means coordinate j maps to coordinate k with sign s
     (s is +1 or -1, coordinates are 1-based).  Hashing and equality are the
     tuple's.  ``SignedPerm(images)`` validates through ``__post_init__``;
-    products, inverses and enumerated elements are built unchecked by
+    products, inverses and coset representatives are built unchecked by
     ``_signed_perm``.
     """
 
@@ -136,9 +139,6 @@ class SignedPerm(tuple):
 
     def is_identity(self) -> bool:
         return all(v == j for j, v in enumerate(self, start=1))
-
-    def is_involution(self) -> bool:
-        return (self * self).is_identity()
 
     def apply(self, vector: Sequence) -> tuple:
         """Act on a rank-length coordinate vector."""
@@ -194,7 +194,8 @@ class SignedPerm(tuple):
 
 def _signed_perm(images: Iterable[int]) -> SignedPerm:
     """A SignedPerm from images already known to be a signed permutation
-    (products, inverses, enumerated elements): skips the validation."""
+    (products, inverses, reflections, coset representatives): skips the
+    validation."""
     return tuple.__new__(SignedPerm, images)
 
 
@@ -383,7 +384,7 @@ class WeylGroup:
         assert self.length(w0) == len(self._root_terms)
         return w0
 
-    # -- enumeration ------------------------------------------------------
+    # -- sign vectors and the size cap -----------------------------------
 
     @cached_property
     def _sign_masks(self) -> tuple[tuple[int, ...], ...]:
@@ -394,35 +395,12 @@ class WeylGroup:
         masks = itertools.product((1, -1), repeat=self.rank)
         return tuple(m for m in masks if self._allows(m.count(-1)))
 
-    def elements(self) -> Iterator[SignedPerm]:
-        for parts in itertools.product(
-            *(itertools.permutations(range(b.start + 1, b.stop + 1)) for b in self._blocks)
-        ):
-            p = sum(parts, ())
-            for mask in self._sign_masks:
-                yield _signed_perm([s * v for s, v in zip(mask, p)])
-
     def check_enumerable(self) -> None:
         """Raise ``SubgroupTooLarge`` if the group is past ``SUBGROUP_CAP``."""
         if self.order > SUBGROUP_CAP:
             raise SubgroupTooLarge(
                 f"|{self.describe()}| = {self.order} exceeds cap {SUBGROUP_CAP}"
             )
-
-    @cached_property
-    def _element_set(self) -> frozenset[SignedPerm]:
-        self.check_enumerable()
-        return frozenset(self.elements())
-
-    @cached_property
-    def _sorted_elements(self) -> tuple[SignedPerm, ...]:
-        return tuple(sorted(self._element_set, key=canonical_key))
-
-    def element_set(self) -> frozenset[SignedPerm]:
-        return self._element_set
-
-    def sorted_elements(self) -> tuple[SignedPerm, ...]:
-        return self._sorted_elements
 
     def identity(self) -> SignedPerm:
         return identity(self.rank)
@@ -539,8 +517,8 @@ class CosetTable:
     def __init__(self, generators: Iterable[SignedPerm], group: WeylGroup):
         group.check_enumerable()
         self.group = group
-        self.generators = tuple(generators)
-        for g in self.generators:
+        generators = tuple(generators)
+        for g in generators:
             if not group.contains(g):
                 raise NotASubgroup(f"generator {g} lies outside {group.describe()}")
         one = group.identity()
@@ -549,7 +527,7 @@ class CosetTable:
         todo = [one]
         while todo:
             t = todo.pop()
-            for g in self.generators:
+            for g in generators:
                 tg = t * g
                 known = self._witnesses.setdefault(tg.signs(), tg)
                 if known is tg:
@@ -633,21 +611,6 @@ class CosetTable:
     @property
     def size(self) -> int:
         return self.group.order // len(self.reps)
-
-
-def coset_space(
-    subgroup_generators: Iterable[SignedPerm], group: WeylGroup
-) -> list[tuple[SignedPerm, frozenset[SignedPerm]]]:
-    """Right cosets H\\W with canonical representatives.
-
-    Returns (representative, coset) pairs sorted by representative; the
-    representative is the ``canonical_key``-least member (signs first, then
-    one-line), so the subgroup itself is represented by the identity.
-    """
-    table = CosetTable(subgroup_generators, group)
-    gens = table.generators
-    sub = enumerate_subgroup(gens) if gens else frozenset({group.identity()})
-    return [(rep, frozenset(h * rep for h in sub)) for rep in table.reps]
 
 
 def conjugacy_classes(

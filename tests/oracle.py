@@ -5,6 +5,11 @@ tests, no caching — and shares nothing with the package beyond the
 ``SignedPerm`` value type and its composition and the Gaussian-dyadic value
 types.  When a fast routine and its
 oracle agree on an instance, that agreement is evidence, not tautology.
+
+The two routes at the end, ``rational_parameters`` and ``reachable_set``,
+do read the package: its coset table and its monoid move.  Each is
+independent of what it checks -- the Galois action's fixed points and the
+one reverse closure behind ``image_set`` -- not of the package.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from korbits.catalog import GroupSpec, coset_table
 from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit
+from korbits.twisted import TwistContext, monoid_star
 from korbits.weyl import SignedPerm
 
 
@@ -311,11 +318,11 @@ def naive_torus_classes(
 
 
 def _q(z: DyadicGauss) -> tuple[Fraction, Fraction]:
-    return (z.re.to_fraction(), z.im.to_fraction())
+    return tuple(Fraction(c.num) * Fraction(2) ** c.exp for c in (z.re, z.im))
 
 
 def _from_q(v: tuple[Fraction, Fraction]) -> DyadicGauss:
-    return DyadicGauss(Dyadic.from_fraction(v[0]), Dyadic.from_fraction(v[1]))
+    return DyadicGauss(*(Dyadic(x.numerator) / Dyadic(x.denominator) for x in v))
 
 
 def _qmul(a, b):
@@ -376,3 +383,31 @@ def naive_inverse(m: ExactMatrix) -> ExactMatrix:
                 a[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(a[r], a[col])]
                 b[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(b[r], b[col])]
     return ExactMatrix(tuple(tuple(_from_q(v) for v in row) for row in b))
+
+
+# -- independent routes through the package ----------------------------------
+
+
+def rational_parameters(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
+    """The membership route to the rational part of torus i: the coset
+    representatives w with w·w0·w⁻¹ in the little Weyl group, membership
+    read as canon(x) = e."""
+    w0 = spec.group.longest_element()
+    table = coset_table(spec, i)
+    return tuple(
+        rep for rep in table.reps if table.canon(rep * w0 * rep.inverse()).is_identity()
+    )
+
+
+def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
+    """All twisted involutions that repeated monoid moves reach from a: the
+    forward closure that defines I′, one element at a time."""
+    seen, todo = {a}, [a]
+    while todo:
+        x = todo.pop()
+        for s in ctx.simples():
+            y = monoid_star(ctx, s, x)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return frozenset(seen)

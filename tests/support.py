@@ -1,4 +1,6 @@
-"""Shared scraps for the test suite: a build cache and literal constructors.
+"""Shared scraps for the test suite: a build cache, literal constructors, the
+oracle's elements of a group in canonical order, and their partition by a
+coset table.
 
 The literal constructors build expected values straight from image tuples so
 that frozen expectations do not round-trip through the library's own helpers.
@@ -7,9 +9,11 @@ that frozen expectations do not round-trip through the library's own helpers.
 from __future__ import annotations
 
 import functools
+from collections import defaultdict
 
 from korbits.catalog import build
-from korbits.weyl import SignedPerm
+from korbits.weyl import CosetTable, SignedPerm, WeylGroup, canonical_key
+from oracle import all_elements
 
 
 @functools.lru_cache(maxsize=None)
@@ -33,3 +37,16 @@ def flip(coords: tuple[int, ...], rank: int) -> SignedPerm:
     return SignedPerm(
         tuple(-v if v in coords else v for v in range(1, rank + 1))
     )
+
+
+def sorted_elements(group: WeylGroup) -> tuple[SignedPerm, ...]:
+    """The oracle's elements of ``group``, in ``canonical_key`` order."""
+    return tuple(sorted(all_elements(group.kind, group.rank), key=canonical_key))
+
+
+def canon_blocks(table: CosetTable, elements) -> frozenset[frozenset[SignedPerm]]:
+    """``elements`` partitioned by their canonical coset representative."""
+    blocks = defaultdict(set)
+    for x in elements:
+        blocks[table.canon(x)].add(x)
+    return frozenset(map(frozenset, blocks.values()))

@@ -11,15 +11,13 @@ from korbits.catalog import (
     a_max,
     build,
     coset_table,
-    cosets,
     orbit_parameters,
     springer,
-    sweep_domain,
     verify_matrix_claims,
-    wk_subgroup,
 )
-from korbits.dyadic import ExactMatrix, TorusStructure, permutation_matrix
+from korbits.dyadic import ExactMatrix, TorusStructure
 from korbits.twisted import is_twisted_involution, twisted_involutions
+from korbits.weyl import enumerate_subgroup
 from support import cached_build, flip, perm, tr
 
 SMALL = [
@@ -196,12 +194,13 @@ COSET_TABLES = [
 @pytest.mark.parametrize("family,params,table", COSET_TABLES)
 def test_coset_counts(family, params, table):
     spec = cached_build(family, *params)
-    got = [len(cosets(spec, i)) for i in range(len(spec.tori))]
+    got = [len(coset_table(spec, i).reps) for i in range(len(spec.tori))]
     assert got == table
     assert len(orbit_parameters(spec)) == sum(table)
     order = spec.group.order
-    for i, count in enumerate(table):
-        assert count * len(wk_subgroup(spec, i)) == order
+    for desc, count in zip(spec.tori, table):
+        wk = enumerate_subgroup(desc.wk_generators or [spec.group.identity()])
+        assert count * len(wk) == order
 
 
 @pytest.mark.parametrize("n,total", [(1, 3), (2, 13), (3, 91)])
@@ -264,27 +263,18 @@ def test_missing_wk_data():
         with pytest.raises(MissingWkData):
             orbit_parameters(spec)
         with pytest.raises(MissingWkData):
-            wk_subgroup(spec, 0)
-        # the sweep falls back to the whole group
-        assert len(sweep_domain(spec, 0)) == spec.group.order
-
-
-def test_sweep_domain_with_wk_data():
-    spec = cached_build("SOodd1", 2)
-    domain = sweep_domain(spec, 0)
-    assert len(domain) == 3
-    assert domain == tuple(rep for rep, _ in cosets(spec, 0))
+            coset_table(spec, 0)
 
 
 def test_upq_little_weyl_group_structure():
     # q - i paired blocks moved diagonally, head and tail symmetric parts
     spec = cached_build("Upq", 2, 2)
-    w0 = wk_subgroup(spec, 0)
+    w0 = enumerate_subgroup(spec.descriptor(0).wk_generators)
     assert len(w0) == 8
     assert perm(3, 4, 1, 2) in w0  # both pair swaps at once
     assert tr(1, 3, 4) in w0 and tr(2, 4, 4) in w0
     assert tr(1, 2, 4) not in w0  # one-sided swap breaks the pairing
-    w2 = wk_subgroup(spec, 2)
+    w2 = enumerate_subgroup(spec.descriptor(2).wk_generators)
     assert len(w2) == 4
 
 
@@ -307,10 +297,8 @@ def test_upq_theta_matrix_is_signature_conjugation():
     spec = cached_build("Upq", 2, 1)
     from korbits.catalog import theta_matrix
 
-    m = permutation_matrix(perm(2, 3, 1))
-    j = ExactMatrix.diagonal(
-        [ExactMatrix.identity(1)[(0, 0)]] * 2 + [-ExactMatrix.identity(1)[(0, 0)]]
-    )
+    m = ExactMatrix.from_rows(perm(2, 3, 1).matrix())
+    j = ExactMatrix.diagonal([1, 1, -1])
     assert theta_matrix(spec, m) == j * m * j
 
 

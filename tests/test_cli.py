@@ -812,7 +812,7 @@ def test_golden_orbits(argv, expected, capsys):
     ],
     ids=["SL2n-3", "SOodd1-4", "U32", "Res-3"],
 )
-def test_orbits_never_enumerates_a_group(argv, capsys, monkeypatch, no_enumeration):
+def test_orbits_never_enumerates_a_group(argv, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated a subgroup")
 
@@ -860,7 +860,7 @@ def test_unsupported_query_exit_3(capsys):
     assert "little-Weyl-group" in err
 
 
-def test_too_large_instance_exit_4(capsys, no_enumeration):
+def test_too_large_instance_exit_4(capsys):
     code, out, err = run(["twisted", "--family", "GL", "--n", "11"], capsys)
     assert code == 4
     assert out == ""
@@ -907,9 +907,7 @@ def test_over_cap_verify_claim_exit_4(capsys):
     ],
     ids=["SL2n-6", "U10-1"],
 )
-def test_over_cap_orbits_refused_before_any_work(
-    argv, message, capsys, monkeypatch, no_enumeration
-):
+def test_over_cap_orbits_refused_before_any_work(argv, message, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("built a closure before refusing")
 
@@ -922,7 +920,7 @@ def test_over_cap_orbits_refused_before_any_work(
 
 @pytest.mark.parametrize("n", ["99999999999999999999", "100000"])
 @pytest.mark.parametrize("command", ["classify-tori", "orbits", "twisted", "verify"])
-def test_over_rank_cap_exit_4(command, n, capsys, no_enumeration):
+def test_over_rank_cap_exit_4(command, n, capsys):
     code, out, err = run([command, "--family", "GL", "--n", n], capsys)
     assert code == 4
     assert out == ""

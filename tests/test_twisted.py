@@ -8,12 +8,11 @@ from korbits.twisted import (
     image_set,
     is_twisted_involution,
     monoid_star,
-    reachable_set,
     springer_value,
     twisted_involutions,
 )
 from korbits.weyl import identity, sign_flip, symmetric_group
-from oracle import all_elements, naive_twisted
+from oracle import all_elements, naive_twisted, reachable_set
 from support import flip, perm, tr
 
 
