@@ -17,7 +17,8 @@ from korbits.catalog import (
 )
 from korbits.dyadic import ExactMatrix, TorusStructure
 from korbits.twisted import is_twisted_involution, twisted_involutions
-from korbits.weyl import enumerate_subgroup
+from korbits.weyl import canonical_key, enumerate_subgroup
+from oracle import all_elements, naive_cosets
 from support import cached_build, flip, perm, tr
 
 SMALL = [
@@ -264,6 +265,17 @@ def test_missing_wk_data():
             orbit_parameters(spec)
         with pytest.raises(MissingWkData):
             coset_table(spec, 0)
+
+
+def test_sweep_domain_with_wk_data():
+    # one representative per coset of W_K, the least of its coset
+    spec = cached_build("SOodd1", 2)
+    reps = coset_table(spec, 0).reps
+    assert len(reps) == 3
+    wk = enumerate_subgroup(spec.descriptor(0).wk_generators)
+    blocks = naive_cosets(wk, all_elements(spec.group.kind, spec.group.rank))
+    least = (min(block, key=canonical_key) for block in blocks)
+    assert reps == tuple(sorted(least, key=canonical_key))
 
 
 def test_upq_little_weyl_group_structure():

@@ -1,8 +1,15 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from korbits.catalog import TorusDescriptor, coset_table, orbit_parameters, springer
+from korbits.catalog import (
+    TorusDescriptor,
+    a_max,
+    coset_table,
+    orbit_parameters,
+    springer,
+)
 from korbits.descent import (
     FIELD_FIXED,
     FIELD_PAIR,
@@ -14,7 +21,8 @@ from korbits.descent import (
     fixed_and_pairs,
     galois_action,
 )
-from korbits.weyl import enumerate_subgroup
+from korbits.twisted import image_set
+from korbits.weyl import canonical_key, enumerate_subgroup
 from oracle import all_elements, rational_parameters
 from support import cached_build, perm, tr
 
@@ -222,6 +230,61 @@ def test_split_torus_values_intertwine(p, q):
         lhs = springer(spec, 0, action.mapping[rep])
         rhs = w0 * springer(spec, 0, rep) * w0
         assert lhs == rhs
+
+
+# -- the twisted-side conjugation -------------------------------------------
+
+
+def test_twisted_galois_trivial_rule():
+    # SO(5,1)'s conjugation fixes every coset, and the values lie in the
+    # twisted image
+    spec = cached_build("SOodd1", 2)
+    fixed, pairs = fixed_and_pairs(galois_action(spec, 0))
+    assert fixed == coset_table(spec, 0).reps and pairs == ()
+    values = {springer(spec, 0, rep) for rep in fixed}
+    assert values <= image_set(spec.context, a_max(spec))
+
+
+def test_twisted_galois_conj_w0_on_image():
+    # a -> w0 a^-1 w0 fixes the twisted image of U*(4)
+    spec = cached_build("Ustar", 2)
+    w0 = spec.group.longest_element()
+    image = image_set(spec.context, a_max(spec))
+    assert len(image) == 3
+    for a in image:
+        assert w0 * a.inverse() * w0 == a
+
+
+def test_twisted_galois_twist_conj():
+    spec = cached_build("Upq", 2, 1)
+    values = tuple(
+        sorted(
+            {p.value for p in orbit_parameters(spec)},
+            key=canonical_key,
+        )
+    )
+    w0 = spec.group.longest_element()
+    mapping = {v: w0 * v * w0 for v in values}
+    assert set(mapping.values()) == set(values)
+    fixed, pairs = fixed_and_pairs(GaloisAction(domain=values, mapping=mapping))
+    assert set(fixed) == {tr(1, 3, 3), perm(1, 2, 3)}
+    assert pairs == ((tr(2, 3, 3), tr(1, 2, 3)),)
+
+
+def test_twisted_galois_unknown_rule_and_escape():
+    # a torus without a rule is refused in a family that has rules; a raw
+    # rule image outside the representative list is brought back by canon
+    spec = cached_build("Upq", 2, 1)
+    bare = dataclasses.replace(spec.tori[0], galois_rule=None)
+    with pytest.raises(MissingGaloisData):
+        galois_action(dataclasses.replace(spec, tori=(bare, *spec.tori[1:])), 0)
+    desc, table = spec.descriptor(0), coset_table(spec, 0)
+    action = galois_action(spec, 0)
+    escaped = [r for r in table.reps if _apply_rule(desc, r) not in table.reps]
+    assert escaped
+    for rep in escaped:
+        assert action.mapping[rep] == table.canon(_apply_rule(desc, rep))
+        assert action.mapping[rep] in table.reps
 
 
 # -- a synthetic nontrivial block-swap conjugation ---------------------------

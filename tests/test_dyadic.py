@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -19,7 +21,7 @@ from korbits.dyadic import (
     diagonal_structure,
 )
 from korbits.weyl import SignedPerm
-from oracle import naive_det, naive_inverse
+from oracle import _from_q, _q, naive_det, naive_inverse
 from support import flip, tr
 
 dyadics = st.builds(
@@ -42,6 +44,16 @@ def test_dyadic_division():
         Dyadic(1) / Dyadic(3)
     with pytest.raises(ZeroDivisionError):
         Dyadic(1) / D0
+
+
+def test_dyadic_fraction_roundtrip():
+    # the oracle's conversions through Fraction meet the dyadic normal form
+    q = Fraction(-5, 8)
+    z = _from_q((q, Fraction(3)))
+    assert z == DyadicGauss(Dyadic(-5, -3), Dyadic(3))
+    assert _q(z) == (q, Fraction(3))
+    with pytest.raises(DivisionNotDyadic):
+        _from_q((Fraction(1, 3), Fraction(0)))
 
 
 @given(dyadics, dyadics, dyadics)

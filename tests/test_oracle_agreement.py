@@ -95,6 +95,26 @@ def _instance_id(case):
     return family + "-" + "x".join(str(p) for p in params)
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(4),
+        hyperoctahedral_group(3),
+        even_hyperoctahedral_group(3),
+        product_symmetric_group(3),
+    ],
+    ids=lambda g: g.describe(),
+)
+def test_enumeration_matches_itertools(group):
+    # the trivial subgroup's representatives and the closure of the simple
+    # reflections are both all of W
+    elements = all_elements(group.kind, group.rank)
+    reps = CosetTable([], group).reps
+    assert set(reps) == elements and len(reps) == group.order
+    assert reps[0] == group.identity()
+    assert enumerate_subgroup(group.simple_reflections()) == elements
+
+
 @pytest.mark.parametrize("case", SMALL, ids=_instance_id)
 def test_twisted_involutions_match_naive_filter(case):
     spec = cached_build(case[0], *case[1])

@@ -12,6 +12,7 @@ from korbits.weyl import (
     RankMismatch,
     SignedPerm,
     SubgroupTooLarge,
+    canonical_key,
     closure,
     conjugacy_classes,
     enumerate_subgroup,
@@ -25,7 +26,7 @@ from korbits.weyl import (
     transposition,
 )
 from oracle import all_elements, naive_length
-from support import flip, perm, tr
+from support import canon_blocks, flip, perm, tr
 
 
 @st.composite
@@ -217,6 +218,15 @@ def test_membership():
         s3.length(perm(1, 2))
 
 
+def test_sorted_elements_start_at_identity():
+    # the trivial subgroup's representatives list all of W, in canonical order
+    group = hyperoctahedral_group(2)
+    ordered = CosetTable([], group).reps
+    assert ordered[0] == group.identity()
+    assert list(ordered) == sorted(ordered, key=canonical_key)
+    assert set(ordered) == all_elements("B", 2)
+
+
 def test_element_set_cap():
     with pytest.raises(SubgroupTooLarge):
         hyperoctahedral_group(9).check_enumerable()
@@ -252,9 +262,33 @@ def test_enumerate_subgroup():
         closure([0], lambda x: [x + 1], cap=10)
 
 
+def test_coset_space_s3():
+    s3 = symmetric_group(3)
+    table = CosetTable([tr(1, 2, 3)], s3)
+    blocks = canon_blocks(table, all_elements("A", 3))
+    assert len(table.reps) == len(blocks) == 3
+    seen = set()
+    for members in blocks:
+        rep = table.canon(next(iter(members)))
+        assert rep in members and rep in table.reps
+        assert len(members) == 2
+        assert rep == min(members, key=canonical_key)
+        seen |= members
+    assert seen == all_elements("A", 3)
+    assert table.reps[0] == identity(3)
+
+
 def test_coset_table_rejects_outside_generators():
     with pytest.raises(NotASubgroup):
         CosetTable([flip((1,), 3)], symmetric_group(3))
+
+
+def test_coset_space_trivial_subgroup():
+    table = CosetTable([], symmetric_group(3))
+    assert len(table.reps) == 6 and table.size == 1
+    blocks = canon_blocks(table, all_elements("A", 3))
+    assert len(blocks) == 6
+    assert all(len(members) == 1 for members in blocks)
 
 
 def test_conjugacy_classes_s3():
