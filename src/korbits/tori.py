@@ -9,11 +9,11 @@ only, and the restricted root vectors (projections (alpha - M alpha)/2,
 kept with their non-reduced multiplicities); only these last are
 rational.  The classification itself -- involutions in the reflection
 group of Psi0, up to conjugation by the reflections of the restricted roots
--- runs in integers.  The involutions are the products of reflections in
-pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed.  Each
-reflection is scaled by the squared length N of the primitive integer
-direction of its root, so a conjugate s w s is an integer matrix divided
-by N^2, read off as a signed permutation (see ``torus_classification``).
+-- runs on root sets.  The involutions are the products of reflections in
+pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed, and
+each keeps the roots it came from.  A reflection s conjugates such a
+product root by root, s w s being the product of the reflections in the
+images s(beta) (see ``torus_classification``).
 Each class corresponds to one conjugacy class of stable maximal tori; its
 ``minus_dimension``, the split dimension of the corresponding torus, is a
 trace as well.
@@ -32,11 +32,10 @@ from .weyl import (
     SignedPerm,
     SubgroupTooLarge,
     WeylGroup,
-    _signed_perm,
+    _reflection,
     canonical_key,
     closure,
     identity,
-    sign_flip,
 )
 
 __all__ = [
@@ -63,17 +62,11 @@ def _primitive_line(v: Sequence[Fraction | int]) -> tuple[int, ...]:
 
 def root_reflection(alpha: Sequence[int], rank: int) -> SignedPerm:
     """Reflection in a root of shape e_i, e_i - e_j or e_i + e_j."""
-    support = [(i, c) for i, c in enumerate(alpha, start=1) if c]
+    support = [(i, 1 if c > 0 else -1) for i, c in enumerate(alpha) if c]
     if len(support) == 1:
-        return sign_flip([support[0][0]], rank)
-    if len(support) == 2 and all(abs(c) == 1 for _, c in support):
-        (i, ci), (j, cj) = support
-        out = list(range(1, rank + 1))
-        if ci == cj:
-            out[i - 1], out[j - 1] = -j, -i
-        else:
-            out[i - 1], out[j - 1] = j, i
-        return SignedPerm(out)
+        return _reflection(support[0] * 2, rank)
+    if len(support) == 2 and all(c in (-1, 0, 1) for c in alpha):
+        return _reflection(support[0] + support[1], rank)
     raise ValueError(f"no monomial reflection for root {tuple(alpha)}")
 
 
@@ -169,17 +162,21 @@ class ThetaLattice:
         return tuple(sorted(out))
 
 
-def _involutions(psi: Sequence[Sequence[int]], rank: int) -> set[SignedPerm]:
-    """The involutions (including e) of the reflection group W(Psi0).
+def _involutions(
+    psi: Sequence[Sequence[int]], rank: int
+) -> dict[SignedPerm, tuple[tuple[int, ...], ...]]:
+    """The involutions (including e) of the reflection group W(Psi0), each
+    with a set of pairwise-orthogonal primitive Psi0 lines whose
+    reflections multiply to it.
 
-    Each is a product of reflections in pairwise-orthogonal roots of Psi0
-    (Carter 1972; Richardson 1982), so one walk over the sets of
-    pairwise-orthogonal Psi0 lines finds them all.  A stack entry is a
-    product w together with the lines still free to extend its set: those
-    orthogonal to every line in it and below the last one taken, so each
-    set is reached once.  Different sets can give the same involution (-1
-    on B2 is s(e1) s(e2) and s(e1 - e2) s(e1 + e2)), hence the set.
-    Raises ``SubgroupTooLarge`` past ``SUBGROUP_CAP`` involutions.
+    Every involution is such a product (Carter 1972; Richardson 1982), so
+    one walk over the sets of pairwise-orthogonal Psi0 lines finds them
+    all.  A stack entry is a product w, the lines taken, and the lines
+    still free to extend them: those orthogonal to every line taken and
+    below the last one, so each set is reached once.  Different sets can
+    give the same involution (-1 on B2 is s(e1) s(e2) and s(e1 - e2)
+    s(e1 + e2)); the first set found is kept.  Raises ``SubgroupTooLarge``
+    past ``SUBGROUP_CAP`` involutions.
     """
     lines = list(dict.fromkeys(map(_primitive_line, psi)))
     refl = [root_reflection(p, rank) for p in lines]
@@ -191,11 +188,11 @@ def _involutions(psi: Sequence[Sequence[int]], rank: int) -> set[SignedPerm]:
         )
         for p in lines
     ]
-    out: set[SignedPerm] = set()
-    stack = [(identity(rank), (1 << len(lines)) - 1)]
+    out: dict[SignedPerm, tuple[tuple[int, ...], ...]] = {}
+    stack = [(identity(rank), (), (1 << len(lines)) - 1)]
     while stack:
-        w, free = stack.pop()
-        out.add(w)
+        w, taken, free = stack.pop()
+        out.setdefault(w, taken)
         if len(out) > SUBGROUP_CAP:
             raise SubgroupTooLarge(
                 f"involutions of W(Psi0) exceed cap {SUBGROUP_CAP}"
@@ -203,7 +200,7 @@ def _involutions(psi: Sequence[Sequence[int]], rank: int) -> set[SignedPerm]:
         while free:
             j = free.bit_length() - 1
             free ^= 1 << j
-            stack.append((refl[j] * w, free & orth[j]))
+            stack.append((refl[j] * w, taken + (lines[j],), free & orth[j]))
     return out
 
 
@@ -215,13 +212,14 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     line).  An empty Psi0 yields the single class of the reference torus.
 
     A restricted root is taken by its primitive integer direction p, with
-    N = p.p, so that N*s(v) = N*v - 2(p.v)p is integral.  The conjugate
-    s w s of an involution w is built column by column: N*s(e_j), then w
-    as a signed permutation, then N*s again, and the result divided by N^2
-    is read off as a signed permutation.  A column not divisible by N^2
-    means the reflection does not normalize the subsystem; a column that is
-    not +-e_i, or a result outside the involutions of W(Psi0), means the
-    conjugate leaves the reflection subgroup.  Both raise ``ValueError``.
+    N = p.p, so its reflection is s(v) = v - (2(p.v)/N) p.  An involution w
+    is the product of the reflections in its orthogonal Psi0 lines beta,
+    so s w s is the product of the reflections in the lines s(beta).  A
+    quotient 2(p.beta)/N that is not an integer means the reflection does
+    not normalize the subsystem; a conjugate outside the involutions of
+    W(Psi0) means it leaves the reflection subgroup.  Both raise
+    ``ValueError``.  An orthogonal map keeps lengths, so each integral
+    s(beta) has a root's shape (+-e_i or +-e_i +- e_j).
 
     The (-1)-eigenspace of w lies in span Psi0, inside the minus space of
     theta, so the minus dimension of w's class is theta's less that of w:
@@ -229,35 +227,20 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     """
     rank = theta.rank
     involutions = _involutions(theta.psi0(), rank)
-
-    # per restricted-root line: p, N and the columns N*s(e_j)
-    lines = []
-    for p in dict.fromkeys(map(_primitive_line, theta.restricted_roots())):
-        norm = sum(x * x for x in p)
-        cols = [
-            tuple(norm * (i == j) - 2 * p[j] * x for i, x in enumerate(p))
-            for j in range(rank)
-        ]
-        lines.append((p, norm, cols))
+    lines = [
+        (p, sum(x * x for x in p))
+        for p in dict.fromkeys(map(_primitive_line, theta.restricted_roots()))
+    ]
+    one = identity(rank)
 
     def conjugate(w: SignedPerm, line: tuple) -> SignedPerm:
-        p, norm, cols = line
-        out = []
-        for col in cols:
-            v = w.apply(col)
-            dot = sum(a * b for a, b in zip(p, v))
-            out.append([norm * a - 2 * dot * b for a, b in zip(v, p)])
-        norm2 = norm * norm
-        if any(x % norm2 for col in out for x in col):
-            raise ValueError("reflection does not normalize the subsystem")
-        images = []
-        for col in out:
-            nz = [(i, x // norm2) for i, x in enumerate(col, start=1) if x]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
-                raise ValueError("conjugate leaves the reflection subgroup")
-            i, c = nz[0]
-            images.append(i if c > 0 else -i)
-        conj = _signed_perm(images)
+        p, norm = line
+        conj = one
+        for beta in involutions[w]:
+            k, r = divmod(2 * sum(a * b for a, b in zip(p, beta)), norm)
+            if r:
+                raise ValueError("reflection does not normalize the subsystem")
+            conj = root_reflection([b - k * x for b, x in zip(beta, p)], rank) * conj
         if conj not in involutions:
             raise ValueError("conjugate leaves the reflection subgroup")
         return conj

@@ -140,15 +140,6 @@ class SignedPerm(tuple):
     def is_identity(self) -> bool:
         return all(v == j for j, v in enumerate(self, start=1))
 
-    def apply(self, vector: Sequence) -> tuple:
-        """Act on a rank-length coordinate vector."""
-        if len(vector) != len(self):
-            raise RankMismatch(f"vector length {len(vector)} vs rank {len(self)}")
-        out = [0] * len(self)
-        for j, v in enumerate(self):
-            out[abs(v) - 1] = vector[j] if v > 0 else -vector[j]
-        return tuple(out)
-
     def conjugate_by(self, t: "SignedPerm") -> "SignedPerm":
         """Return ``t * self * t^-1``."""
         return t * self * t.inverse()
@@ -381,7 +372,9 @@ class WeylGroup:
         else:
             images = tuple(k + 1 for b in self._blocks for k in reversed(b))
         w0 = _signed_perm(images)
-        assert self.length(w0) == len(self._root_terms)
+        # w0 is the one element with every simple reflection a left descent
+        # (Bjorner-Brenti, Combinatorics of Coxeter Groups, sec. 2.3).
+        assert not any(self.is_left_ascent(s, w0) for s in self._simple_terms)
         return w0
 
     # -- sign vectors and the size cap -----------------------------------

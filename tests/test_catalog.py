@@ -10,12 +10,15 @@ from korbits.catalog import (
     TorusIndexOutOfRange,
     a_max,
     build,
+    GBL,
     coset_table,
+    galois_matrix,
     orbit_parameters,
     springer,
+    theta_matrix,
     verify_matrix_claims,
 )
-from korbits.dyadic import ExactMatrix, TorusStructure
+from korbits.dyadic import ExactMatrix, TorusStructure, placed
 from korbits.twisted import is_twisted_involution, twisted_involutions
 from korbits.weyl import canonical_key, enumerate_subgroup
 from oracle import all_elements, naive_cosets
@@ -292,7 +295,6 @@ def test_upq_little_weyl_group_structure():
 
 def test_theta_and_galois_matrices_gl():
     spec = cached_build("GL", 2)
-    from korbits.catalog import galois_matrix, theta_matrix
     from korbits.dyadic import Dyadic, DyadicGauss
 
     two = ExactMatrix.diagonal([DyadicGauss.of(2), DyadicGauss.of(1)])
@@ -305,10 +307,23 @@ def test_theta_and_galois_matrices_gl():
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ustar_galois_matrix_is_quaternionic(n):
+    # no CLI query reaches the U*(2n) branch: J conj(m) J^-1, an involution
+    # commuting with theta, and not the plain conjugation
+    spec = cached_build("Ustar", n)
+    struct = spec.torus_structure
+    point = struct.embed(struct.sample_point())
+    g = placed(2 * n, [((2 * j - 1, 2 * j), GBL) for j in range(1, n + 1)])
+    for m in (point, g, point * g):
+        gm = galois_matrix(spec, m)
+        assert galois_matrix(spec, gm) == m
+        assert galois_matrix(spec, theta_matrix(spec, m)) == theta_matrix(spec, gm)
+        assert gm != m.conjugate()
+
+
 def test_upq_theta_matrix_is_signature_conjugation():
     spec = cached_build("Upq", 2, 1)
-    from korbits.catalog import theta_matrix
-
     m = ExactMatrix.from_rows(perm(2, 3, 1).matrix())
     j = ExactMatrix.diagonal([1, 1, -1])
     assert theta_matrix(spec, m) == j * m * j

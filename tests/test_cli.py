@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from importlib import resources
 
+import hypothesis.strategies as st
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
 
 import korbits.catalog
 import korbits.cli as cli
@@ -942,6 +946,60 @@ def test_usage_errors_repeat_identically(capsys):
     assert "invalid choice: 'dot'" in errors[0]
     code, out, err = run(["twisted", "--family", "GL", "--n", "2"], capsys)
     assert code == 0 and err == "" and "|I| = 2" in out
+
+
+#: Parameter values for the argument-space property, half of the draws
+#: from 1-4: None leaves the option out, and 2000 and 10^20 exceed the
+#: rank cap, so no query runs long.
+_PARAM_VALUES = st.one_of(
+    st.sampled_from([1, 2, 3, 4]),
+    st.sampled_from([None, -1, 0, 2000, 10**20, "x"]),
+)
+
+
+@st.composite
+def _queries(draw):
+    """An argv: subcommand, family (valid or not), each of the family's
+    parameters, perhaps one option it does not take, and a format."""
+    family = draw(st.sampled_from(sorted(korbits.catalog.FAMILIES) + ["Sp2n", "gl"]))
+    wanted = korbits.catalog.FAMILIES.get(family, (None, ("n",)))[1]
+    argv = [
+        draw(st.sampled_from(["classify-tori", "orbits", "twisted", "verify"])),
+        "--family",
+        family,
+        "--format",
+        draw(st.sampled_from(["table", "json", "dot"])),
+    ]
+    for name in wanted:
+        value = draw(_PARAM_VALUES)
+        if value is not None:
+            argv += [f"--{name}", str(value)]
+    unwanted = [n for n in cli._PARAM_NAMES if n not in wanted] + ["s"]
+    extra = draw(st.one_of(st.none(), st.sampled_from(unwanted)))
+    if extra is not None:
+        argv += [f"--{extra}", "1"]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_queries())
+@example(["twisted", "--family", "Upq", "--format", "dot", "--p", "2000", "--q", "1"])
+@example(["orbits", "--family", "GL", "--format", "json", "--n", "4"])
+@example(["verify", "--family", "GL", "--format", "table", "--n", "x"])
+def test_argument_space_ends_in_an_exit_code(argv):
+    # missing, extra, negative, zero, non-integer and huge parameters all end
+    # in an exit code, never a traceback; a refusal prints one error line
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in range(5)
+    assert "Traceback" not in err.getvalue()
+    if code >= 2:
+        assert out.getvalue() == ""
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
 
 
 def test_failed_claims_exit_1(capsys, monkeypatch):

@@ -89,9 +89,10 @@ def test_composition_convention(w, v, j):
 
 @given(signed_perms())
 def test_apply_on_vectors(w):
-    basis = [tuple(1 if k == i else 0 for k in range(4)) for i in range(4)]
+    # column j of the matrix is the image of e_j
+    m = w.matrix()
     for j in range(1, 5):
-        img = w.apply(basis[j - 1])
+        img = tuple(row[j - 1] for row in m)
         k = _act(w, j)
         assert img == tuple(
             (1 if k > 0 else -1) if idx == abs(k) - 1 else 0 for idx in range(4)
