@@ -72,8 +72,9 @@ TORI_LARGE = (
 
 #: Instances past |W| <= 5040 whose ``orbits`` output is fingerprinted.
 ORBITS_LARGE = (
-    [("SL2n", (4,))]
+    [("SL2n", (n,)) for n in (4, 5)]
     + [("Upq", (8 - q, q)) for q in range(1, 5)]
+    + [("Upq", (5, 4))]
     + [(f, (n,)) for f, ns in (("SOodd1", (5, 6, 7)), ("SOeven1", (7, 8))) for n in ns]
     + [("Restriction", (r,)) for r in (5, 6)]
 )

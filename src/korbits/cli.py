@@ -45,7 +45,7 @@ from .twisted import (
     involution_lengths,
     twisted_involutions,
 )
-from .weyl import SubgroupTooLarge, canonical_key
+from .weyl import SignedPerm, SubgroupTooLarge, canonical_key
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -145,15 +145,17 @@ def _cmd_classify_tori(spec: GroupSpec) -> _Answer:
 
 def _cmd_orbits(spec: GroupSpec) -> _Answer:
     report = descent_report(spec)
+    # A partner is another row's rep, and values repeat: render each once.
+    spell = functools.cache(SignedPerm.cycle_string)
     rows = [
         {
             "torus_class": row.torus_index,
-            "representative": row.rep.cycle_string(),
-            "springer_value": row.value.cycle_string(),
+            "representative": spell(row.rep),
+            "springer_value": spell(row.value),
             "length": orbit.length,
             "coset_size": orbit.coset_size,
             "field_of_definition": row.field,
-            "partner": None if row.partner is None else row.partner.cycle_string(),
+            "partner": None if row.partner is None else spell(row.partner),
         }
         for orbit, row in zip(orbit_parameters(spec), report.rows, strict=True)
     ]

@@ -5,7 +5,9 @@ permutation, not necessarily inside W) and a base element b of W.  The raw
 twist is w -> t w t^-1; the effective twist theta(w) = b^-1 t w t^-1 b must
 send simple reflections to simple reflections (checked on construction).
 The twisted involutions are {w in W : theta(w) w = e}, equivalently the
-solutions of (t w t^-1) b w = b.
+solutions of (t w t^-1) b w = b, and so, left multiplying by t^-1, of
+w u w = u for u = t^-1 b, which ``is_twisted_involution`` tests image by
+image.
 
 On that set the monoid generated by the simple reflections acts by
 
@@ -21,6 +23,11 @@ element and the length of every element by the kind of move that reached
 it; ``twisted_involutions``, ``involution_lengths``, ``image_set`` and
 ``ReachabilityGraph.build`` all read this sweep.  The twist of each simple
 reflection is computed once per context.
+
+The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
+t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images through
+lookups of t, w, w^-1 and t^-1 c, the last formed once per c, with no
+product in between.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .weyl import SignedPerm, WeylGroup, canonical_key, closure
+from .weyl import SignedPerm, WeylGroup, _signed_perm, canonical_key, closure
 
 Move = tuple[SignedPerm, int, SignedPerm]
 
@@ -80,6 +87,21 @@ class TwistContext:
     def _base_inverse(self) -> SignedPerm:
         return self.base.inverse()
 
+    @cached_property
+    def _twist_lookup(self) -> tuple[int, ...]:
+        return _lookup(self.twist)
+
+    @cached_property
+    def _untwisted_base(self) -> tuple[tuple[int, ...], list[int]]:
+        """u = t^-1 b, as a lookup and as its list of images."""
+        u = self._twist_inverse * self.base
+        return _lookup(u), list(u)
+
+    @cached_property
+    def _class_lookups(self) -> dict[SignedPerm, tuple[int, ...]]:
+        """t^-1 c as a lookup, for each torus class element c asked for."""
+        return {}
+
     def simples(self) -> tuple[SignedPerm, ...]:
         return self._simples
 
@@ -115,8 +137,21 @@ class TwistContext:
         return closure([one], step), tuple(moves), lengths
 
 
+def _lookup(w: SignedPerm) -> tuple[int, ...]:
+    """w by signed coordinate: ``_lookup(w)[x]`` is w(x) for x in +-1..rank,
+    since w(-x) = -w(x) sits at index -x from the end."""
+    return (0, *w, *[-v for v in reversed(w)])
+
+
 def is_twisted_involution(ctx: TwistContext, w: SignedPerm) -> bool:
-    return ctx.group.contains(w) and (ctx.theta(w) * w).is_identity()
+    """Whether w lies in W with theta(w) w = e, tested as w u w = u for
+    u = t^-1 b: theta(w) w = e reads t w t^-1 b w = b, and left
+    multiplication by t^-1 turns that into w u w = u."""
+    if not ctx.group.contains(w):
+        return False
+    u, images = ctx._untwisted_base
+    # (w u w)(j) = w(y) for y = u(w(j)), and w(-y) = -w(y).
+    return [w[y - 1] if (y := u[x]) > 0 else -w[-y - 1] for x in w] == images
 
 
 def twisted_involutions(ctx: TwistContext) -> frozenset[SignedPerm]:
@@ -159,11 +194,22 @@ def springer_value(
 ) -> SignedPerm:
     """Twisted-involution value attached to a parameter (torus_element, w).
 
-    The value is (t w t^-1)^-1 * c * w * b for conjugation twist t, torus
-    class element c and base b; it is always a twisted involution for the
-    context (checked).
+    The value is (t w t^-1)^-1 * c * w * b = t * w^-1 * (t^-1 c) * w * b
+    for conjugation twist t, torus class element c and base b.  Each image
+    v(j) = t(w^-1(d(w(b(j))))), with d = t^-1 c formed once per c, is read
+    through lookups, with no product in between.  The value is always a
+    twisted involution for the context, checked by ``is_twisted_involution``
+    as v u v = u for u = t^-1 b.
     """
-    value = ctx.theta_raw(w).inverse() * torus_element * w * ctx.base
+    d = ctx._class_lookups.get(torus_element)
+    if d is None:
+        d = ctx._class_lookups[torus_element] = _lookup(
+            ctx._twist_inverse * torus_element
+        )
+    t, fwd, back = ctx._twist_lookup, _lookup(w), [0] * (2 * len(w) + 1)
+    for j, x in enumerate(w, start=1):  # w(j) = x, so w^-1(x) = j
+        back[x], back[-x] = j, -j
+    value = _signed_perm([t[back[d[fwd[x]]]] for x in ctx.base])
     if not is_twisted_involution(ctx, value):
         raise ValueError(f"value {value} is not a twisted involution")
     return value

@@ -13,10 +13,14 @@ that entry.
 Positive roots are kept sparse, as (i, c_i, j, c_j) for c_i e_i + c_j e_j;
 ``positive_roots`` alone builds them as vectors.  Every positive root has
 leading nonzero coordinate +1, so w(alpha) is negative exactly when its
-coefficient at the smallest coordinate is: ``length`` reads that sign from
-two images per root, and ``is_left_ascent`` reads the sign of w^-1(alpha_s)
-from where the coordinates of alpha_s sit in w.  A rank past ``RANK_CAP``
-is refused before anything is allocated.  A ``CosetTable`` finds the canonical
+coefficient at the smallest coordinate is.  Summed over the roots, that
+makes ``length`` an inversion count with no list of roots (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, sec. 8.1): the inversions of |w|, plus 2
+for each a < b with |w_a| < |w_b| and w_a < 0, plus the number of w_a < 0
+in type B.  ``is_left_ascent`` reads the sign of w^-1(alpha_s) from where
+the coordinates of alpha_s sit in w.  Membership reads only the sign count
+and, for AxA, where the first block goes.  A rank past ``RANK_CAP`` is
+refused before anything is allocated.  A ``CosetTable`` finds the canonical
 (``canonical_key``-least) representative of each right coset of a subgroup
 as a minimal image, down a chain of pointwise stabilizers, and lists the
 representatives as the elements that minimal image fixes, with neither the
@@ -37,6 +41,7 @@ True
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -147,9 +152,6 @@ class SignedPerm(tuple):
     def signs(self) -> tuple[int, ...]:
         return tuple(1 if v > 0 else -1 for v in self)
 
-    def permutation(self) -> tuple[int, ...]:
-        return tuple(abs(v) for v in self)
-
     def matrix(self) -> list[list[int]]:
         m = [[0] * len(self) for _ in self]
         for j, v in enumerate(self):
@@ -158,25 +160,22 @@ class SignedPerm(tuple):
 
     def cycle_string(self) -> str:
         """Disjoint-cycle notation; sign flips appended as a +/- vector."""
-        perm = self.permutation()
-        seen = [False] * len(self)
+        # Each cycle is entered at its least coordinate, marking the rest.
+        seen = set()
         cycles = []
-        for start in range(1, len(self) + 1):
-            if seen[start - 1] or perm[start - 1] == start:
-                seen[start - 1] = True
+        for start, v in enumerate(self, start=1):
+            nxt = abs(v)
+            if nxt == start or start in seen:
                 continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = perm[start - 1]
+            cyc = [str(start)]
             while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = perm[nxt - 1]
-            cycles.append("(" + " ".join(str(c) for c in cyc) + ")")
-        body = "".join(cycles) if cycles else "e"
-        if any(v < 0 for v in self):
-            marks = "".join("+" if s > 0 else "-" for s in self.signs())
-            return f"{body}[{marks}]"
+                seen.add(nxt)
+                cyc.append(str(nxt))
+                nxt = abs(self[nxt - 1])
+            cycles.append("(" + " ".join(cyc) + ")")
+        body = "".join(cycles) or "e"
+        if min(self, default=1) < 0:
+            return body + "[" + "".join(["+" if v > 0 else "-" for v in self]) + "]"
         return body
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -286,11 +285,12 @@ class WeylGroup:
     # -- membership and sizes -------------------------------------------
 
     def contains(self, w: SignedPerm) -> bool:
-        return (
-            len(w) == self.rank
-            and self._allows(sum(v < 0 for v in w))
-            and all(abs(w[k]) - 1 in b for b in self._blocks for k in b)
-        )
+        """Whether w has the group's rank and sign rule, and for AxA (which
+        allows no signs) whether its first block keeps to 1..rank/2."""
+        if len(w) != self.rank or not self._allows(len([v for v in w if v < 0])):
+            return False
+        half = self.rank // 2
+        return len(self._blocks) == 1 or max(w[:half], default=0) <= half
 
     @cached_property
     def order(self) -> int:
@@ -341,14 +341,22 @@ class WeylGroup:
             raise RankMismatch(f"rank {w.rank} vs group rank {self.rank}")
         if not self.contains(w):
             raise NotInGroup(f"{w} is not in {self.describe()}")
-        # w(c_i e_i + c_j e_j) = c_i sign(x) e_|x| + c_j sign(y) e_|y| for
-        # x = w[i] and y = w[j]; it is negative when the term at the
-        # smaller coordinate is.
+        # For a < b, w sends e_a - e_b and e_a + e_b negative by the sign of
+        # the image at the smaller coordinate.  When |w_a| > |w_b| that is
+        # -w_b for one and w_b for the other: one inversion (e_a - e_b in A
+        # and AxA, whose images are positive).  Otherwise it is w_a for
+        # both: two when w_a < 0.  e_a (type B) goes negative when w_a does.
+        # Scanning right to left, ``later`` holds the |w_b| for b > a, sorted.
+        single = int(self._allows(1))
+        later: list[int] = []
         count = 0
-        for i, ci, j, cj in self._root_terms:
-            x, y = w[i], w[j]
-            if (ci * x if abs(x) <= abs(y) else cj * y) < 0:
-                count += 1
+        for x in reversed(w):
+            m = abs(x)
+            smaller = bisect.bisect_left(later, m)
+            count += smaller
+            if x < 0:
+                count += 2 * (len(later) - smaller) + single
+            later.insert(smaller, m)
         return count
 
     def is_left_ascent(self, s: SignedPerm, w: SignedPerm) -> bool:

@@ -59,6 +59,45 @@ def all_elements(kind: str, rank: int) -> frozenset[SignedPerm]:
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def naive_contains(kind: str, rank: int, w: SignedPerm) -> bool:
+    """Membership read from the kinds of ``all_elements``: the rank, the
+    sign changes allowed (none in A and AxA, an even number in D), and for
+    AxA each half of the coordinates kept to itself, image by image."""
+    flips = sum(v < 0 for v in w.images)
+    if len(w) != rank or (kind in ("A", "AxA") and flips) or (kind == "D" and flips % 2):
+        return False
+    half = rank // 2
+    return kind != "AxA" or all(
+        (abs(v) <= half) == (k < half) for k, v in enumerate(w.images)
+    )
+
+
+def naive_cycle_string(w: SignedPerm) -> str:
+    """Disjoint-cycle notation from the underlying permutation, each cycle
+    from its least coordinate; "e" when none moves; sign flips appended as
+    a +/- vector."""
+    perm = tuple(abs(v) for v in w.images)
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(1, len(perm) + 1):
+        if seen[start - 1] or perm[start - 1] == start:
+            seen[start - 1] = True
+            continue
+        cyc = [start]
+        seen[start - 1] = True
+        nxt = perm[start - 1]
+        while nxt != start:
+            cyc.append(nxt)
+            seen[nxt - 1] = True
+            nxt = perm[nxt - 1]
+        cycles.append("(" + " ".join(str(c) for c in cyc) + ")")
+    body = "".join(cycles) if cycles else "e"
+    if any(v < 0 for v in w.images):
+        marks = "".join("+" if v > 0 else "-" for v in w.images)
+        return f"{body}[{marks}]"
+    return body
+
+
 def naive_cosets(
     subgroup: Iterable[SignedPerm], group: Iterable[SignedPerm]
 ) -> frozenset[frozenset[SignedPerm]]:
@@ -195,6 +234,23 @@ def naive_monoid_star(
     if sas == a:
         return sa if length(sa) > length(a) else a
     return sas if length(sas) > length(a) else a
+
+
+def naive_springer_value(
+    ctx: TwistContext, torus_element: SignedPerm, w: SignedPerm
+) -> SignedPerm:
+    """The Springer value (t w t⁻¹)⁻¹·c·w·b by five products and an inverse,
+    checked as θ(v)·v = e with θ(v) = b⁻¹·t·v·t⁻¹·b and membership read
+    from the group's kind."""
+    t, b = ctx.twist, ctx.base
+    t_inv, b_inv = t.inverse(), b.inverse()
+    value = (t * w * t_inv).inverse() * torus_element * w * b
+    if not (
+        naive_contains(ctx.group.kind, ctx.group.rank, value)
+        and (b_inv * (t * value * t_inv) * b * value).is_identity()
+    ):
+        raise ValueError(f"value {value} is not a twisted involution")
+    return value
 
 
 def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

@@ -40,4 +40,4 @@ def test_large_tori_outputs_match_golden_hashes():
 
 
 def test_large_orbits_outputs_match_golden_hashes():
-    assert len(_assert_matches("golden_orbits_large.json", golden_orbits_large())) == 24
+    assert len(_assert_matches("golden_orbits_large.json", golden_orbits_large())) == 28

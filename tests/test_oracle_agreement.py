@@ -45,6 +45,7 @@ from oracle import (
     naive_galois_orbits,
     naive_length,
     naive_monoid_star,
+    naive_springer_value,
     naive_subgroup,
     naive_torus_classes,
     naive_twisted,
@@ -350,6 +351,26 @@ def test_randomized_instances_agree_with_oracles():
             frozenset(p) for p in pairs
         }
         assert len(fixed) + 2 * len(pairs) == group.order
+
+
+# -- Springer values against five products ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "case", SMALL + [("Upq", (4, 3)), ("SL2n", (4,))], ids=_instance_id
+)
+def test_springer_values_match_naive_products(case):
+    # every coset rep of a torus with W_K data, else every element of W
+    spec = cached_build(case[0], *case[1])
+    for i, desc in enumerate(spec.tori):
+        reps = (
+            all_elements(spec.group.kind, spec.group.rank)
+            if desc.wk is None
+            else coset_table(spec, i).reps
+        )
+        for w in reps:
+            naive = naive_springer_value(spec.context, desc.twist_class, w)
+            assert springer(spec, i, w) == naive
 
 
 # -- the two routes to the twisted-involution image ---------------------------

@@ -12,7 +12,7 @@ from korbits.twisted import (
     twisted_involutions,
 )
 from korbits.weyl import identity, sign_flip, symmetric_group
-from oracle import all_elements, naive_twisted, reachable_set
+from oracle import all_elements, naive_springer_value, naive_twisted, reachable_set
 from support import flip, perm, tr
 
 
@@ -116,6 +116,24 @@ def test_springer_value_formula():
 def test_springer_value_rejects_non_involution_values():
     with pytest.raises(ValueError):
         springer_value(CTX3, perm(2, 3, 1), identity(3))
+
+
+@pytest.mark.parametrize(
+    "torus_element,inside,message",
+    [
+        # v = c w0 = (2 3) lies in S3, but theta(v) v is not e
+        (perm(2, 3, 1), True, "value SignedPerm(1, 3, 2) is not a twisted involution"),
+        # a sign flip carries v = c w0 out of S3
+        (flip((1,), 3), False, "value SignedPerm(3, 2, -1) is not a twisted involution"),
+    ],
+)
+def test_springer_value_refusals_match_oracle(torus_element, inside, message):
+    # the twist of CTX3 is central, so at w = e the value is c b
+    assert CTX3.group.contains(torus_element * CTX3.base) is inside
+    for route in (springer_value, naive_springer_value):
+        with pytest.raises(ValueError) as err:
+            route(CTX3, torus_element, identity(3))
+        assert str(err.value) == message
 
 
 def test_reachability_graph():

@@ -1,7 +1,8 @@
+import functools
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from korbits.weyl import (
@@ -12,6 +13,7 @@ from korbits.weyl import (
     RankMismatch,
     SignedPerm,
     SubgroupTooLarge,
+    WeylGroup,
     canonical_key,
     closure,
     conjugacy_classes,
@@ -25,7 +27,7 @@ from korbits.weyl import (
     symmetric_group,
     transposition,
 )
-from oracle import all_elements, naive_length
+from oracle import all_elements, naive_contains, naive_cycle_string, naive_length
 from support import canon_blocks, flip, perm, tr
 
 
@@ -120,6 +122,28 @@ def test_cycle_string():
     assert SignedPerm((-2, 1)).cycle_string() == "(1 2)[-+]"
 
 
+@st.composite
+def marked_perms(draw, max_rank=12):
+    """Signed permutations of rank 0..max_rank, with all signs plus, all
+    minus or mixed, so that "e" and all-negative elements come up often."""
+    rank = draw(st.integers(0, max_rank))
+    images = draw(st.permutations(list(range(1, rank + 1))))
+    signs = draw(
+        st.sampled_from([(1,) * rank, (-1,) * rank])
+        | st.tuples(*[st.sampled_from((1, -1))] * rank)
+    )
+    return SignedPerm(tuple(s * v for s, v in zip(signs, images)))
+
+
+@given(marked_perms())
+@example(identity(12))
+@example(SignedPerm(range(-1, -13, -1)))
+@example(perm(-1, 3, 2, -4, 5))
+@example(perm(-2, -1, -3))
+def test_cycle_string_matches_oracle(w):
+    assert w.cycle_string() == naive_cycle_string(w)
+
+
 def test_from_one_line():
     assert from_one_line([3, 1, 2]) == perm(3, 1, 2)
     assert from_one_line((-1, 2)) == flip((1,), 2)
@@ -194,6 +218,49 @@ def test_length_matches_root_counting(group, order, npos):
         assert group.length(w) == naive_length(group.kind, group.rank, w)
 
 
+@st.composite
+def group_elements(draw, max_rank=10):
+    """A group of any kind at rank 1..max_rank (AxA at even ranks), and a
+    random element of it: each block permuted, signs by the kind's rule."""
+    kind = draw(st.sampled_from(["A", "B", "D", "AxA"]))
+    blocks = 2 if kind == "AxA" else 1
+    r = draw(st.integers(1, max_rank // blocks))
+    images = []
+    for b in range(blocks):
+        images += draw(st.permutations(list(range(b * r + 1, (b + 1) * r + 1))))
+    if kind in ("B", "D"):
+        signs = draw(st.tuples(*[st.sampled_from((1, -1))] * len(images)))
+        images = [s * v for s, v in zip(signs, images)]
+        if kind == "D" and signs.count(-1) % 2:
+            images[-1] = -images[-1]
+    return WeylGroup(kind, blocks * r), SignedPerm(images)
+
+
+@settings(max_examples=400)
+@given(group_elements())
+def test_length_matches_root_counting_at_ranks_up_to_ten(case):
+    group, w = case
+    assert group.contains(w)
+    assert group.length(w) == naive_length(group.kind, group.rank, w)
+
+
+@functools.cache
+def _members(kind, rank):
+    return all_elements(kind, rank)
+
+
+@pytest.mark.parametrize(
+    "kind,rank",
+    [(k, n) for k in ("A", "B", "D", "AxA") for n in range(6) if k != "AxA" or n % 2 == 0],
+)
+def test_membership_matches_enumeration(kind, rank):
+    # every signed permutation of the rank, in the group or not
+    group = WeylGroup(kind, rank)
+    members = _members(kind, rank)
+    for w in _members("B", rank):
+        assert group.contains(w) == (w in members) == naive_contains(kind, rank, w)
+
+
 @pytest.mark.parametrize("group,order,npos", GROUPS)
 def test_left_ascent_matches_root_counting(group, order, npos):
     lengths = {
@@ -213,6 +280,13 @@ def test_membership():
     assert not even_hyperoctahedral_group(2).contains(flip((1,), 2))
     assert product_symmetric_group(2).contains(perm(2, 1, 3, 4))
     assert not product_symmetric_group(2).contains(perm(3, 1, 2, 4))
+    # cross-block elements: the swap of the halves, one value crossing each
+    # way across the middle, and one crossing each way at the ends
+    assert not product_symmetric_group(2).contains(perm(3, 4, 1, 2))
+    assert not product_symmetric_group(3).contains(perm(4, 5, 6, 1, 2, 3))
+    assert not product_symmetric_group(3).contains(perm(1, 2, 4, 3, 5, 6))
+    assert not product_symmetric_group(3).contains(perm(6, 2, 3, 4, 5, 1))
+    assert product_symmetric_group(3).contains(perm(3, 1, 2, 6, 4, 5))
     with pytest.raises(NotInGroup):
         s3.length(flip((1,), 3))
     with pytest.raises(RankMismatch):
@@ -383,7 +457,7 @@ class TestSignConditionReadings:
 
         group = even_hyperoctahedral_group(n + 1)
         stabilizer = frozenset(
-            w for w in all_elements("D", n + 1) if w.permutation()[n] == n + 1
+            w for w in all_elements("D", n + 1) if abs(w[n]) == n + 1
         )
         assert len(stabilizer) == 2**n * math.factorial(n)
         assert group.order == len(stabilizer) * (n + 1)
