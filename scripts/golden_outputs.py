@@ -58,6 +58,9 @@ VERIFY_LARGE = (
     + [("Upq", (s - q, q)) for s in range(8, 13) for q in range(1, s // 2 + 1)]
     + [("SOodd1", (n,)) for n in range(6, 12)]
     + [("SOeven1", (n,)) for n in range(7, 9)]
+    + [("Ustar", (n,)) for n in range(4, 11)]
+    + [("Restriction", (r,)) for r in range(5, 13)]
+    + [("SL2n", (8,))]
 )
 
 #: Instances past |W| <= 5040 whose ``classify-tori`` output is fingerprinted.

@@ -12,9 +12,10 @@ order.
 For GL, SL(2n)/Sp and U(p,q) a torus is its list of disjoint index pairs:
 the twist class swaps each pair, and the realizer places one 2x2 block on
 each.  A descriptor keeps its realizer as the blocks it places and builds
-the dense matrix the first time it is read, which only ``verify`` does.
-The lattice involution of every family is the matrix of one signed
-permutation the builder already has.
+the dense matrix, and its inverse from the block's, when first read (only
+``verify`` reads them).  Each family's lattice involution, theta and Galois
+maps on matrices are given by signed permutations the builder already has,
+and conjugating a matrix by one relabels its entries.
 
 Families:
 
@@ -111,7 +112,8 @@ class TorusDescriptor:
     read.  ``realizer`` is the realizing matrix as the blocks it places,
     ``(size, block, places)``: ``block`` at each index tuple of ``places``
     inside the size x size identity; None when no realizer is known.
-    ``matrix`` is that dense matrix, built on first read."""
+    ``matrix`` is that dense matrix and ``matrix_inverse`` its inverse, the
+    inverse of ``block`` placed alike, each built on first read."""
 
     index: int
     twist_class: SignedPerm
@@ -128,15 +130,27 @@ class TorusDescriptor:
 
     @cached_property
     def matrix(self) -> ExactMatrix | None:
+        return self._placed(inverse=False)
+
+    @cached_property
+    def matrix_inverse(self) -> ExactMatrix | None:
+        return self._placed(inverse=True)
+
+    def _placed(self, inverse: bool) -> ExactMatrix | None:
         if self.realizer is None:
             return None
         size, block, places = self.realizer
+        block = block.inverse() if inverse else block
         return placed(size, [(idx, block) for idx in places])
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A symmetric pair with its complete orbit bookkeeping data."""
+    """A symmetric pair with its complete orbit bookkeeping data.
+
+    ``theta_map`` and ``galois_map`` are (P, invert): m -> P f(m) P^-1 for a
+    signed permutation P (None for e), with f the inverse transpose if
+    ``invert``, else the identity; Galois maps the conjugate (i -> -i) of m."""
 
     family: str
     params: tuple[int, ...]
@@ -147,6 +161,8 @@ class GroupSpec:
     tori: tuple[TorusDescriptor, ...]
     reference_orbit: tuple[int, SignedPerm]
     torus_structure: TorusStructure
+    theta_map: tuple[SignedPerm | None, bool]
+    galois_map: tuple[SignedPerm | None, bool]
 
     def descriptor(self, i: int) -> TorusDescriptor:
         if not 0 <= i < len(self.tori):
@@ -239,9 +255,9 @@ def _lattice(W: WeylGroup, w: SignedPerm) -> ThetaLattice:
     return ThetaLattice(W, tuple(map(tuple, w.matrix())))
 
 
-def _symplectic_j(n: int) -> ExactMatrix:
-    blk = ExactMatrix.from_rows([[0, 1], [-1, 0]])
-    return placed(2 * n, [((2 * j - 1, 2 * j), blk) for j in range(1, n + 1)])
+def _symplectic_j(n: int) -> SignedPerm:
+    """The symplectic form of rank 2n, (0 1; -1 0) on each pair (2j-1, 2j)."""
+    return SignedPerm(x for j in range(1, n + 1) for x in (-2 * j, 2 * j - 1))
 
 
 # -- family builders -------------------------------------------------------
@@ -266,6 +282,8 @@ def _gl_spec(n: int) -> GroupSpec:
         tori=tori,
         reference_orbit=(0, identity(n)),
         torus_structure=diagonal_structure(n),
+        theta_map=(None, True),
+        galois_map=(None, False),
     )
 
 
@@ -315,6 +333,8 @@ def _sl2n_spec(n: int) -> GroupSpec:
         tori=tuple(tori),
         reference_orbit=(0, identity(r)),
         torus_structure=diagonal_structure(r),
+        theta_map=(_symplectic_j(n), True),
+        galois_map=(None, False),
     )
 
 
@@ -324,6 +344,7 @@ def _ustar_spec(n: int) -> GroupSpec:
     pairs = _circular_pairs(n)
     ctx = TwistContext(W, _swaps(pairs, r, -1), _swaps(pairs, r) * W.longest_element())
     tori = (TorusDescriptor(index=0, twist_class=identity(r)),)
+    j = _symplectic_j(n)
     return GroupSpec(
         family="Ustar",
         params=(n,),
@@ -334,6 +355,8 @@ def _ustar_spec(n: int) -> GroupSpec:
         tori=tori,
         reference_orbit=(0, identity(r)),
         torus_structure=diagonal_structure(r),
+        theta_map=(j, True),
+        galois_map=(j, False),
     )
 
 
@@ -368,6 +391,8 @@ def _soodd1_spec(n: int) -> GroupSpec:
         tori=tori,
         reference_orbit=(0, transposition(1, rank, rank)),
         torus_structure=structure,
+        theta_map=(sign_flip([2 * rank], 2 * rank), False),
+        galois_map=(None, False),
     )
 
 
@@ -412,6 +437,8 @@ def _soeven1_spec(n: int) -> GroupSpec:
         tori=tori,
         reference_orbit=(1, ref_rep),
         torus_structure=structure,
+        theta_map=(sign_flip([size], size), False),
+        galois_map=(None, False),
     )
 
 
@@ -453,6 +480,7 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         w_ref[n - j] = n - q + j
     for a in range(1, p - q + 1):
         w_ref[q + a - 1] = a
+    signature = sign_flip(range(p + 1, n + 1), n)
     return GroupSpec(
         family="Upq",
         params=(p, q),
@@ -463,6 +491,8 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         tori=tuple(tori),
         reference_orbit=(0, from_one_line(w_ref)),
         torus_structure=diagonal_structure(n),
+        theta_map=(signature, False),
+        galois_map=(signature, True),
     )
 
 
@@ -492,6 +522,8 @@ def _restriction_spec(r: int) -> GroupSpec:
         tori=tori,
         reference_orbit=(0, ref),
         torus_structure=diagonal_structure(rank),
+        theta_map=(tau, False),
+        galois_map=(None, False),
     )
 
 
@@ -555,40 +587,20 @@ def orbit_parameters(spec: GroupSpec) -> tuple[OrbitParam, ...]:
 # -- matrix-level involutions ----------------------------------------------
 
 
+def _apply_map(data: tuple[SignedPerm | None, bool], m: ExactMatrix) -> ExactMatrix:
+    perm, invert = data
+    m = m.transpose().inverse() if invert else m
+    return m if perm is None else m.permuted(perm)
+
+
 def theta_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
     """The group involution, applied to a matrix point."""
-    fam = spec.family
-    if fam == "GL":
-        return m.transpose().inverse()
-    if fam in ("SL2n", "Ustar"):
-        j = _symplectic_j(spec.params[0])
-        return j * m.transpose().inverse() * j.inverse()
-    if fam in ("SOodd1", "SOeven1"):
-        q = ExactMatrix.diagonal([1] * (spec.torus_structure.size - 1) + [-1])
-        return q * m * q
-    if fam == "Upq":
-        p, qq = spec.params
-        j = ExactMatrix.diagonal([1] * p + [-1] * qq)
-        return j * m * j
-    if fam == "Restriction":
-        r = spec.params[0]
-        swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        pi = placed(2 * r, [((j, r + j), swap) for j in range(1, r + 1)])
-        return pi * m * pi
-    raise InvalidParams(f"no matrix involution for family {fam}")
+    return _apply_map(spec.theta_map, m)
 
 
 def galois_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
     """The Galois conjugation of the quadratic extension, on matrices."""
-    fam = spec.family
-    if fam == "Ustar":
-        j = _symplectic_j(spec.params[0])
-        return j * m.conjugate() * j.inverse()
-    if fam == "Upq":
-        p, qq = spec.params
-        j = ExactMatrix.diagonal([1] * p + [-1] * qq)
-        return j * m.conj_transpose().inverse() * j
-    return m.conjugate()
+    return _apply_map(spec.galois_map, m.conjugate())
 
 
 # -- claim verification ------------------------------------------------------
@@ -637,18 +649,12 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     ``SubgroupTooLarge`` rather than reporting a failure."""
     claims: list[ClaimResult] = []
     struct = spec.torus_structure
-    # One instance per distinct structure, so each diagonalizer is inverted once.
-    shared = {struct: struct}
-
-    def share(s: TorusStructure) -> TorusStructure:
-        return shared.setdefault(s, s)
-
     sample = struct.sample_point()
     point = struct.embed(sample)
     # U(p,q)'s lattice involution is split by the realizer of torus 0.
-    realizer = spec.tori[0].matrix if spec.family == "Upq" else None
-    if realizer is not None:
-        point = realizer * point * realizer.inverse()
+    split = spec.tori[0] if spec.family == "Upq" else None
+    if split is not None:
+        point = split.matrix * point * split.matrix_inverse
 
     def involution():
         return theta_matrix(spec, theta_matrix(spec, point)) == point, ""
@@ -657,23 +663,23 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
 
     def lattice_match():
         moved = theta_matrix(spec, point)
-        if realizer is not None:
-            moved = realizer.inverse() * moved * realizer
+        if split is not None:
+            moved = split.matrix_inverse * moved * split.matrix
         got = struct.extract(moved)
         return got == _lattice_transform(spec, sample), ""
 
     _run_claim(claims, "theta-matches-lattice-involution", lattice_match)
 
     if spec.family == "SL2n":
-        _verify_block_realizer(claims, share)
+        _verify_block_realizer(claims)
     if spec.family in ("GL", "SL2n", "Upq"):
-        _verify_tori(spec, claims, share)
+        _verify_tori(spec, claims)
     elif spec.family == "SOeven1":
-        _verify_soeven1(spec, claims, share)
+        _verify_soeven1(spec, claims)
     return tuple(claims)
 
 
-def _verify_block_realizer(claims: list[ClaimResult], share) -> None:
+def _verify_block_realizer(claims: list[ClaimResult]) -> None:
     def gbl_det():
         d = GBL.det()
         return d == G1, f"det = {d}"
@@ -681,21 +687,21 @@ def _verify_block_realizer(claims: list[ClaimResult], share) -> None:
     _run_claim(claims, "block-realizer-det-one", gbl_det)
 
     def gbl_cocycle():
-        w = share(diagonal_structure(2)).to_weyl(GBL.inverse() * GBL.conjugate())
+        w = diagonal_structure(2).to_weyl(GBL.inverse() * GBL.conjugate())
         return w == transposition(1, 2, 2), f"weyl = {w.cycle_string()}"
 
     _run_claim(claims, "block-realizer-galois-cocycle", gbl_cocycle)
 
 
-def _verify_tori(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
+def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     """Four claims per torus realizer g: det g is a unit, g^-1 theta(g)
     (theta(g) = g for SL2n) and g^-1 Galois(g) give the twist class, and g
     conjugates the diagonal torus into the block shape of the descriptor's
     pairs (circular for GL and SL2n, hyperbolic for U(p,q))."""
     n = spec.torus_structure.size
-    diag = share(diagonal_structure(n))
+    diag = diagonal_structure(n)
     for desc in spec.tori:
-        g = desc.matrix
+        g, g_inv = desc.matrix, desc.matrix_inverse
         i = desc.index
         pairs = desc.realizer[2]
         if spec.family == "Upq":
@@ -720,14 +726,14 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
             _run_claim(claims, f"torus-{i}-realizer-theta-fixed", theta_fixed)
         else:
 
-            def theta_cocycle(g=g, c=desc.twist_class):
-                w = diag.to_weyl(g.inverse() * theta_matrix(spec, g))
+            def theta_cocycle(g=g, g_inv=g_inv, c=desc.twist_class):
+                w = diag.to_weyl(g_inv * theta_matrix(spec, g))
                 return w == c, f"weyl = {w.cycle_string()}"
 
             _run_claim(claims, f"torus-{i}-theta-cocycle", theta_cocycle)
 
-        def galois_cocycle(g=g, c=desc.twist_class):
-            w = diag.to_weyl(g.inverse() * galois_matrix(spec, g))
+        def galois_cocycle(g=g, g_inv=g_inv, c=desc.twist_class):
+            w = diag.to_weyl(g_inv * galois_matrix(spec, g))
             return w == c, f"weyl = {w.cycle_string()}"
 
         _run_claim(claims, f"torus-{i}-galois-cocycle", galois_cocycle)
@@ -736,26 +742,24 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
         units = tuple(("pair2", a, b, style) for a, b in pairs) + tuple(
             ("coord", k) for k in range(1, n + 1) if k not in in_pairs
         )
-        hstruct = share(TorusStructure(n, units))
+        hstruct = TorusStructure(n, units)
 
-        def shape(g=g, hstruct=hstruct):
+        def shape(g=g, g_inv=g_inv, hstruct=hstruct):
             vals = diag.sample_point()
-            got = hstruct.extract(g * ExactMatrix.diagonal(vals) * g.inverse())
+            got = hstruct.extract(g * ExactMatrix.diagonal(vals) * g_inv)
             return got == _slot_reorder(hstruct, vals), ""
 
         _run_claim(claims, f"torus-{i}-conjugate-shape", shape)
 
 
-def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
+def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     n = spec.params[0]
     size = spec.torus_structure.size
-    g = spec.tori[1].matrix
-    fundamental = share(
-        TorusStructure(
-            size,
-            tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))
-            + (("trivial", size),),
-        )
+    g, g_inv = spec.tori[1].matrix, spec.tori[1].matrix_inverse
+    fundamental = TorusStructure(
+        size,
+        tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))
+        + (("trivial", size),),
     )
 
     def det_one():
@@ -771,20 +775,20 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
     _run_claim(claims, "split-realizer-preserves-form", form)
 
     def cocycle_exact():
-        z = g.inverse() * theta_matrix(spec, g)
+        z = g_inv * theta_matrix(spec, g)
         want = ExactMatrix.diagonal([1] * (size - 2) + [-1, -1])
         return z == want, ""
 
     _run_claim(claims, "split-theta-cocycle-exact", cocycle_exact)
 
     def cocycle_weyl():
-        w = fundamental.to_weyl(g.inverse() * theta_matrix(spec, g))
+        w = fundamental.to_weyl(g_inv * theta_matrix(spec, g))
         return w == sign_flip([n], n), f"weyl = {w.images}"
 
     _run_claim(claims, "split-theta-cocycle-weyl", cocycle_weyl)
 
     def galois_weyl():
-        w = fundamental.to_weyl(g.inverse() * galois_matrix(spec, g))
+        w = fundamental.to_weyl(g_inv * galois_matrix(spec, g))
         return (
             w == sign_flip([n], n) and coset_table(spec, 1).canon(w).is_identity(),
             f"weyl = {w.images}",
@@ -794,7 +798,7 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult], share) -> None:
 
     def shape():
         vals = fundamental.sample_point()
-        got = spec.torus_structure.extract(g * fundamental.embed(vals) * g.inverse())
+        got = spec.torus_structure.extract(g * fundamental.embed(vals) * g_inv)
         want = vals[: n - 1] + (vals[n - 1].inverse(),)
         return got == want, ""
 

@@ -90,11 +90,13 @@ def fixed_and_pairs(
     action: GaloisAction,
 ) -> tuple[tuple[SignedPerm, ...], tuple[tuple[SignedPerm, SignedPerm], ...]]:
     """Split a conjugation action into fixed points and swapped pairs."""
+    name, domain = action.name or "action", set(action.domain)
+    for w in action.domain:
+        if action.mapping.get(w) not in domain:
+            raise NotAnInvolution(f"{name} does not map {w} into its domain")
     for w in action.domain:
         if action.mapping[action.mapping[w]] != w:
-            raise NotAnInvolution(
-                f"{action.name or 'action'} does not square to the identity at {w}"
-            )
+            raise NotAnInvolution(f"{name} does not square to the identity at {w}")
     fixed: list[SignedPerm] = []
     pairs: list[tuple[SignedPerm, SignedPerm]] = []
     seen: set[SignedPerm] = set()

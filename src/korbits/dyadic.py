@@ -7,10 +7,12 @@ Gaussian-dyadic entries.  Matrix products, determinants and inverses work on
 Gaussian integers sharing one power-of-two exponent; determinants and
 inverses come from one fraction-free (Bareiss) elimination over Z[i], whose
 divisions are exact, and an inverse exists only for a unit determinant.
-``TorusStructure`` describes how a diagonalizable torus sits inside matrices
-(plain diagonal, rotation-style 2x2 blocks, or norm-one blocks carrying
-inverse-paired eigenvalues) and converts torus-normalizing monomial matrices
-into signed permutations.
+Conjugation by a signed permutation (``permuted``) relabels entries, with no
+product or elimination.  ``TorusStructure`` describes how a diagonalizable
+torus sits inside matrices (plain diagonal, rotation-style 2x2 blocks, or
+norm-one blocks carrying inverse-paired eigenvalues), inverts its
+diagonalizer through its blocks, and converts torus-normalizing monomial
+matrices into signed permutations.
 """
 
 from __future__ import annotations
@@ -300,8 +302,14 @@ class ExactMatrix:
             tuple(tuple(a.conjugate() for a in row) for row in self.entries)
         )
 
-    def conj_transpose(self) -> "ExactMatrix":
-        return self.conjugate().transpose()
+    def permuted(self, w: SignedPerm) -> "ExactMatrix":
+        """P * self * P^-1 for the matrix P of w: entry (a, b) moves to
+        (|w(a)|, |w(b)|), negated when w flips the sign of just one of a, b."""
+        src = [(abs(x) - 1, x > 0) for x in w.inverse()]
+        rows = [(self.entries[a], sa) for a, sa in src]
+        return ExactMatrix(
+            tuple(tuple(r[b] if sa == sb else -r[b] for b, sb in src) for r, sa in rows)
+        )
 
     def is_diagonal(self) -> bool:
         return all(
@@ -369,6 +377,10 @@ def placed(
 UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 #: Diagonalizer for symmetric blocks (a c; c a) -> diag(a+c, a-c).
 _U_HYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
+#: Each block style's diagonalizer with its inverse, inverted once here.
+_BLOCKS = {
+    k: (u, u.inverse()) for k, u in (("circular", UCIRC), ("hyperbolic", _U_HYP))
+}
 
 
 @dataclass(frozen=True)
@@ -432,13 +444,12 @@ class TorusStructure:
 
     @cached_property
     def _diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix]:
-        """(U, U^-1) with U^-1 * torus * U diagonal."""
+        """(U, U^-1) with U^-1 * torus * U diagonal, each placing blocks."""
         pairs = [u for u in self.units if u[0] in ("pair1", "pair2")]
-        U = placed(
-            self.size,
-            [(u[1:3], UCIRC if u[3] == "circular" else _U_HYP) for u in pairs],
+        return tuple(
+            placed(self.size, [(u[1:3], _BLOCKS[u[3]][k]) for u in pairs])
+            for k in (0, 1)
         )
-        return U, U.inverse()
 
     def embed(self, values: Sequence[DyadicGauss]) -> ExactMatrix:
         """Torus point with the given coordinate values (pair1 values must

@@ -22,7 +22,8 @@ context computes that closure once, recording every move that changes an
 element and the length of every element by the kind of move that reached
 it; ``twisted_involutions``, ``involution_lengths``, ``image_set`` and
 ``ReachabilityGraph.build`` all read this sweep.  The twist of each simple
-reflection is computed once per context.
+reflection is computed once per context, as the reflection in the image of
+its simple root.
 
 The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
 t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images through
@@ -66,26 +67,15 @@ class TwistContext:
             raise ValueError("base element must lie in the group")
         if not (self.theta_raw(self.base) * self.base).is_identity():
             raise ValueError("twist of the base times the base must be e")
-        if not set(self._simple_theta.values()) <= set(self._simple_theta):
-            raise ValueError(
-                "effective twist does not permute the simple reflections"
-            )
+        self._simple_theta  # raises unless theta permutes the simple reflections
 
     def theta_raw(self, w: SignedPerm) -> SignedPerm:
         """``t * w * t^-1``."""
         return self.twist * w * self._twist_inverse
 
-    def theta(self, w: SignedPerm) -> SignedPerm:
-        """Effective twist: conjugation followed by base translation."""
-        return self._base_inverse * self.theta_raw(w) * self.base
-
     @cached_property
     def _twist_inverse(self) -> SignedPerm:
         return self.twist.inverse()
-
-    @cached_property
-    def _base_inverse(self) -> SignedPerm:
-        return self.base.inverse()
 
     @cached_property
     def _twist_lookup(self) -> tuple[int, ...]:
@@ -102,16 +92,28 @@ class TwistContext:
         """t^-1 c as a lookup, for each torus class element c asked for."""
         return {}
 
-    def simples(self) -> tuple[SignedPerm, ...]:
-        return self._simples
-
-    @cached_property
-    def _simples(self) -> tuple[SignedPerm, ...]:
-        return self.group.simple_reflections()
-
     @cached_property
     def _simple_theta(self) -> dict[SignedPerm, SignedPerm]:
-        return {s: self.theta(s) for s in self.simples()}
+        """theta(s) for each simple reflection s.  theta is conjugation by
+        g = b^-1 t, so theta(s) is the reflection in the root g(alpha_s),
+        looked up among the simple roots."""
+        terms = self.group._simple_terms
+        simple_of = {term: s for s, term in terms.items()}
+        g = self.base.inverse() * self.twist
+        out = {}
+        for s, (i, ci, j, cj) in terms.items():
+            # g(c e_k) = c * sign(g_k) e_|g_k|; order the coordinates and
+            # take the root with leading coefficient +1.
+            (a, ca), (b, cb) = sorted(
+                (abs(g[k]) - 1, c if g[k] > 0 else -c) for k, c in ((i, ci), (j, cj))
+            )
+            image = simple_of.get((a, 1, b, ca * cb))
+            if image is None:
+                raise ValueError(
+                    "effective twist does not permute the simple reflections"
+                )
+            out[s] = image
+        return out
 
     @cached_property
     def _sweep(

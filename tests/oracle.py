@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from korbits.catalog import GroupSpec, coset_table
-from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit
+from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit, placed
 from korbits.twisted import TwistContext, monoid_star
 from korbits.weyl import SignedPerm
 
@@ -253,6 +253,56 @@ def naive_springer_value(
     return value
 
 
+def naive_theta(ctx: TwistContext, w: SignedPerm) -> SignedPerm:
+    """The effective twist θ(w) = b⁻¹·t·w·t⁻¹·b by four products and two
+    inverses."""
+    t, b = ctx.twist, ctx.base
+    return b.inverse() * t * w * t.inverse() * b
+
+
+def _symplectic_j(n: int) -> ExactMatrix:
+    """The dense symplectic form of rank 2n: (0 1; -1 0) on each pair."""
+    blk = ExactMatrix.from_rows([[0, 1], [-1, 0]])
+    return placed(2 * n, [((2 * j - 1, 2 * j), blk) for j in range(1, n + 1)])
+
+
+def naive_theta_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
+    """The group involution on matrices, family by family, by dense products
+    with J, the signature and the block swap, and dense inverses."""
+    fam = spec.family
+    if fam == "GL":
+        return m.transpose().inverse()
+    if fam in ("SL2n", "Ustar"):
+        j = _symplectic_j(spec.params[0])
+        return j * m.transpose().inverse() * j.inverse()
+    if fam in ("SOodd1", "SOeven1"):
+        q = ExactMatrix.diagonal([1] * (spec.torus_structure.size - 1) + [-1])
+        return q * m * q
+    if fam == "Upq":
+        p, qq = spec.params
+        j = ExactMatrix.diagonal([1] * p + [-1] * qq)
+        return j * m * j
+    if fam == "Restriction":
+        r = spec.params[0]
+        swap = ExactMatrix.from_rows([[0, 1], [1, 0]])
+        pi = placed(2 * r, [((j, r + j), swap) for j in range(1, r + 1)])
+        return pi * m * pi
+    raise ValueError(f"no matrix involution for family {fam}")
+
+
+def naive_galois_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
+    """The Galois conjugation on matrices, family by family, dense."""
+    fam = spec.family
+    if fam == "Ustar":
+        j = _symplectic_j(spec.params[0])
+        return j * m.conjugate() * j.inverse()
+    if fam == "Upq":
+        p, qq = spec.params
+        j = ExactMatrix.diagonal([1] * p + [-1] * qq)
+        return j * m.conjugate().transpose().inverse() * j
+    return m.conjugate()
+
+
 def _matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
@@ -461,7 +511,7 @@ def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
     seen, todo = {a}, [a]
     while todo:
         x = todo.pop()
-        for s in ctx.simples():
+        for s in ctx.group.simple_reflections():
             y = monoid_star(ctx, s, x)
             if y not in seen:
                 seen.add(y)

@@ -21,7 +21,13 @@ from korbits.catalog import (
 from korbits.dyadic import ExactMatrix, TorusStructure, placed
 from korbits.twisted import is_twisted_involution, twisted_involutions
 from korbits.weyl import canonical_key, enumerate_subgroup
-from oracle import all_elements, naive_cosets
+from oracle import (
+    all_elements,
+    naive_cosets,
+    naive_galois_matrix,
+    naive_inverse,
+    naive_theta_matrix,
+)
 from support import cached_build, flip, perm, tr
 
 SMALL = [
@@ -309,7 +315,7 @@ def test_theta_and_galois_matrices_gl():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ustar_galois_matrix_is_quaternionic(n):
-    # no CLI query reaches the U*(2n) branch: J conj(m) J^-1, an involution
+    # no CLI query reads U*(2n)'s Galois map: J conj(m) J^-1, an involution
     # commuting with theta, and not the plain conjugation
     spec = cached_build("Ustar", n)
     struct = spec.torus_structure
@@ -320,6 +326,44 @@ def test_ustar_galois_matrix_is_quaternionic(n):
         assert galois_matrix(spec, gm) == m
         assert galois_matrix(spec, theta_matrix(spec, m)) == theta_matrix(spec, gm)
         assert gm != m.conjugate()
+
+
+MATRIX_MAPS = SMALL + [
+    ("GL", (5,)),
+    ("SL2n", (3,)),
+    ("Ustar", (3,)),
+    ("SOodd1", (3,)),
+    ("SOeven1", (3,)),
+    ("Upq", (3, 2)),
+    ("Restriction", (3,)),
+]
+
+
+@pytest.mark.parametrize("family,params", MATRIX_MAPS)
+def test_matrix_maps_match_the_dense_formulas(family, params):
+    """theta and Galois as signed-permutation data agree with the dense
+    products of the oracle on the sample point, on every realizer and on
+    each realizer times the sample point."""
+    spec = build(family, *params)
+    struct = spec.torus_structure
+    point = struct.embed(struct.sample_point())
+    points = [point]
+    for desc in spec.tori:
+        if desc.realizer is not None:
+            points += [desc.matrix, desc.matrix * point]
+    for m in points:
+        assert theta_matrix(spec, m) == naive_theta_matrix(spec, m)
+        assert galois_matrix(spec, m) == naive_galois_matrix(spec, m)
+
+
+@pytest.mark.parametrize("family,params", SMALL)
+def test_realizer_inverse_is_placed_from_its_block(family, params):
+    spec = build(family, *params)
+    for desc in spec.tori:
+        if desc.realizer is None:
+            assert desc.matrix_inverse is None
+        else:
+            assert desc.matrix_inverse == naive_inverse(desc.matrix)
 
 
 def test_upq_theta_matrix_is_signature_conjugation():
@@ -335,20 +379,31 @@ def test_gl_twisted_set_matches_context():
     assert inv == {perm(1, 2, 3), perm(2, 3, 1), perm(3, 1, 2), perm(3, 2, 1)}
 
 
-@pytest.mark.parametrize("family,params", [("GL", (4,)), ("Upq", (3, 2))])
+@pytest.mark.parametrize(
+    "family,params", [("GL", (4,)), ("Upq", (3, 2)), ("SL2n", (3,)), ("SOeven1", (4,))]
+)
 def test_verify_inverts_each_distinct_diagonalizer_once(family, params, monkeypatch):
-    """Both instances use three distinct torus structures (the diagonal one
-    twice over), so one verify call builds three diagonalizers."""
-    built = []
+    """Each diagonalizer block is inverted once, when the module is imported;
+    ``verify`` passes no diagonalizer and no torus realizer to
+    ``ExactMatrix.inverse``, but places the inverses of their blocks."""
+    built, inverted = [], []
     original = TorusStructure.__dict__["_diagonalizer"].func
 
     def counting(self):
-        built.append(self)
-        return original(self)
+        pair = original(self)
+        built.append(pair[0])
+        return pair
 
     prop = functools.cached_property(counting)
     prop.__set_name__(TorusStructure, "_diagonalizer")
     monkeypatch.setattr(TorusStructure, "_diagonalizer", prop)
-    claims = verify_matrix_claims(build(family, *params))
+    real_inverse = ExactMatrix.inverse
+    monkeypatch.setattr(
+        ExactMatrix, "inverse", lambda m: inverted.append(m) or real_inverse(m)
+    )
+    spec = build(family, *params)
+    claims = verify_matrix_claims(spec)
     assert all(c.ok for c in claims)
-    assert len(built) == len(set(built)) == 3
+    kept = built + [d.matrix for d in spec.tori if d.realizer is not None]
+    assert len(kept) > len(spec.tori)
+    assert not [m for m in inverted if any(m is k for k in kept)]

@@ -11,13 +11,15 @@ The second half checks that realizers are built only when read: only
 first read too, and never for a refused instance.
 """
 
+from collections import Counter
+
 import pytest
 
 import korbits.catalog as catalog
 import korbits.cli as cli
 from korbits.catalog import GBL, HSPLIT, M3, build, verify_matrix_claims
 from korbits.dyadic import UCIRC, placed
-from korbits.weyl import identity
+from korbits.weyl import SignedPerm, identity
 from support import flip, tr
 
 
@@ -147,7 +149,6 @@ def test_builder_data_matches_literal_construction(family, params, expect):
 
 # -- realizers are built on demand ---------------------------------------------
 
-REALIZER_BLOCKS = (UCIRC, GBL, HSPLIT, M3)
 ON_DEMAND = [
     ("GL", ["--n", "6"]),
     ("SL2n", ["--n", "3"]),
@@ -186,12 +187,17 @@ def test_verify_builds_each_realizer_once(family, args, placed_calls):
     spec = build(family, *(int(a) for a in args[1::2]))
     verify_matrix_claims(spec)
     verify_matrix_claims(spec)
-    # realizer calls: blocks from the realizer table, or none (an identity);
-    # the symplectic form of SL(2n) is placed too, but is no realizer
-    realizer_calls = [
-        c for c in placed_calls if all(block in REALIZER_BLOCKS for _, block in c)
-    ]
-    assert len(realizer_calls) == sum(d.realizer is not None for d in spec.tori)
+    # each descriptor places its block once for the realizer and the block's
+    # inverse once for the realizer's inverse (both empty for an identity)
+    expect = Counter()
+    for d in spec.tori:
+        if d.realizer is not None:
+            _, block, places = d.realizer
+            for b in (block, block.inverse()):
+                expect[tuple((tuple(idx), b) for idx in places)] += 1
+    got = Counter(tuple((tuple(idx), b) for idx, b in call) for call in placed_calls)
+    assert got == expect
+    assert sum(expect.values()) == 2 * sum(d.realizer is not None for d in spec.tori)
 
 
 def test_gl_513_orbits_refuses_without_building_realizers(placed_calls, capsys):
@@ -218,6 +224,19 @@ def test_sl2n_128_orbits_refuses_without_building_wk_lists(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: instance too large to enumerate: |S256| = ")
     assert built == []
+
+
+def test_upq_1000_24_builds_with_few_products(monkeypatch):
+    """The twist of each of the 1023 simple reflections is a root lookup,
+    not a product: the whole spec takes a handful of products."""
+    products = []
+    real = SignedPerm.__mul__
+    monkeypatch.setattr(
+        SignedPerm, "__mul__", lambda w, v: products.append(1) or real(w, v)
+    )
+    spec = build("Upq", 1000, 24)
+    assert len(spec.context._simple_theta) == 1023
+    assert 0 < len(products) <= 8
 
 
 def test_wk_generators_are_built_once_on_first_read(monkeypatch):

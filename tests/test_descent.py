@@ -85,6 +85,18 @@ def test_fixed_and_pairs_rejects_non_involutions():
         fixed_and_pairs(cyclic)
 
 
+def test_fixed_and_pairs_rejects_points_outside_the_mapping():
+    """A point sent outside the domain, or given no image, is named in a
+    NotAnInvolution, never a KeyError."""
+    a, b, c = perm(1, 2, 3), perm(2, 3, 1), perm(3, 1, 2)
+    escapes = GaloisAction(domain=(a, b), mapping={a: c, b: b}, name="escapes")
+    with pytest.raises(NotAnInvolution, match=r"^escapes does not map SignedPerm\(1, 2, 3"):
+        fixed_and_pairs(escapes)
+    partial = GaloisAction(domain=(a, b), mapping={a: b})
+    with pytest.raises(NotAnInvolution, match=r"^action does not map SignedPerm\(2, 3, 1"):
+        fixed_and_pairs(partial)
+
+
 def test_fixed_and_pairs_counts():
     a, b, c = perm(1, 2, 3), perm(2, 3, 1), perm(3, 1, 2)
     action = GaloisAction(domain=(a, b, c), mapping={a: a, b: c, c: b})

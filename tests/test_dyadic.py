@@ -18,6 +18,7 @@ from korbits.dyadic import (
     NotAUnit,
     NotMonomial,
     TorusStructure,
+    _BLOCKS,
     diagonal_structure,
 )
 from korbits.weyl import SignedPerm
@@ -305,9 +306,47 @@ def test_non_square_det_raises(nr, nc, data):
         naive_det(m)
 
 
+@st.composite
+def _signed_perms(draw, n):
+    images = draw(st.permutations(range(1, n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return SignedPerm(s * v for s, v in zip(signs, images))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(_signed_perms(n), _square(n))))
+def test_permuted_is_conjugation_by_the_signed_permutation_matrix(case):
+    w, rows = case
+    m = ExactMatrix.from_rows(rows)
+    p = ExactMatrix.from_rows(w.matrix())
+    assert m.permuted(w) == p * m * naive_inverse(p)
+
+
+@pytest.mark.parametrize("style", sorted(_BLOCKS))
+def test_diagonalizer_blocks_come_with_their_inverses(style):
+    u, u_inv = _BLOCKS[style]
+    assert u * u_inv == ExactMatrix.diagonal([1, 1])
+    assert u_inv == naive_inverse(u)
+
+
+def test_diagonalizer_inverse_is_placed_from_its_blocks():
+    struct = TorusStructure(
+        6,
+        (
+            ("pair2", 1, 4, "circular"),
+            ("coord", 2),
+            ("pair1", 3, 6, "hyperbolic"),
+            ("trivial", 5),
+        ),
+    )
+    u, u_inv = struct._diagonalizer
+    assert u * u_inv == ExactMatrix.diagonal([1] * 6)
+    assert u_inv == naive_inverse(u)
+
+
 def test_conj_transpose():
     m = ExactMatrix.from_rows([[DyadicGauss.of(1, 2), G1], [GI, D0]])
-    assert m.conj_transpose() == ExactMatrix.from_rows(
+    assert m.conjugate().transpose() == ExactMatrix.from_rows(
         [[DyadicGauss.of(1, -2), -GI], [G1, D0]]
     )
 

@@ -47,6 +47,7 @@ from oracle import (
     naive_monoid_star,
     naive_springer_value,
     naive_subgroup,
+    naive_theta,
     naive_torus_classes,
     naive_twisted,
     reachable_set,
@@ -134,8 +135,8 @@ def test_monoid_star_matches_length_comparison(case):
     def length(w):
         return naive_length(group.kind, group.rank, w)
 
-    for s in ctx.simples():
-        theta_s = ctx.theta(s)
+    for s in ctx.group.simple_reflections():
+        theta_s = naive_theta(ctx, s)
         for a in twisted_involutions(ctx):
             assert monoid_star(ctx, s, a) == naive_monoid_star(length, s, theta_s, a)
 
@@ -419,7 +420,7 @@ def test_twisted_layer_never_enumerates_the_group(case):
     moves = {
         (a, idx, b)
         for a in naive
-        for idx, s in enumerate(ctx.simples(), start=1)
+        for idx, s in enumerate(ctx.group.simple_reflections(), start=1)
         if (b := monoid_star(ctx, s, a)) != a
     }
     assert len(graph.edges) == len(moves)

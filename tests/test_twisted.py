@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -12,8 +15,17 @@ from korbits.twisted import (
     twisted_involutions,
 )
 from korbits.weyl import identity, sign_flip, symmetric_group
-from oracle import all_elements, naive_springer_value, naive_twisted, reachable_set
+from oracle import (
+    all_elements,
+    naive_springer_value,
+    naive_theta,
+    naive_twisted,
+    reachable_set,
+)
 from support import flip, perm, tr
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from orbit_census import instances  # noqa: E402
 
 
 def _gl_context(n):
@@ -32,6 +44,17 @@ def test_context_validation():
         TwistContext(s3, identity(3), flip((1,), 3))
     with pytest.raises(ValueError):
         TwistContext(s3, tr(1, 2, 3), identity(3))
+
+
+def test_simple_theta_matches_naive_theta():
+    """theta of every simple reflection, read as the reflection in the image
+    of its root, on every census instance with |W| <= 5040."""
+    specs = list(instances(5040))
+    assert len(specs) > 30
+    for spec in specs:
+        ctx = spec.context
+        want = {s: naive_theta(ctx, s) for s in ctx.group.simple_reflections()}
+        assert ctx._simple_theta == want, spec.name
 
 
 def test_involution_set_rank3():
@@ -75,7 +98,7 @@ def test_monoid_star_laws(data):
     ctx = _gl_context(4)
     nodes = sorted(twisted_involutions(ctx), key=lambda w: w.images)
     a = data.draw(st.sampled_from(nodes))
-    s = data.draw(st.sampled_from(list(ctx.simples())))
+    s = data.draw(st.sampled_from(list(ctx.group.simple_reflections())))
     out = monoid_star(ctx, s, a)
     assert is_twisted_involution(ctx, out)
     assert monoid_star(ctx, s, out) == out
@@ -143,7 +166,7 @@ def test_reachability_graph():
     for a, idx, b in graph.edges:
         assert 1 <= idx <= 2
         assert length(b) > length(a)
-        assert monoid_star(CTX3, CTX3.simples()[idx - 1], a) == b
+        assert monoid_star(CTX3, CTX3.group.simple_reflections()[idx - 1], a) == b
     dot = graph.to_dot()
     assert dot.startswith("digraph twisted {")
     assert dot.count("label=") == len(graph.nodes) + len(graph.edges)
