@@ -30,6 +30,13 @@ groups are past 5040 elements:
 
     PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
         g.main(g.golden_orbits_large)" > tests/golden_orbits_large.json
+
+A fifth table, ``tests/golden_twisted_large.json``, fingerprints ``twisted``
+in table, json and dot form on the instances of ``TWISTED_LARGE``, whose
+Weyl groups are past 5040 elements:
+
+    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
+        g.main(g.golden_twisted_large)" > tests/golden_twisted_large.json
 """
 
 import contextlib
@@ -82,6 +89,14 @@ ORBITS_LARGE = (
     + [("Restriction", (r,)) for r in (5, 6)]
 )
 
+#: Instances past |W| <= 5040 whose ``twisted`` output is fingerprinted.
+TWISTED_LARGE = (
+    [("GL", (n,)) for n in (8, 9)]
+    + [("Ustar", (4,)), ("SL2n", (4,)), ("Upq", (4, 4)), ("Upq", (5, 3))]
+    + [(f, (n,)) for f, ns in (("SOodd1", (5, 6)), ("SOeven1", (6, 7))) for n in ns]
+    + [("Restriction", (r,)) for r in (5, 6)]
+)
+
 
 def command_line(command, family, params, fmt):
     options = []
@@ -130,6 +145,15 @@ def golden_orbits_large():
         command_line("orbits", f, p, fmt)
         for f, p in ORBITS_LARGE
         for fmt in FORMATS["orbits"]
+    ]
+    return {" ".join(argv): digest(argv) for argv in lines}
+
+
+def golden_twisted_large():
+    lines = [
+        command_line("twisted", f, p, fmt)
+        for f, p in TWISTED_LARGE
+        for fmt in FORMATS["twisted"]
     ]
     return {" ".join(argv): digest(argv) for argv in lines}
 

@@ -17,13 +17,20 @@ On that set the monoid generated by the simple reflections acts by
 
 and the set is the closure of e under this action (Richardson-Springer,
 Hultman).  A move adds 1 to the length in the second case and 2 in the
-third, so one descent test decides each move and no length is counted.  A
-context computes that closure once, recording every move that changes an
-element and the length of every element by the kind of move that reached
-it; ``twisted_involutions``, ``involution_lengths``, ``image_set`` and
-``ReachabilityGraph.build`` all read this sweep.  The twist of each simple
-reflection is computed once per context, as the reflection in the image of
-its simple root.
+third.  The twist of each simple reflection is computed once per context,
+as the reflection in the image of its simple root.
+
+A move forms no product.  Two index scans find the signed positions x, y
+of alpha_s's coordinates in a's one-line form, so a^-1(alpha_s) is read
+off their signs; s a differs from a only at |x| and |y|, and s a theta(s)
+from s a only at theta(s)'s two coordinates.  The middle case holds
+exactly when a^-1 s a = theta(s), that is, when a^-1(alpha_s) =
++-alpha_theta(s), which compares x and y with theta(s)'s root.  So a move
+edits at most four entries of a, and its kind gives the length.  A context
+computes the closure of e once, recording every move that changes an
+element and the length of every element; ``twisted_involutions``,
+``involution_lengths``, ``image_set`` and ``ReachabilityGraph.build`` all
+read this sweep.
 
 The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
 t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images through
@@ -41,6 +48,8 @@ from typing import Iterator
 from .weyl import SignedPerm, WeylGroup, _signed_perm, canonical_key, closure
 
 Move = tuple[SignedPerm, int, SignedPerm]
+#: What a move by one simple reflection s reads and edits, see ``_star``.
+StarRow = tuple[int, int, int, int, int, int, int, int, int, int]
 
 __all__ = [
     "TwistContext",
@@ -48,7 +57,6 @@ __all__ = [
     "twisted_involutions",
     "involution_lengths",
     "is_twisted_involution",
-    "monoid_star",
     "image_set",
     "springer_value",
 ]
@@ -116,6 +124,23 @@ class TwistContext:
         return out
 
     @cached_property
+    def _star_rows(self) -> tuple[StarRow, ...]:
+        """A ``_star`` row for each simple reflection s, in order: the
+        coordinates k, l of alpha_s = e_k + c e_l (k == l for e_k), with
+        s(e_k) and s(e_l); the coordinates p, q of alpha_theta(s) = e_p +
+        d e_q, with theta(s)(e_p) and theta(s)(e_q).  Signed coordinates
+        stand for signed unit vectors, as in a one-line form."""
+        terms = self.group._simple_terms
+        rows = []
+        for s, theta_s in self._simple_theta.items():
+            i, _, j, c = terms[s]
+            p, _, q, d = terms[theta_s]
+            rows.append(
+                (i + 1, j + 1, c, s[i], s[j], p + 1, q + 1, d, theta_s[p], theta_s[q])
+            )
+        return tuple(rows)
+
+    @cached_property
     def _sweep(
         self,
     ) -> tuple[frozenset[SignedPerm], tuple[Move, ...], dict[SignedPerm, int]]:
@@ -127,16 +152,47 @@ class TwistContext:
         one = self.group.identity()
         moves: list[Move] = []
         lengths = {one: 0}
+        rows = tuple(enumerate(self._star_rows, start=1))
 
         def step(a: SignedPerm) -> Iterator[SignedPerm]:
-            for idx, (s, theta_s) in enumerate(self._simple_theta.items(), start=1):
-                if (b := monoid_star(self, s, a)) != a:
+            length = lengths[a]
+            for idx, row in rows:
+                b, gain = _star(row, a)
+                if gain:
                     moves.append((a, idx, b))
-                    # b = s a when b theta(s) = a, else b = s a theta(s).
-                    lengths[b] = lengths[a] + (1 if b * theta_s == a else 2)
+                    lengths[b] = length + gain
                     yield b
 
         return closure([one], step), tuple(moves), lengths
+
+
+def _star(row: StarRow, a: SignedPerm) -> tuple[SignedPerm, int]:
+    """s * a for the simple reflection s of ``row``, with l(s * a) - l(a):
+    (a, 0) when a^-1(alpha_s) < 0, (s a, 1) when a^-1(alpha_s) =
+    +-alpha_theta(s), else (s a theta(s), 2)."""
+    k, l, c, sk, sl, p, q, d, tp, tq = row
+    # a^-1(e_k) = sign(x) e_|x| for the signed position x of +-k in a.
+    x = a.index(k) + 1 if k in a else -a.index(-k) - 1
+    y = a.index(l) + 1 if l in a else -a.index(-l) - 1
+    X, Y = abs(x), abs(y)
+    # a^-1(alpha_s) = sign(x) e_X + c sign(y) e_Y has the sign of its term
+    # at the smaller coordinate.
+    if (x if X <= Y else c * y) < 0:
+        return a, 0
+    b = list(a)
+    b[X - 1] = sk if x > 0 else -sk
+    b[Y - 1] = sl if y > 0 else -sl
+    # s a theta(s) = a exactly when a^-1 s a = theta(s), that is, when
+    # a^-1(alpha_s) = +-(e_p + d e_q): same coordinates, same ratio.
+    same_sign = (x > 0) == (y > 0)
+    if (X == p and Y == q or X == q and Y == p) and same_sign == (c == d):
+        return _signed_perm(b), 1
+    # (s a theta(s))(e_p) = s a(theta(s)(e_p)), and likewise at q.
+    b[p - 1], b[q - 1] = (
+        b[tp - 1] if tp > 0 else -b[-tp - 1],
+        b[tq - 1] if tq > 0 else -b[-tq - 1],
+    )
+    return _signed_perm(b), 2
 
 
 def _lookup(w: SignedPerm) -> tuple[int, ...]:
@@ -163,18 +219,6 @@ def twisted_involutions(ctx: TwistContext) -> frozenset[SignedPerm]:
 def involution_lengths(ctx: TwistContext) -> dict[SignedPerm, int]:
     """The length of every twisted involution, as the sweep carried it."""
     return ctx._sweep[2]
-
-
-def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
-    """Monoid action of a simple reflection on a twisted involution."""
-    theta_s = ctx._simple_theta.get(s)
-    if theta_s is None:
-        raise ValueError(f"{s} is not a simple reflection")
-    if not ctx.group.is_left_ascent(s, a):
-        return a
-    sa = s * a
-    sas = sa * theta_s
-    return sa if sas == a else sas
 
 
 def image_set(ctx: TwistContext, top: SignedPerm) -> frozenset[SignedPerm]:
@@ -228,18 +272,17 @@ class ReachabilityGraph:
     @staticmethod
     def build(ctx: TwistContext) -> "ReachabilityGraph":
         nodes = sorted(twisted_involutions(ctx), key=canonical_key)
-        edges = sorted(ctx._sweep[1], key=lambda e: (canonical_key(e[0]), e[1]))
+        position = {a: i for i, a in enumerate(nodes)}
+        edges = sorted(ctx._sweep[1], key=lambda e: (position[e[0]], e[1]))
         return ReachabilityGraph(ctx, tuple(nodes), tuple(edges))
 
     def to_dot(self) -> str:
         lines = ["digraph twisted {", "  rankdir=BT;"]
         lengths = involution_lengths(self.context)
+        ident = {a: ",".join(map(str, a)) for a in self.nodes}
         for a in self.nodes:
-            ident = ",".join(map(str, a))
-            lines.append(f'  "{ident}" [label="{a.cycle_string()} ({lengths[a]})"];')
+            lines.append(f'  "{ident[a]}" [label="{a.cycle_string()} ({lengths[a]})"];')
         for a, idx, b in self.edges:
-            src = ",".join(map(str, a))
-            dst = ",".join(map(str, b))
-            lines.append(f'  "{src}" -> "{dst}" [label="s{idx}"];')
+            lines.append(f'  "{ident[a]}" -> "{ident[b]}" [label="s{idx}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -7,9 +7,10 @@ types.  When a fast routine and its
 oracle agree on an instance, that agreement is evidence, not tautology.
 
 The two routes at the end, ``rational_parameters`` and ``reachable_set``,
-do read the package: its coset table and its monoid move.  Each is
-independent of what it checks -- the Galois action's fixed points and the
-one reverse closure behind ``image_set`` -- not of the package.
+do read the package: its coset table and its monoid move, the latter
+through ``monoid_star``, which names a move by its simple reflection.  Each
+is independent of what it checks -- the Galois action's fixed points and
+the one reverse closure behind ``image_set`` -- not of the package.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 from korbits.catalog import GroupSpec, coset_table
 from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit, placed
-from korbits.twisted import TwistContext, monoid_star
+from korbits.twisted import TwistContext, _star
 from korbits.weyl import SignedPerm
 
 
@@ -503,6 +504,15 @@ def rational_parameters(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
     return tuple(
         rep for rep in table.reps if table.canon(rep * w0 * rep.inverse()).is_identity()
     )
+
+
+def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
+    """The package's monoid move s * a, named by the simple reflection s
+    rather than by its row of the context's move table."""
+    simples = ctx.group.simple_reflections()
+    if s not in simples:
+        raise ValueError(f"{s} is not a simple reflection")
+    return _star(ctx._star_rows[simples.index(s)], a)[0]
 
 
 def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:

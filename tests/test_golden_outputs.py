@@ -1,8 +1,9 @@
 """Every query of ``scripts/golden_outputs.py`` prints what it printed when
 ``tests/golden_outputs.json`` (and, for the larger ``verify``,
-``classify-tori`` and ``orbits`` queries, ``tests/golden_verify_large.json``,
-``tests/golden_tori_large.json`` and ``tests/golden_orbits_large.json``) was
-generated: same exit status, same stdout, same stderr, byte for byte."""
+``classify-tori``, ``orbits`` and ``twisted`` queries,
+``tests/golden_verify_large.json``, ``tests/golden_tori_large.json``,
+``tests/golden_orbits_large.json`` and ``tests/golden_twisted_large.json``)
+was generated: same exit status, same stdout, same stderr, byte for byte."""
 
 import json
 import sys
@@ -15,6 +16,7 @@ from golden_outputs import (  # noqa: E402
     golden,
     golden_orbits_large,
     golden_tori_large,
+    golden_twisted_large,
     golden_verify_large,
 )
 
@@ -41,3 +43,7 @@ def test_large_tori_outputs_match_golden_hashes():
 
 def test_large_orbits_outputs_match_golden_hashes():
     assert len(_assert_matches("golden_orbits_large.json", golden_orbits_large())) == 28
+
+
+def test_large_twisted_outputs_match_golden_hashes():
+    assert len(_assert_matches("golden_twisted_large.json", golden_twisted_large())) == 36

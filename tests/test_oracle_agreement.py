@@ -23,7 +23,6 @@ from korbits.twisted import (
     ReachabilityGraph,
     image_set,
     involution_lengths,
-    monoid_star,
     twisted_involutions,
 )
 from korbits.weyl import (
@@ -40,6 +39,7 @@ from korbits.weyl import (
 )
 from oracle import (
     all_elements,
+    monoid_star,
     naive_conjugacy,
     naive_cosets,
     naive_galois_orbits,
@@ -139,6 +139,31 @@ def test_monoid_star_matches_length_comparison(case):
         theta_s = naive_theta(ctx, s)
         for a in twisted_involutions(ctx):
             assert monoid_star(ctx, s, a) == naive_monoid_star(length, s, theta_s, a)
+
+
+@pytest.mark.parametrize("case", SMALL, ids=_instance_id)
+def test_sweep_moves_match_naive_monoid_star(case):
+    """Every move the sweep records, and every length it carries, against
+    products and root counts: B's short root e_n, D's e_(n-1) + e_n and
+    AxA's two blocks included."""
+    spec = cached_build(case[0], *case[1])
+    ctx, group = spec.context, spec.group
+
+    def length(w):
+        return naive_length(group.kind, group.rank, w)
+
+    naive = naive_twisted(all_elements(group.kind, group.rank), ctx.twist, ctx.base)
+    simples = group.simple_reflections()
+    thetas = [naive_theta(ctx, s) for s in simples]
+    moves = {
+        (a, idx, b)
+        for idx, (s, theta_s) in enumerate(zip(simples, thetas), start=1)
+        for a in naive
+        if (b := naive_monoid_star(length, s, theta_s, a)) != a
+    }
+    assert set(ctx._sweep[1]) == moves
+    assert len(ctx._sweep[1]) == len(moves)
+    assert involution_lengths(ctx) == {a: length(a) for a in naive}
 
 
 @pytest.mark.parametrize("case", LARGE, ids=_instance_id)
@@ -417,11 +442,16 @@ def test_twisted_layer_never_enumerates_the_group(case):
     assert involutions == naive
     assert image == {a for a in naive if top in reachable_set(ctx, a)}
     assert graph.nodes == tuple(sorted(naive, key=canonical_key))
+    group = spec.group
+
+    def length(w):
+        return naive_length(group.kind, group.rank, w)
+
     moves = {
         (a, idx, b)
         for a in naive
-        for idx, s in enumerate(ctx.group.simple_reflections(), start=1)
-        if (b := monoid_star(ctx, s, a)) != a
+        for idx, s in enumerate(group.simple_reflections(), start=1)
+        if (b := naive_monoid_star(length, s, naive_theta(ctx, s), a)) != a
     }
     assert len(graph.edges) == len(moves)
     assert set(graph.edges) == moves

@@ -10,13 +10,13 @@ from korbits.twisted import (
     TwistContext,
     image_set,
     is_twisted_involution,
-    monoid_star,
     springer_value,
     twisted_involutions,
 )
 from korbits.weyl import identity, sign_flip, symmetric_group
 from oracle import (
     all_elements,
+    monoid_star,
     naive_springer_value,
     naive_theta,
     naive_twisted,
