@@ -78,6 +78,8 @@ TORI_LARGE = (
     + [("Ustar", (5,))]
     + [(f, (n,)) for f in ("SOodd1", "SOeven1") for n in (7, 8)]
     + [("Restriction", (6,))]
+    + [("Upq", (100, 1)), ("Upq", (100, 2)), ("Upq", (30, 3)), ("Upq", (40, 6))]
+    + [("SOeven1", (100,))]
 )
 
 #: Instances past |W| <= 5040 whose ``orbits`` output is fingerprinted.

@@ -1,15 +1,21 @@
 """Classification of stable maximal tori from an involution on the
 cocharacter lattice.
 
-The input is an integer involution M on the lattice of a maximally split
-stable torus, together with the ambient Weyl group.  From M come the
-subsystem Psi0 of roots sent to their negatives, the dimension of the
-(-1)-eigenspace, which is (rank - trace M)/2 since M has eigenvalues +-1
-only, and the restricted root vectors (projections (alpha - M alpha)/2,
-kept with their non-reduced multiplicities); only these last are
-rational.  The classification itself -- involutions in the reflection
-group of Psi0, up to conjugation by the reflections of the restricted roots
--- runs on root sets.  The involutions are the products of reflections in
+The input is an integer involution theta on the lattice of a maximally
+split stable torus, together with the ambient Weyl group.  theta is kept as
+its sparse columns, theta(e_j) as {coordinate: entry}, and a root as the
+sparse term (i, c_i, j, c_j) of ``WeylGroup._root_terms``, so theta(alpha)
+is a sum of at most two columns.  One pass over the positive roots gives
+the subsystem Psi0 of roots sent to their negatives and the lines of the
+restricted roots, the projections (alpha - theta alpha)/2 onto the
+(-1)-eigenspace.  A restricted root's line is that of the integer vector
+alpha - theta alpha, so a gcd reads it and no fraction is formed; only the
+line matters for a reflection, so restricted roots of two lengths on one
+line (the non-reduced systems of U(p,q)) give one line.  The dimension of
+the (-1)-eigenspace is (rank - trace)/2, since theta has eigenvalues +-1
+only.  The classification itself -- involutions in the reflection group of
+Psi0, up to conjugation by the reflections of the restricted roots -- runs
+on root sets.  The involutions are the products of reflections in
 pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed, and
 each keeps the roots it came from.  A reflection s conjugates such a
 product root by root, s w s being the product of the reflections in the
@@ -22,15 +28,15 @@ trace as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 from .weyl import (
     SUBGROUP_CAP,
     SignedPerm,
     SubgroupTooLarge,
+    Term,
     WeylGroup,
     _reflection,
     canonical_key,
@@ -41,33 +47,22 @@ from .weyl import (
 __all__ = [
     "ThetaLattice",
     "TorusClass",
-    "root_reflection",
     "torus_classification",
 ]
 
-
-def _primitive_line(v: Sequence[Fraction | int]) -> tuple[int, ...]:
-    """Primitive integer vector spanning the same line, sign-normalized."""
-    den = lcm(*(f.denominator for f in v)) if v else 1
-    ints = [int(f * den) for f in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+#: A sparse integer vector, {coordinate (0-based): nonzero entry}.
+Vector = dict[int, int]
 
 
-def root_reflection(alpha: Sequence[int], rank: int) -> SignedPerm:
-    """Reflection in a root of shape e_i, e_i - e_j or e_i + e_j."""
-    support = [(i, 1 if c > 0 else -1) for i, c in enumerate(alpha) if c]
-    if len(support) == 1:
-        return _reflection(support[0] * 2, rank)
-    if len(support) == 2 and all(c in (-1, 0, 1) for c in alpha):
-        return _reflection(support[0] + support[1], rank)
-    raise ValueError(f"no monomial reflection for root {tuple(alpha)}")
+def _dot(a: Vector, b: Vector) -> int:
+    return sum(c * b.get(k, 0) for k, c in a.items())
+
+
+def _term(v: Vector) -> Term:
+    """The term of a vector of root shape (+-e_i or +-e_i +- e_j)."""
+    items = sorted(v.items())
+    (i, ci), (j, cj) = items[0], items[-1]
+    return (i, ci, j, cj)
 
 
 @dataclass(frozen=True)
@@ -91,46 +86,43 @@ class ThetaLattice:
         n = self.group.rank
         if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("lattice involution must be rank x rank")
-        # Square the map over the nonzero entries of each row.
-        sparse = self._sparse
-        for i, row in enumerate(sparse):
-            sq = [0] * n
-            for k, c in row:
-                for j, d in sparse[k]:
-                    sq[j] += c * d
-            sq[i] -= 1
-            if any(sq):
+        # theta is an involution exactly when (1 - theta)/2 is a projection.
+        for j in range(n):
+            d = self.difference({j: 1})
+            if self.difference(d) != {m: 2 * x for m, x in d.items()}:
                 raise ValueError("lattice map is not an involution")
 
     @cached_property
-    def _sparse(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The nonzero (column, entry) pairs of each row."""
-        return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in self.rows)
+    def columns(self) -> tuple[Vector, ...]:
+        """theta(e_j) as {i: entry}, for each coordinate j."""
+        columns: list[Vector] = [{} for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j, c in enumerate(row):
+                if c:
+                    columns[j][i] = c
+        return tuple(columns)
 
     @property
     def rank(self) -> int:
         return self.group.rank
 
-    def apply(self, v: Sequence) -> tuple:
-        if len(v) != self.rank:
-            raise ValueError(f"vector length {len(v)} vs lattice rank {self.rank}")
-        return tuple(sum(c * v[k] for k, c in row) for row in self._sparse)
+    def difference(self, v: Vector) -> Vector:
+        """v - theta(v), from the columns at the coordinates of v."""
+        out = dict(v)
+        for k, c in v.items():
+            for m, d in self.columns[k].items():
+                out[m] = out.get(m, 0) - c * d
+        return {m: x for m, x in out.items() if x}
 
     def as_signed_perm(self) -> SignedPerm:
         """The lattice map as a signed permutation (it must be monomial)."""
-        images = [0] * self.rank
-        for j in range(self.rank):
-            col = [self.rows[i][j] for i in range(self.rank)]
-            nz = [(i, c) for i, c in enumerate(col) if c]
-            if len(nz) != 1 or abs(nz[0][1]) != 1:
+        images = []
+        for col in self.columns:
+            if len(col) != 1 or set(col.values()) - {1, -1}:
                 raise ValueError("lattice map is not a signed permutation")
-            i, c = nz[0]
-            images[j] = (i + 1) * (1 if c > 0 else -1)
+            ((i, c),) = col.items()
+            images.append((i + 1) * c)
         return SignedPerm(images)
-
-    def all_roots(self) -> tuple[tuple[int, ...], ...]:
-        pos = self.group.positive_roots()
-        return pos + tuple(tuple(-c for c in a) for a in pos)
 
     @property
     def minus_dimension(self) -> int:
@@ -138,58 +130,52 @@ class ThetaLattice:
         involution has eigenvalues +-1 only, so it is (rank - trace)/2."""
         return (self.rank - sum(row[i] for i, row in enumerate(self.rows))) // 2
 
-    def restricted_roots(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Distinct nonzero projections (alpha - theta alpha)/2 of all
-        roots onto the minus eigenspace.  The collection may be
-        non-reduced (both beta and 2*beta can occur)."""
-        seen = set()
-        out = []
-        for a in self.all_roots():
-            ta = self.apply(a)
-            beta = tuple(Fraction(x - y, 2) for x, y in zip(a, ta))
-            if any(beta) and beta not in seen:
-                seen.add(beta)
-                out.append(beta)
-        return tuple(sorted(out))
 
-    def psi0(self) -> tuple[tuple[int, ...], ...]:
-        """Roots alpha with theta(alpha) = -alpha."""
-        out = [
-            a
-            for a in self.all_roots()
-            if self.apply(a) == tuple(-c for c in a)
-        ]
-        return tuple(sorted(out))
+def root_lines(theta: ThetaLattice) -> tuple[tuple[Term, ...], tuple[Vector, ...]]:
+    """The positive Psi0 roots, and the restricted-root lines.
+
+    One pass over the positive roots: alpha is in Psi0 when alpha - theta
+    alpha = 2 alpha, and a nonzero alpha - theta alpha spans the line of the
+    restricted root (alpha - theta alpha)/2.  Each line is its primitive
+    integer vector, with a positive entry at its least coordinate; -alpha
+    gives the same line, so the positive roots give them all.
+    """
+    psi0, lines = [], {}
+    for term in theta.group._root_terms:
+        i, ci, j, cj = term
+        d = theta.difference({i: ci, j: cj})
+        if not d:
+            continue
+        if d == {i: 2 * ci, j: 2 * cj}:
+            psi0.append(term)
+        g = gcd(*d.values()) * (1 if d[min(d)] > 0 else -1)
+        lines.setdefault(tuple(sorted((m, x // g) for m, x in d.items())), None)
+    return tuple(psi0), tuple(dict(line) for line in lines)
 
 
 def _involutions(
-    psi: Sequence[Sequence[int]], rank: int
-) -> dict[SignedPerm, tuple[tuple[int, ...], ...]]:
+    psi: Sequence[Term], rank: int
+) -> dict[SignedPerm, tuple[Vector, ...]]:
     """The involutions (including e) of the reflection group W(Psi0), each
-    with a set of pairwise-orthogonal primitive Psi0 lines whose
-    reflections multiply to it.
+    with a set of pairwise-orthogonal Psi0 roots whose reflections multiply
+    to it.
 
     Every involution is such a product (Carter 1972; Richardson 1982), so
-    one walk over the sets of pairwise-orthogonal Psi0 lines finds them
-    all.  A stack entry is a product w, the lines taken, and the lines
-    still free to extend them: those orthogonal to every line taken and
+    one walk over the sets of pairwise-orthogonal positive Psi0 roots finds
+    them all.  A stack entry is a product w, the roots taken, and the roots
+    still free to extend them: those orthogonal to every root taken and
     below the last one, so each set is reached once.  Different sets can
     give the same involution (-1 on B2 is s(e1) s(e2) and s(e1 - e2)
     s(e1 + e2)); the first set found is kept.  Raises ``SubgroupTooLarge``
     past ``SUBGROUP_CAP`` involutions.
     """
-    lines = list(dict.fromkeys(map(_primitive_line, psi)))
-    refl = [root_reflection(p, rank) for p in lines]
+    roots = [{i: ci, j: cj} for i, ci, j, cj in psi]
+    refl = [_reflection(t, rank) for t in psi]
     orth = [
-        sum(
-            1 << k
-            for k, q in enumerate(lines)
-            if not sum(a * b for a, b in zip(p, q))
-        )
-        for p in lines
+        sum(1 << k for k, q in enumerate(roots) if not _dot(p, q)) for p in roots
     ]
-    out: dict[SignedPerm, tuple[tuple[int, ...], ...]] = {}
-    stack = [(identity(rank), (), (1 << len(lines)) - 1)]
+    out: dict[SignedPerm, tuple[Vector, ...]] = {}
+    stack = [(identity(rank), (), (1 << len(roots)) - 1)]
     while stack:
         w, taken, free = stack.pop()
         out.setdefault(w, taken)
@@ -200,7 +186,7 @@ def _involutions(
         while free:
             j = free.bit_length() - 1
             free ^= 1 << j
-            stack.append((refl[j] * w, taken + (lines[j],), free & orth[j]))
+            stack.append((refl[j] * w, taken + (roots[j],), free & orth[j]))
     return out
 
 
@@ -213,8 +199,8 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
 
     A restricted root is taken by its primitive integer direction p, with
     N = p.p, so its reflection is s(v) = v - (2(p.v)/N) p.  An involution w
-    is the product of the reflections in its orthogonal Psi0 lines beta,
-    so s w s is the product of the reflections in the lines s(beta).  A
+    is the product of the reflections in its orthogonal Psi0 roots beta,
+    so s w s is the product of the reflections in the roots s(beta).  A
     quotient 2(p.beta)/N that is not an integer means the reflection does
     not normalize the subsystem; a conjugate outside the involutions of
     W(Psi0) means it leaves the reflection subgroup.  Both raise
@@ -226,21 +212,25 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     ``theta.minus_dimension + (trace(w) - rank) / 2``.
     """
     rank = theta.rank
-    involutions = _involutions(theta.psi0(), rank)
-    lines = [
-        (p, sum(x * x for x in p))
-        for p in dict.fromkeys(map(_primitive_line, theta.restricted_roots()))
-    ]
+    psi0, restricted = root_lines(theta)
+    involutions = _involutions(psi0, rank)
+    lines = [(p, _dot(p, p)) for p in restricted]
     one = identity(rank)
 
-    def conjugate(w: SignedPerm, line: tuple) -> SignedPerm:
+    def conjugate(w: SignedPerm, line: tuple[Vector, int]) -> SignedPerm:
         p, norm = line
         conj = one
         for beta in involutions[w]:
-            k, r = divmod(2 * sum(a * b for a, b in zip(p, beta)), norm)
+            k, r = divmod(2 * _dot(beta, p), norm)
             if r:
                 raise ValueError("reflection does not normalize the subsystem")
-            conj = root_reflection([b - k * x for b, x in zip(beta, p)], rank) * conj
+            if k:
+                beta = {
+                    m: x
+                    for m in beta.keys() | p.keys()
+                    if (x := beta.get(m, 0) - k * p.get(m, 0))
+                }
+            conj = _reflection(_term(beta), rank) * conj
         if conj not in involutions:
             raise ValueError("conjugate leaves the reflection subgroup")
         return conj

@@ -10,8 +10,8 @@ rank 2r.  Each kind is one entry of the table ``_KINDS``: how many blocks of
 coordinates it permutes and which sign changes it allows; membership,
 order, roots, simple reflections, w0 and the allowed sign vectors all read
 that entry.
-Positive roots are kept sparse, as (i, c_i, j, c_j) for c_i e_i + c_j e_j;
-``positive_roots`` alone builds them as vectors.  Every positive root has
+Positive roots are kept sparse, as (i, c_i, j, c_j) for c_i e_i + c_j e_j,
+and no root is ever a rank-length vector.  Every positive root has
 leading nonzero coordinate +1, so w(alpha) is negative exactly when its
 coefficient at the smallest coordinate is.  Summed over the roots, that
 makes ``length`` an inversion count with no list of roots (Bjorner-Brenti,
@@ -324,14 +324,6 @@ class WeylGroup:
         elif self._allows(2) and n >= 2:
             terms.append((n - 2, 1, n - 1, 1))
         return {_reflection(t, n): t for t in terms}
-
-    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        for i, ci, j, cj in self._root_terms:
-            root = [0] * self.rank
-            root[i], root[j] = ci, cj
-            out.append(tuple(root))
-        return tuple(out)
 
     def simple_reflections(self) -> tuple[SignedPerm, ...]:
         return tuple(self._simple_terms)

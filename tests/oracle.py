@@ -16,6 +16,7 @@ the one reverse closure behind ``image_set`` -- not of the package.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -422,6 +423,60 @@ def naive_torus_classes(
 
 
 # -- exact matrices over complex rationals ----------------------------------
+
+
+def primitive_line(v: Sequence) -> tuple[int, ...]:
+    """The primitive integer vector on the line of v (rational entries),
+    with its first nonzero entry positive."""
+    q = [Fraction(x) for x in v]
+    den = math.lcm(*(x.denominator for x in q))
+    ints = [int(x * den) for x in q]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
+
+
+def root_reflection(alpha: Sequence) -> SignedPerm:
+    """The reflection in the vector alpha, as a signed permutation from its
+    rational matrix; ValueError if that matrix is not one."""
+    return _matrix_perm(_reflection_matrix(alpha))
+
+
+def all_roots(theta) -> tuple[tuple[int, ...], ...]:
+    """Every root of the lattice's group, as a rank-length vector."""
+    return tuple(sorted(_roots(theta.group.kind, theta.rank)))
+
+
+def apply(theta, v: Sequence) -> tuple:
+    """The product of the lattice's rows with the vector v, summed column by
+    column over the nonzero entries of v."""
+    if len(v) != len(theta.rows):
+        raise ValueError(f"vector length {len(v)} vs lattice rank {len(theta.rows)}")
+    out = [0] * len(v)
+    for j, x in enumerate(v):
+        if x:
+            for i, row in enumerate(theta.rows):
+                out[i] += row[j] * x
+    return tuple(out)
+
+
+def psi0(theta) -> tuple[tuple[int, ...], ...]:
+    """The roots alpha with theta(alpha) = -alpha."""
+    return tuple(
+        a for a in all_roots(theta) if apply(theta, a) == tuple(-c for c in a)
+    )
+
+
+def restricted_roots(theta) -> tuple[tuple[Fraction, ...], ...]:
+    """The distinct nonzero projections (alpha - theta alpha)/2 of all roots
+    onto the (-1)-eigenspace, non-reduced (beta and 2 beta can both occur)."""
+    out = set()
+    for a in all_roots(theta):
+        beta = tuple(Fraction(x - y, 2) for x, y in zip(a, apply(theta, a)))
+        if any(beta):
+            out.add(beta)
+    return tuple(sorted(out))
 
 
 def _q(z: DyadicGauss) -> tuple[Fraction, Fraction]:

@@ -903,6 +903,15 @@ def test_over_cap_verify_claim_exit_4(capsys):
     assert out.endswith("8 claims: 8 passed, 0 failed\n")
 
 
+def test_classify_tori_at_rank_1000(capsys):
+    # B1000 has a million positive roots; Psi0 and the restricted lines come
+    # from one pass over their sparse terms
+    code, out, err = run(["classify-tori", "--family", "SOeven1", "--n", "1000"], capsys)
+    assert code == 0
+    assert err == ""
+    assert "2 torus classes" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -7,7 +7,9 @@ once through full enumeration — and requires exact set equality.
 import random
 from collections import Counter
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from korbits.catalog import (
     MissingWkData,
@@ -18,7 +20,7 @@ from korbits.catalog import (
     springer,
 )
 from korbits.descent import GaloisAction, fixed_and_pairs, galois_action
-from korbits.tori import ThetaLattice, torus_classification
+from korbits.tori import ThetaLattice, root_lines, torus_classification
 from korbits.twisted import (
     ReachabilityGraph,
     image_set,
@@ -27,6 +29,7 @@ from korbits.twisted import (
 )
 from korbits.weyl import (
     CosetTable,
+    WeylGroup,
     canonical_key,
     conjugacy_classes,
     enumerate_subgroup,
@@ -50,7 +53,10 @@ from oracle import (
     naive_theta,
     naive_torus_classes,
     naive_twisted,
+    primitive_line,
+    psi0,
     reachable_set,
+    restricted_roots,
 )
 from support import cached_build, canon_blocks, sorted_elements
 
@@ -265,8 +271,9 @@ def test_coset_table_on_targeted_subgroups(group, gens):
         assert {w.signs() for w in table.reps} == {w.signs() for w in elements}
 
 
-def _assert_tori_match_naive(theta, classes):
-    naive = naive_torus_classes(theta.group.kind, theta.rank, theta.rows)
+def _assert_tori_match_naive(theta, classes, naive=None):
+    if naive is None:
+        naive = naive_torus_classes(theta.group.kind, theta.rank, theta.rows)
     expected = sorted(
         ((min(orbit, key=canonical_key), len(orbit), dim) for orbit, dim in naive),
         key=lambda t: (-t[2], canonical_key(t[0])),
@@ -308,6 +315,72 @@ OFF_CATALOG_TORI = [
 def test_off_catalog_torus_classes_match_naive(group, rows):
     theta = ThetaLattice(group, rows)
     _assert_tori_match_naive(theta, torus_classification(theta))
+
+
+def _assert_sparse_matches_dense(theta, classify):
+    """The Psi0 terms and restricted lines that the package reads from the
+    sparse columns are the primitive lines of the oracle's dense Psi0 and
+    restricted roots.  With ``classify``, the torus classes agree with the
+    oracle's, or both raise ``ValueError``."""
+    rank = theta.rank
+
+    def dense(v):
+        return tuple(v.get(k, 0) for k in range(rank))
+
+    psi, lines = root_lines(theta)
+    assert sorted(dense({i: ci, j: cj}) for i, ci, j, cj in psi) == sorted(
+        set(map(primitive_line, psi0(theta)))
+    )
+    assert sorted(map(dense, lines)) == sorted(
+        set(map(primitive_line, restricted_roots(theta)))
+    )
+    if not classify:
+        return
+    try:
+        naive = naive_torus_classes(theta.group.kind, rank, theta.rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            torus_classification(theta)
+        return
+    _assert_tori_match_naive(theta, torus_classification(theta), naive)
+
+
+@pytest.mark.parametrize(
+    "group,rows", [c[1:] for c in OFF_CATALOG_TORI], ids=[c[0] for c in OFF_CATALOG_TORI]
+)
+def test_off_catalog_root_lines_match_dense(group, rows):
+    # the classes are compared in test_off_catalog_torus_classes_match_naive
+    _assert_sparse_matches_dense(ThetaLattice(group, rows), classify=False)
+
+
+@st.composite
+def _signed_involutions(draw):
+    """A signed-permutation involution on the lattice of a group of kind A,
+    B, D or AxA and rank at most 8: a random matching of the coordinates,
+    one sign per swapped pair and one per fixed coordinate."""
+    kind = draw(st.sampled_from(("A", "B", "D", "AxA")))
+    blocks = 2 if kind == "AxA" else 1
+    rank = blocks * draw(st.integers(1, 8 // blocks))
+    order = draw(st.permutations(range(rank)))
+    pairs = draw(st.integers(0, rank // 2))
+    image = list(range(rank))
+    for a, b in zip(order[: 2 * pairs : 2], order[1 : 2 * pairs : 2]):
+        image[a], image[b] = b, a
+    sign = {}
+    for j in order:
+        sign[j] = sign.get(image[j]) or draw(st.sampled_from((1, -1)))
+    rows = [[0] * rank for _ in range(rank)]
+    for j in range(rank):
+        rows[image[j]][j] = sign[j]
+    return ThetaLattice(WeylGroup(kind, rank), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=50)
+@given(_signed_involutions())
+def test_root_lines_and_tori_match_dense_on_signed_involutions(theta):
+    # the oracle enumerates W(Psi0) and multiplies rational matrices, so the
+    # classes are compared while Psi0 has at most the 18 roots of B3
+    _assert_sparse_matches_dense(theta, classify=len(psi0(theta)) <= 18)
 
 
 @pytest.mark.parametrize(

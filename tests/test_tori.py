@@ -3,13 +3,22 @@ from math import comb, factorial
 
 import pytest
 
-from korbits.tori import ThetaLattice, TorusClass, root_reflection, torus_classification
+from korbits.tori import ThetaLattice, TorusClass, root_lines, torus_classification
 from korbits.weyl import (
     RANK_CAP,
+    _reflection,
     canonical_key,
     enumerate_subgroup,
+    hyperoctahedral_group,
     identity,
     symmetric_group,
+)
+from oracle import (
+    all_roots,
+    apply,
+    psi0,
+    restricted_roots,
+    root_reflection,
 )
 from support import cached_build, flip, perm, tr
 
@@ -41,29 +50,45 @@ def test_lattice_validation_at_rank_cap():
         ThetaLattice(symmetric_group(n), cycle)
 
 
+def _dense(term, rank):
+    i, ci, j, cj = term
+    v = [0] * rank
+    v[i], v[j] = ci, cj
+    return tuple(v)
+
+
+def _assert_columns_match_dense(theta):
+    """The sparse columns, applied to every root term alpha, give the dense
+    product: ``difference`` is alpha - theta(alpha) with its zeros dropped."""
+    for term in theta.group._root_terms:
+        i, ci, j, cj = term
+        alpha = _dense(term, theta.rank)
+        dense = [a - b for a, b in zip(alpha, apply(theta, alpha))]
+        assert theta.difference({i: ci, j: cj}) == {k: x for k, x in enumerate(dense) if x}
+
+
 def test_lattice_apply_and_signed_perm():
     theta = _neg_identity_lattice(3)
-    assert theta.apply((1, 0, -2)) == (-1, 0, 2)
+    assert apply(theta, (1, 0, -2)) == (-1, 0, 2)
+    assert theta.columns == ({0: -1}, {1: -1}, {2: -1})
+    _assert_columns_match_dense(theta)
     assert theta.as_signed_perm() == flip((1, 2, 3), 3)
     swap = ThetaLattice(symmetric_group(3), tuple(map(tuple, tr(2, 3, 3).matrix())))
     assert swap.as_signed_perm() == tr(2, 3, 3)
+    _assert_columns_match_dense(swap)
     with pytest.raises(ValueError):
-        ThetaLattice(
-            symmetric_group(2), ((0, 1), (1, 0))
-        ).apply((1,))
-
-
-def _dense_apply(theta, v):
-    n = theta.rank
-    return tuple(sum(theta.rows[i][j] * v[j] for j in range(n)) for i in range(n))
+        apply(ThetaLattice(symmetric_group(2), ((0, 1), (1, 0))), (1,))
 
 
 def test_lattice_apply_matches_dense_product_off_monomial():
     # an involution that is not a signed permutation: rows (1, 0), (1, -1)
     theta = ThetaLattice(symmetric_group(2), ((1, 0), (1, -1)))
-    for v in [(1, 0), (0, 1), (3, -2), (Fraction(1, 2), Fraction(-5, 3))]:
-        assert theta.apply(v) == _dense_apply(theta, v)
-    assert theta.apply((3, -2)) == (3, 5)
+    assert theta.columns == ({0: 1, 1: 1}, {1: -1})
+    _assert_columns_match_dense(theta)
+    assert theta.difference({0: 1, 1: -1}) == {1: -3}
+    assert apply(theta, (3, -2)) == (3, 5)
+    with pytest.raises(ValueError, match="not a signed permutation"):
+        theta.as_signed_perm()
 
 
 RANK_8_LATTICES = (
@@ -80,32 +105,33 @@ RANK_8_LATTICES = (
 def test_lattice_apply_matches_dense_product_on_catalog(family, params):
     theta = cached_build(family, *params).lattice
     assert theta.rank <= 8
-    vectors = list(theta.all_roots())
-    vectors.append(tuple(Fraction(k + 1, 3) for k in range(theta.rank)))
-    for v in vectors:
-        assert theta.apply(v) == _dense_apply(theta, v)
+    _assert_columns_match_dense(theta)
 
 
 def test_root_reflection_shapes():
-    assert root_reflection((1, -1, 0), 3) == tr(1, 2, 3)
-    assert root_reflection((0, 1, 1), 3) == perm(1, -3, -2)
-    assert root_reflection((0, 0, 1), 3) == flip((3,), 3)
+    # the oracle's rational matrices against the package's reflections in terms
+    assert root_reflection((1, -1, 0)) == tr(1, 2, 3) == _reflection((0, 1, 1, -1), 3)
+    assert root_reflection((0, 1, 1)) == perm(1, -3, -2) == _reflection((1, 1, 2, 1), 3)
+    assert root_reflection((0, 0, 1)) == flip((3,), 3) == _reflection((2, 1, 2, 1), 3)
     # only the line matters for the hyperplane
-    assert root_reflection((2, 0, 0), 3) == flip((1,), 3)
+    assert root_reflection((2, 0, 0)) == flip((1,), 3)
     with pytest.raises(ValueError):
-        root_reflection((1, 2, 0), 3)
+        root_reflection((1, 2, 0))
+    for term in hyperoctahedral_group(4)._root_terms:
+        assert _reflection(term, 4) == root_reflection(_dense(term, 4))
 
 
 def test_psi0_for_split_involution():
     theta = _neg_identity_lattice(3)
-    assert set(theta.psi0()) == set(theta.all_roots())
-    assert len(theta.all_roots()) == 6
+    assert set(psi0(theta)) == set(all_roots(theta))
+    assert len(all_roots(theta)) == 6
+    assert root_lines(theta)[0] == theta.group._root_terms
 
 
 def test_restricted_roots_non_reduced():
     # the rank-3 hermitian lattice restricts two root lengths onto one line
     spec = cached_build("Upq", 2, 1)
-    rr = spec.lattice.restricted_roots()
+    rr = restricted_roots(spec.lattice)
     assert (0, Fraction(1), Fraction(-1)) in {tuple(v) for v in rr}
     assert (0, Fraction(1, 2), Fraction(-1, 2)) in {tuple(v) for v in rr}
     by_line = {}
@@ -113,6 +139,8 @@ def test_restricted_roots_non_reduced():
         scale = next(c for c in v if c)
         by_line.setdefault(tuple(c / scale for c in v), set()).add(abs(scale))
     assert any(len(lengths) == 2 for lengths in by_line.values())
+    # the package keeps that line once, as its primitive integer vector
+    assert root_lines(spec.lattice)[1].count({1: 1, 2: -1}) == 1
 
 
 def test_minus_space_dimensions():
@@ -192,7 +220,7 @@ def test_classification_direct_construction():
 def _psi0_involution_count(spec):
     """Involutions of W(Psi0), enumerated from the reflections of Psi0."""
     rank = spec.group.rank
-    gens = {root_reflection(a, rank) for a in spec.lattice.psi0()}
+    gens = {root_reflection(a) for a in psi0(spec.lattice)}
     return sum(
         (w * w).is_identity() for w in enumerate_subgroup([identity(rank), *gens])
     )
@@ -210,14 +238,14 @@ CLOSED_FORMS = [
             for k in range(n // 2 + 1)
         ],
     )
-    for n in (6, 7, 8)
+    for n in (6, 7, 8, 9)
 ] + [
     ("Upq", (p, q), [(q - k, comb(q, k)) for k in range(q + 1)])
-    for p, q in ((4, 4), (5, 3), (5, 4), (6, 3))
+    for p, q in ((4, 4), (5, 3), (5, 4), (6, 3), (12, 4), (40, 6), (100, 1))
 ]
 
-# W(Psi0) is enumerated only while Psi0 has at most the 42 roots of S7;
-# past that (GL(8)) the closed form alone is asserted
+# W(Psi0) is enumerated only while the oracle's Psi0 has at most the 42
+# roots of S7; past that (GL(8), GL(9)) the closed form alone is asserted
 ENUMERATED_PSI0_ROOTS = 42
 
 
@@ -231,7 +259,7 @@ def test_classification_closed_forms(family, params, expected):
     classes = spec.torus_classes()
     assert [(c.minus_dimension, c.orbit_size) for c in classes] == expected
     assert [c.index for c in classes] == list(range(len(expected)))
-    if len(spec.lattice.psi0()) <= ENUMERATED_PSI0_ROOTS:
+    if len(psi0(spec.lattice)) <= ENUMERATED_PSI0_ROOTS:
         assert sum(c.orbit_size for c in classes) == _psi0_involution_count(spec)
 
 

@@ -27,7 +27,7 @@ from korbits.weyl import (
     symmetric_group,
     transposition,
 )
-from oracle import all_elements, naive_contains, naive_cycle_string, naive_length
+from oracle import _roots, all_elements, naive_contains, naive_cycle_string, naive_length
 from support import canon_blocks, flip, perm, tr
 
 
@@ -189,7 +189,15 @@ def test_group_orders_and_roots(group, order, npos):
     elements = all_elements(group.kind, group.rank)
     assert group.order == order
     assert len(elements) == order
-    assert len(group.positive_roots()) == npos
+    # the root terms are the oracle's positive roots (leading entry > 0)
+    positive = {
+        a for a in _roots(group.kind, group.rank) if next(c for c in a if c) > 0
+    }
+    assert len(positive) == len(group._root_terms) == npos
+    for i, ci, j, cj in group._root_terms:
+        root = [0] * group.rank
+        root[i], root[j] = ci, cj
+        assert tuple(root) in positive
     for s in group.simple_reflections():
         assert group.length(s) == 1
         assert (s * s).is_identity()
