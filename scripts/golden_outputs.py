@@ -7,38 +7,28 @@ query to the sha256 of its exit status, stdout and stderr.  The committed
 table is ``tests/golden_outputs.json``; ``tests/test_golden_outputs.py``
 recomputes it, so a change to any printed byte fails the suite.
 
-    python3 scripts/golden_outputs.py > tests/golden_outputs.json
+The one argument names the table to print (``small``, the default):
 
-``verify`` is the one command that reads the torus realizers, so a second
-table, ``tests/golden_verify_large.json``, fingerprints ``verify --format
-table`` on a fixed list of larger instances (``VERIFY_LARGE``), checked by
-``tests/test_golden_outputs.py`` as well:
+    PYTHONPATH=src python3 scripts/golden_outputs.py > tests/golden_outputs.json
+    PYTHONPATH=src python3 scripts/golden_outputs.py verify-large > tests/golden_verify_large.json
+    PYTHONPATH=src python3 scripts/golden_outputs.py tori-large > tests/golden_tori_large.json
+    PYTHONPATH=src python3 scripts/golden_outputs.py orbits-large > tests/golden_orbits_large.json
+    PYTHONPATH=src python3 scripts/golden_outputs.py twisted-large > tests/golden_twisted_large.json
 
-    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
-        g.main(g.golden_verify_large)" > tests/golden_verify_large.json
+The larger tables fingerprint one command on instances past the small
+sweep, and ``tests/test_golden_outputs.py`` checks them as well:
 
-A third table, ``tests/golden_tori_large.json``, fingerprints
-``classify-tori`` in table and json form on the larger instances of
-``TORI_LARGE``:
-
-    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
-        g.main(g.golden_tori_large)" > tests/golden_tori_large.json
-
-A fourth table, ``tests/golden_orbits_large.json``, fingerprints ``orbits``
-in table and json form on the instances of ``ORBITS_LARGE``, whose Weyl
-groups are past 5040 elements:
-
-    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
-        g.main(g.golden_orbits_large)" > tests/golden_orbits_large.json
-
-A fifth table, ``tests/golden_twisted_large.json``, fingerprints ``twisted``
-in table, json and dot form on the instances of ``TWISTED_LARGE``, whose
-Weyl groups are past 5040 elements:
-
-    PYTHONPATH=src:scripts python3 -c "import golden_outputs as g; \\
-        g.main(g.golden_twisted_large)" > tests/golden_twisted_large.json
+- ``verify-large``: ``verify --format table`` on ``VERIFY_LARGE``
+  (``verify`` is the one command that reads the torus realizers);
+- ``tori-large``: ``classify-tori`` in table and json form on
+  ``TORI_LARGE``;
+- ``orbits-large``: ``orbits`` in table and json form on ``ORBITS_LARGE``,
+  whose Weyl groups are past 5040 elements;
+- ``twisted-large``: ``twisted`` in table, json and dot form on
+  ``TWISTED_LARGE``, whose Weyl groups are past 5040 elements.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -160,7 +150,19 @@ def golden_twisted_large():
     return {" ".join(argv): digest(argv) for argv in lines}
 
 
-def main(table=golden):
+TABLES = {
+    "small": golden,
+    "verify-large": golden_verify_large,
+    "tori-large": golden_tori_large,
+    "orbits-large": golden_orbits_large,
+    "twisted-large": golden_twisted_large,
+}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Print one golden-hash table.")
+    parser.add_argument("table", nargs="?", default="small", choices=TABLES)
+    table = TABLES[parser.parse_args(argv).table]
     json.dump(table(), sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
 

@@ -121,7 +121,6 @@ class TorusDescriptor:
     galois_conj: SignedPerm | None = None
     galois_left: SignedPerm | None = None
     galois_right: SignedPerm | None = None
-    galois_rule: str | None = None  # trivial | right_w0 | general
     realizer: tuple[int, ExactMatrix, tuple[tuple[int, ...], ...]] | None = None
 
     @cached_property
@@ -319,7 +318,6 @@ def _sl2n_spec(n: int) -> GroupSpec:
                 twist_class=c,
                 wk=partial(_sl2n_wk_generators, n, i),
                 galois_left=c,
-                galois_rule="general",
                 realizer=(r, GBL, pairs),
             )
         )
@@ -373,7 +371,6 @@ def _soodd1_spec(n: int) -> GroupSpec:
             + (sign_flip([n, rank], rank),),
             galois_conj=d,
             galois_right=W.longest_element(),
-            galois_rule="general",
         ),
     )
     structure = TorusStructure(
@@ -406,7 +403,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
             index=0,
             twist_class=identity(n),
             wk=W.simple_reflections,
-            galois_rule="trivial",
         ),
         TorusDescriptor(
             index=1,
@@ -415,7 +411,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
             + ((sign_flip([n - 1], n),) if n >= 2 else ())
             + (last,),
             galois_left=last,
-            galois_rule="trivial",
             realizer=(size, M3, ((size - 2, size - 1, size),)),
         ),
     )
@@ -470,7 +465,6 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
                 twist_class=_swaps(pairs, n),
                 wk=partial(_upq_wk_generators, p, q, i),
                 galois_right=w0,
-                galois_rule="right_w0",
                 realizer=(n, HSPLIT, pairs),
             )
         )
@@ -508,7 +502,6 @@ def _restriction_spec(r: int) -> GroupSpec:
             wk=lambda: tuple(
                 _swaps([(j, j + 1), (r + j, r + j + 1)], rank) for j in range(1, r)
             ),
-            galois_rule="trivial",
         ),
     )
     ref = from_one_line(list(range(r, 0, -1)) + list(range(r + 1, rank + 1)))

@@ -120,12 +120,6 @@ class DyadicGauss:
         conv = lambda v: v if isinstance(v, Dyadic) else Dyadic(v)
         return DyadicGauss(conv(re), conv(im))
 
-    def __add__(self, other: "DyadicGauss") -> "DyadicGauss":
-        return DyadicGauss(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "DyadicGauss") -> "DyadicGauss":
-        return DyadicGauss(self.re - other.re, self.im - other.im)
-
     def __neg__(self) -> "DyadicGauss":
         return DyadicGauss(-self.re, -self.im)
 
@@ -351,11 +345,6 @@ class ExactMatrix:
             for row in rows
         )
         return _from_ints(right, 1 - e - norm.bit_length())
-
-    def __str__(self) -> str:
-        return "\n".join(
-            "[" + ", ".join(str(v) for v in row) + "]" for row in self.entries
-        )
 
 
 def placed(

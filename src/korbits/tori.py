@@ -4,7 +4,7 @@ cocharacter lattice.
 The input is an integer involution theta on the lattice of a maximally
 split stable torus, together with the ambient Weyl group.  theta is kept as
 its sparse columns, theta(e_j) as {coordinate: entry}, and a root as the
-sparse term (i, c_i, j, c_j) of ``WeylGroup._root_terms``, so theta(alpha)
+sparse term (i, c_i, j, c_j) of ``WeylGroup._root_terms()``, so theta(alpha)
 is a sum of at most two columns.  One pass over the positive roots gives
 the subsystem Psi0 of roots sent to their negatives and the lines of the
 restricted roots, the projections (alpha - theta alpha)/2 onto the
@@ -19,7 +19,9 @@ on root sets.  The involutions are the products of reflections in
 pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed, and
 each keeps the roots it came from.  A reflection s conjugates such a
 product root by root, s w s being the product of the reflections in the
-images s(beta) (see ``torus_classification``).
+images s(beta) (see ``torus_classification``), and the classes are the
+orbits of these conjugations under ``weyl.conjugacy_classes``, the
+package's one conjugation-orbit routine.
 Each class corresponds to one conjugacy class of stable maximal tori; its
 ``minus_dimension``, the split dimension of the corresponding torus, is a
 trace as well.
@@ -28,7 +30,7 @@ trace as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 from typing import Sequence
 
@@ -40,7 +42,7 @@ from .weyl import (
     WeylGroup,
     _reflection,
     canonical_key,
-    closure,
+    conjugacy_classes,
     identity,
 )
 
@@ -141,7 +143,7 @@ def root_lines(theta: ThetaLattice) -> tuple[tuple[Term, ...], tuple[Vector, ...
     gives the same line, so the positive roots give them all.
     """
     psi0, lines = [], {}
-    for term in theta.group._root_terms:
+    for term in theta.group._root_terms():
         i, ci, j, cj = term
         d = theta.difference({i: ci, j: cj})
         if not d:
@@ -194,8 +196,9 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     """Conjugacy classes of stable maximal tori.
 
     Involutions (including e) of the reflection group W(Psi0), partitioned
-    by conjugation under the reflections of the restricted roots (one per
-    line).  An empty Psi0 yields the single class of the reference torus.
+    by ``conjugacy_classes`` under the reflections of the restricted roots,
+    one conjugation per line.  An empty Psi0 yields the single class of the
+    reference torus.
 
     A restricted root is taken by its primitive integer direction p, with
     N = p.p, so its reflection is s(v) = v - (2(p.v)/N) p.  An involution w
@@ -214,11 +217,9 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     rank = theta.rank
     psi0, restricted = root_lines(theta)
     involutions = _involutions(psi0, rank)
-    lines = [(p, _dot(p, p)) for p in restricted]
     one = identity(rank)
 
-    def conjugate(w: SignedPerm, line: tuple[Vector, int]) -> SignedPerm:
-        p, norm = line
+    def conjugate(p: Vector, norm: int, w: SignedPerm) -> SignedPerm:
         conj = one
         for beta in involutions[w]:
             k, r = divmod(2 * _dot(beta, p), norm)
@@ -236,13 +237,9 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
         return conj
 
     minus = theta.minus_dimension
+    conjugations = [partial(conjugate, p, _dot(p, p)) for p in restricted]
     classes = []
-    seen: set[SignedPerm] = set()
-    for w in involutions:
-        if w in seen:
-            continue
-        orbit = closure([w], lambda x: [conjugate(x, line) for line in lines])
-        seen |= orbit
+    for orbit in conjugacy_classes(involutions, conjugations):
         rep = min(orbit, key=canonical_key)
         trace = sum((v == j) - (v == -j) for j, v in enumerate(rep, start=1))
         classes.append((rep, len(orbit), minus + (trace - rank) // 2))

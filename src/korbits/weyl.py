@@ -25,12 +25,15 @@ refused before anything is allocated.  A ``CosetTable`` finds the canonical
 as a minimal image, down a chain of pointwise stabilizers, and lists the
 representatives as the elements that minimal image fixes, with neither the
 group nor the subgroup enumerated.  Subgroups and conjugation orbits are
-generator closures, computed by one traversal helper, ``closure``.
+generator closures, computed by one traversal helper, ``closure``;
+``conjugacy_classes`` is the one conjugation-orbit routine, and torus
+classification runs through it.
 Products, inverses, reflections and coset representatives are built
 without re-validating their images; ``SignedPerm(...)`` and
 ``from_one_line`` validate values that arrive from outside.  Per-group data
-(roots, simple reflections, sign vectors) is computed once per group
-instance.  Nothing here lists a whole Weyl group.
+(simple reflections, sign vectors) is computed once per group instance;
+the positive roots are generated afresh for each pass, never stored.
+Nothing here lists a whole Weyl group.
 
 >>> w = transposition(1, 3, 3)
 >>> (w * w).is_identity()
@@ -178,7 +181,7 @@ class SignedPerm(tuple):
             return body + "[" + "".join(["+" if v > 0 else "-" for v in self]) + "]"
         return body
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:  # pragma: no cover - error messages print it
         return f"SignedPerm{self.images}"
 
 
@@ -300,17 +303,16 @@ class WeylGroup:
 
     # -- roots, simples, lengths ----------------------------------------
 
-    @cached_property
-    def _root_terms(self) -> tuple[Term, ...]:
-        """The positive roots: e_i - e_j within each block, then e_i + e_j
-        when two sign changes are allowed, then e_i when one is."""
-        pairs = [p for b in self._blocks for p in itertools.combinations(b, 2)]
-        terms = [(i, 1, j, -1) for i, j in pairs]
-        if self._allows(2):
-            terms += [(i, 1, j, 1) for i, j in pairs]
+    def _root_terms(self) -> Iterator[Term]:
+        """The positive roots, generated in order: e_i - e_j within each
+        block, then e_i + e_j when two sign changes are allowed, then e_i
+        when one is."""
+        for cj in (-1, 1) if self._allows(2) else (-1,):
+            for b in self._blocks:
+                for i, j in itertools.combinations(b, 2):
+                    yield (i, 1, j, cj)
         if self._allows(1):
-            terms += [(i, 1, i, 1) for i in range(self.rank)]
-        return tuple(terms)
+            yield from ((i, 1, i, 1) for i in range(self.rank))
 
     @cached_property
     def _simple_terms(self) -> dict[SignedPerm, Term]:
@@ -608,22 +610,24 @@ class CosetTable:
 
 def conjugacy_classes(
     elements: Iterable[SignedPerm],
-    conjugators: Iterable[SignedPerm],
+    conjugations: Sequence[Callable[[SignedPerm], SignedPerm]],
 ) -> list[frozenset[SignedPerm]]:
-    """Orbits of ``elements`` under conjugation by the group the
-    conjugators generate (orbits computed generator-wise, so the
-    conjugator group is never expanded)."""
-    gens = [g for g in conjugators]
-    gens += [g.inverse() for g in gens]
+    """Orbits of ``elements`` under conjugation, one map x -> g x g^-1 per
+    generator g, in the ``canonical_key`` order of their least members.
+
+    Each generator of a finite group has finite order, so g^-1 is a power
+    of g and the orbits under the maps are the orbits under the group they
+    generate: no inverse is taken, and the group is never expanded.  A
+    conjugate outside ``elements`` raises ``ValueError``.
+    """
     todo = sorted(set(elements), key=canonical_key)
     member = set(todo)
 
-    def conjugates(y: SignedPerm) -> Iterator[SignedPerm]:
-        for g in gens:
-            z = y.conjugate_by(g)
-            if z not in member:
-                raise ValueError("conjugation leaves the supplied element set")
-            yield z
+    def conjugates(y: SignedPerm) -> list[SignedPerm]:
+        images = [conjugate(y) for conjugate in conjugations]
+        if not member.issuperset(images):
+            raise ValueError("conjugation leaves the supplied element set")
+        return images
 
     seen: set[SignedPerm] = set()
     classes = []

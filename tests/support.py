@@ -1,6 +1,6 @@
 """Shared scraps for the test suite: a build cache, literal constructors, the
-oracle's elements of a group in canonical order, and their partition by a
-coset table.
+oracle's elements of a group in canonical order, their partition by a
+coset table, and the conjugation maps of a generator list.
 
 The literal constructors build expected values straight from image tuples so
 that frozen expectations do not round-trip through the library's own helpers.
@@ -42,6 +42,12 @@ def flip(coords: tuple[int, ...], rank: int) -> SignedPerm:
 def sorted_elements(group: WeylGroup) -> tuple[SignedPerm, ...]:
     """The oracle's elements of ``group``, in ``canonical_key`` order."""
     return tuple(sorted(all_elements(group.kind, group.rank), key=canonical_key))
+
+
+def conjugations(gens) -> list:
+    """One map x -> g x g^-1 per generator g, as ``conjugacy_classes`` takes
+    them."""
+    return [lambda x, g=g: x.conjugate_by(g) for g in gens]
 
 
 def canon_blocks(table: CosetTable, elements) -> frozenset[frozenset[SignedPerm]]:

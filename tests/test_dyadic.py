@@ -260,13 +260,18 @@ def test_unit_det_inverse_matches_oracle(m):
 @settings(deadline=None)
 @given(_squares, st.data())
 def test_singular_matrices(m, data):
-    """Last row replaced by a combination of the others."""
+    """Last row replaced by a combination of the others, summed in the
+    oracle's Fraction arithmetic."""
     rows = [list(r) for r in m.entries]
     k = len(rows) - 1
     coeffs = data.draw(st.lists(_entries, min_size=k, max_size=k))
-    last = [G0] * len(rows)
-    for c, row in zip(coeffs, rows):
-        last = [x + c * y for x, y in zip(last, row)]
+    last = []
+    for j in range(len(rows)):
+        re = im = Fraction(0)
+        for c, row in zip(coeffs, rows):
+            a, b = _q(c * row[j])
+            re, im = re + a, im + b
+        last.append(_from_q((re, im)))
     singular = ExactMatrix.from_rows(rows[:-1] + [last])
     assert singular.det() == naive_det(singular) == G0
     with pytest.raises(NotAUnit):

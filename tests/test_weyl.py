@@ -28,7 +28,7 @@ from korbits.weyl import (
     transposition,
 )
 from oracle import _roots, all_elements, naive_contains, naive_cycle_string, naive_length
-from support import canon_blocks, flip, perm, tr
+from support import canon_blocks, conjugations, flip, perm, tr
 
 
 @st.composite
@@ -193,8 +193,9 @@ def test_group_orders_and_roots(group, order, npos):
     positive = {
         a for a in _roots(group.kind, group.rank) if next(c for c in a if c) > 0
     }
-    assert len(positive) == len(group._root_terms) == npos
-    for i, ci, j, cj in group._root_terms:
+    terms = list(group._root_terms())
+    assert len(positive) == len(terms) == npos
+    for i, ci, j, cj in terms:
         root = [0] * group.rank
         root[i], root[j] = ci, cj
         assert tuple(root) in positive
@@ -376,16 +377,22 @@ def test_coset_space_trivial_subgroup():
 
 def test_conjugacy_classes_s3():
     s3 = all_elements("A", 3)
-    classes = conjugacy_classes(s3, s3)
+    classes = conjugacy_classes(s3, conjugations(s3))
     assert sorted(len(c) for c in classes) == [1, 2, 3]
+
+
+def test_conjugacy_classes_reject_conjugates_outside_the_set():
+    # (1 2) conjugates (2 3) to (1 3), which is not supplied
+    with pytest.raises(ValueError, match="leaves the supplied element set"):
+        conjugacy_classes([tr(2, 3, 3)], conjugations([tr(1, 2, 3)]))
 
 
 def test_conjugacy_classes_restricted_conjugators():
     # conjugating only by a subgroup refines the full classes
     s4 = all_elements("A", 4)
     sub = enumerate_subgroup([tr(1, 2, 4), tr(3, 4, 4)])
-    full = conjugacy_classes(s4, s4)
-    fine = conjugacy_classes(s4, sub)
+    full = conjugacy_classes(s4, conjugations(s4))
+    fine = conjugacy_classes(s4, conjugations(sub))
     assert len(fine) > len(full)
     for block in fine:
         assert any(block <= big for big in full)
