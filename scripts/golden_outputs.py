@@ -62,7 +62,7 @@ VERIFY_LARGE = (
 
 #: Instances past |W| <= 5040 whose ``classify-tori`` output is fingerprinted.
 TORI_LARGE = (
-    [("GL", (n,)) for n in (7, 8)]
+    [("GL", (n,)) for n in (7, 8, 10)]
     + [("Upq", (s - q, q)) for s in (8, 9) for q in range(1, s // 2 + 1)]
     + [("SL2n", (n,)) for n in (5, 6)]
     + [("Ustar", (5,))]

@@ -17,11 +17,15 @@ only.  The classification itself -- involutions in the reflection group of
 Psi0, up to conjugation by the reflections of the restricted roots -- runs
 on root sets.  The involutions are the products of reflections in
 pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed, and
-each keeps the roots it came from.  A reflection s conjugates such a
-product root by root, s w s being the product of the reflections in the
-images s(beta) (see ``torus_classification``), and the classes are the
-orbits of these conjugations under ``weyl.conjugacy_classes``, the
-package's one conjugation-orbit routine.
+each keeps the indices of the roots it came from.  A reflection s
+conjugates such a product root by root, s w s being the product of the
+reflections in the images s(beta).  Each line's images are found once, as
+one table of Psi0 root indices per line, which also checks that the line
+normalizes Psi0 (see ``torus_classification``).  The reflections in the
+simple lines generate the group of all the lines (Humphreys, *Reflection
+Groups and Coxeter Groups*, 1990, section 1.5), so the classes are the
+orbits of the simple lines' conjugations under ``weyl.conjugacy_classes``,
+the package's one conjugation-orbit routine.
 Each class corresponds to one conjugacy class of stable maximal tori; its
 ``minus_dimension``, the split dimension of the corresponding torus, is a
 trace as well.
@@ -41,6 +45,7 @@ from .weyl import (
     Term,
     WeylGroup,
     _reflection,
+    _signed_perm,
     canonical_key,
     conjugacy_classes,
     identity,
@@ -58,6 +63,13 @@ Vector = dict[int, int]
 
 def _dot(a: Vector, b: Vector) -> int:
     return sum(c * b.get(k, 0) for k, c in a.items())
+
+
+def _combine(a: int, u: Vector, b: int, v: Vector) -> Vector:
+    """a u - b v, with its zeros dropped."""
+    return {
+        m: x for m in u.keys() | v.keys() if (x := a * u.get(m, 0) - b * v.get(m, 0))
+    }
 
 
 def _term(v: Vector) -> Term:
@@ -157,10 +169,10 @@ def root_lines(theta: ThetaLattice) -> tuple[tuple[Term, ...], tuple[Vector, ...
 
 def _involutions(
     psi: Sequence[Term], rank: int
-) -> dict[SignedPerm, tuple[Vector, ...]]:
+) -> dict[SignedPerm, tuple[int, ...]]:
     """The involutions (including e) of the reflection group W(Psi0), each
-    with a set of pairwise-orthogonal Psi0 roots whose reflections multiply
-    to it.
+    with the indices in ``psi`` of a set of pairwise-orthogonal Psi0 roots
+    whose reflections multiply to it.
 
     Every involution is such a product (Carter 1972; Richardson 1982), so
     one walk over the sets of pairwise-orthogonal positive Psi0 roots finds
@@ -176,7 +188,7 @@ def _involutions(
     orth = [
         sum(1 << k for k, q in enumerate(roots) if not _dot(p, q)) for p in roots
     ]
-    out: dict[SignedPerm, tuple[Vector, ...]] = {}
+    out: dict[SignedPerm, tuple[int, ...]] = {}
     stack = [(identity(rank), (), (1 << len(roots)) - 1)]
     while stack:
         w, taken, free = stack.pop()
@@ -188,56 +200,111 @@ def _involutions(
         while free:
             j = free.bit_length() - 1
             free ^= 1 << j
-            stack.append((refl[j] * w, taken + (roots[j],), free & orth[j]))
+            stack.append((refl[j] * w, taken + (j,), free & orth[j]))
     return out
+
+
+def _image_table(
+    p: Vector, roots: Sequence[Vector], index: dict[Term, int]
+) -> list[int]:
+    """For each positive Psi0 root beta, the index of +-s(beta), where s is
+    the reflection in the line p.
+
+    With N = p.p, s(beta) = beta - (2(p.beta)/N) p.  A quotient that is not
+    an integer means s does not normalize the subsystem; an image outside
+    +-Psi0 means s leaves the reflection subgroup.  Both raise
+    ``ValueError``.  An orthogonal map keeps lengths, so each integral
+    s(beta) has a root's shape (+-e_i or +-e_i +- e_j).
+    """
+    norm = _dot(p, p)
+    table = []
+    for beta in roots:
+        k, r = divmod(2 * _dot(beta, p), norm)
+        if r:
+            raise ValueError("reflection does not normalize the subsystem")
+        i, ci, j, cj = _term(_combine(1, beta, k, p))
+        at = index.get((i, 1, j, cj) if ci > 0 else (i, 1, j, -cj))
+        if at is None:
+            raise ValueError("conjugate leaves the reflection subgroup")
+        table.append(at)
+    return table
+
+
+def _simple_lines(lines: Sequence[Vector]) -> list[int]:
+    """The indices of the simple lines among the restricted-root lines.
+
+    Each line is positive: its entry at its least coordinate is.  A line b
+    is not simple exactly when some line q has (b, q) > 0 and s_q(b)
+    positive, since then b = s_q(b) + k q with k > 0; the sign is read on
+    the integer vector N s_q(b) = N b - 2(b.q) q, with N = q.q.  The
+    reflections in the simple lines generate the group of all the lines
+    (Humphreys, *Reflection Groups and Coxeter Groups*, 1990, section 1.5).
+    """
+    norms = [_dot(q, q) for q in lines]
+
+    def decomposes(b: Vector, q: Vector, norm: int) -> bool:
+        c = _dot(b, q)
+        if c <= 0:
+            return False
+        v = _combine(norm, b, 2 * c, q)
+        return v[min(v)] > 0
+
+    return [
+        k
+        for k, b in enumerate(lines)
+        if not any(decomposes(b, q, norm) for q, norm in zip(lines, norms))
+    ]
 
 
 def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     """Conjugacy classes of stable maximal tori.
 
     Involutions (including e) of the reflection group W(Psi0), partitioned
-    by ``conjugacy_classes`` under the reflections of the restricted roots,
-    one conjugation per line.  An empty Psi0 yields the single class of the
-    reference torus.
+    by ``conjugacy_classes`` under the reflections of the simple
+    restricted-root lines, which generate the group of all the lines
+    (``_simple_lines``).  An empty Psi0 yields the single class of the
+    reference torus, e being the only involution.
 
-    A restricted root is taken by its primitive integer direction p, with
-    N = p.p, so its reflection is s(v) = v - (2(p.v)/N) p.  An involution w
-    is the product of the reflections in its orthogonal Psi0 roots beta,
-    so s w s is the product of the reflections in the roots s(beta).  A
-    quotient 2(p.beta)/N that is not an integer means the reflection does
-    not normalize the subsystem; a conjugate outside the involutions of
-    W(Psi0) means it leaves the reflection subgroup.  Both raise
-    ``ValueError``.  An orthogonal map keeps lengths, so each integral
-    s(beta) has a root's shape (+-e_i or +-e_i +- e_j).
+    An involution w is the product of the reflections in its orthogonal
+    Psi0 roots beta, so s w s is the product of the reflections in the
+    roots s(beta).  Before the walk, every line's reflection s is checked
+    once against every positive Psi0 root, and its images s(beta) are kept
+    as one table of root indices per line (``_image_table``): a line that
+    does not normalize the subsystem, or that leaves the reflection
+    subgroup, raises ``ValueError`` there, simple or not.  The walk then
+    only multiplies the reflections of the table images: no quotient and
+    no vector arithmetic per conjugation.
 
     The (-1)-eigenspace of w lies in span Psi0, inside the minus space of
     theta, so the minus dimension of w's class is theta's less that of w:
     ``theta.minus_dimension + (trace(w) - rank) / 2``.
     """
     rank = theta.rank
-    psi0, restricted = root_lines(theta)
+    psi0, lines = root_lines(theta)
     involutions = _involutions(psi0, rank)
     one = identity(rank)
+    minus = theta.minus_dimension
+    if not psi0:
+        return (TorusClass(0, one, 1, minus),)
+    roots = [{i: ci, j: cj} for i, ci, j, cj in psi0]
+    index = {term: k for k, term in enumerate(psi0)}
+    tables = [_image_table(p, roots, index) for p in lines]
 
-    def conjugate(p: Vector, norm: int, w: SignedPerm) -> SignedPerm:
-        conj = one
-        for beta in involutions[w]:
-            k, r = divmod(2 * _dot(beta, p), norm)
-            if r:
-                raise ValueError("reflection does not normalize the subsystem")
-            if k:
-                beta = {
-                    m: x
-                    for m in beta.keys() | p.keys()
-                    if (x := beta.get(m, 0) - k * p.get(m, 0))
-                }
-            conj = _reflection(_term(beta), rank) * conj
+    # The images of w's pairwise-orthogonal roots are pairwise orthogonal,
+    # so their reflections commute: e is multiplied by each on the right,
+    # an edit of the two images at the reflection's coordinates.
+    def conjugate(table: list[int], w: SignedPerm) -> SignedPerm:
+        images = list(one)
+        for b in involutions[w]:
+            i, ci, j, cj = psi0[table[b]]
+            s = -ci * cj
+            images[i], images[j] = s * images[j], s * images[i]
+        conj = _signed_perm(images)
         if conj not in involutions:
             raise ValueError("conjugate leaves the reflection subgroup")
         return conj
 
-    minus = theta.minus_dimension
-    conjugations = [partial(conjugate, p, _dot(p, p)) for p in restricted]
+    conjugations = [partial(conjugate, tables[k]) for k in _simple_lines(lines)]
     classes = []
     for orbit in conjugacy_classes(involutions, conjugations):
         rep = min(orbit, key=canonical_key)

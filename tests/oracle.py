@@ -6,11 +6,13 @@ tests, no caching — and shares nothing with the package beyond the
 types.  When a fast routine and its
 oracle agree on an instance, that agreement is evidence, not tautology.
 
-The two routes at the end, ``rational_parameters`` and ``reachable_set``,
-do read the package: its coset table and its monoid move, the latter
-through ``monoid_star``, which names a move by its simple reflection.  Each
-is independent of what it checks -- the Galois action's fixed points and
-the one reverse closure behind ``image_set`` -- not of the package.
+The three routes at the end, ``rational_parameters``, ``reachable_set``
+and ``all_lines_torus_classes``, do read the package: its coset table, its
+monoid move (through ``monoid_star``, which names a move by its simple
+reflection), and its Psi0, restricted lines, involutions and orbit routine.
+Each is independent of what it checks -- the Galois action's fixed points,
+the one reverse closure behind ``image_set``, and the conjugation by the
+simple lines only, through one image table per line -- not of the package.
 """
 
 from __future__ import annotations
@@ -22,8 +24,15 @@ from typing import Callable, Iterable, Sequence
 
 from korbits.catalog import GroupSpec, coset_table
 from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit, placed
+from korbits.tori import _involutions, root_lines
 from korbits.twisted import TwistContext, _star
-from korbits.weyl import SignedPerm
+from korbits.weyl import (
+    SignedPerm,
+    _reflection,
+    canonical_key,
+    conjugacy_classes,
+    identity,
+)
 
 
 class RuleEscapesDomain(ValueError):
@@ -582,3 +591,46 @@ def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
                 seen.add(y)
                 todo.append(y)
     return frozenset(seen)
+
+
+def all_lines_torus_classes(theta) -> list[tuple[SignedPerm, int, int]]:
+    """Torus classes as (representative, class size, minus dimension), in
+    the package's order, from conjugation by the reflection of every
+    restricted-root line.  Each conjugate is formed root by root, with its
+    own integer quotient 2(p.beta)/p.p and its own vector beta - k p; the
+    checks that the line normalizes Psi0 run inside the walk."""
+    rank = theta.rank
+    psi, lines = root_lines(theta)
+    involutions = _involutions(psi, rank)
+    one = identity(rank)
+
+    def conjugate(p: dict, w: SignedPerm) -> SignedPerm:
+        conj = one
+        for b in involutions[w]:
+            i, ci, j, cj = psi[b]
+            beta = {i: ci, j: cj}
+            dot = sum(c * p.get(m, 0) for m, c in beta.items())
+            k, r = divmod(2 * dot, sum(x * x for x in p.values()))
+            if r:
+                raise ValueError("reflection does not normalize the subsystem")
+            image = sorted(
+                (m, x)
+                for m in beta.keys() | p.keys()
+                if (x := beta.get(m, 0) - k * p.get(m, 0))
+            )
+            (i, ci), (j, cj) = image[0], image[-1]
+            conj = _reflection((i, ci, j, cj), rank) * conj
+        if conj not in involutions:
+            raise ValueError("conjugate leaves the reflection subgroup")
+        return conj
+
+    minus = theta.minus_dimension
+    classes = []
+    for orbit in conjugacy_classes(
+        involutions, [lambda w, p=p: conjugate(p, w) for p in lines]
+    ):
+        rep = min(orbit, key=canonical_key)
+        trace = sum((v == j) - (v == -j) for j, v in enumerate(rep, start=1))
+        classes.append((rep, len(orbit), minus + (trace - rank) // 2))
+    classes.sort(key=lambda t: (-t[2], canonical_key(t[0])))
+    return classes

@@ -38,7 +38,7 @@ def test_large_verify_outputs_match_golden_hashes():
 
 
 def test_large_tori_outputs_match_golden_hashes():
-    assert len(_assert_matches("golden_tori_large.json", golden_tori_large())) == 46
+    assert len(_assert_matches("golden_tori_large.json", golden_tori_large())) == 48
 
 
 def test_large_orbits_outputs_match_golden_hashes():

@@ -6,6 +6,7 @@ once through full enumeration — and requires exact set equality.
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
@@ -20,7 +21,7 @@ from korbits.catalog import (
     springer,
 )
 from korbits.descent import GaloisAction, fixed_and_pairs, galois_action
-from korbits.tori import ThetaLattice, root_lines, torus_classification
+from korbits.tori import ThetaLattice, _simple_lines, root_lines, torus_classification
 from korbits.twisted import (
     ReachabilityGraph,
     image_set,
@@ -41,7 +42,9 @@ from korbits.weyl import (
     transposition,
 )
 from oracle import (
+    _rank,
     all_elements,
+    all_lines_torus_classes,
     monoid_star,
     naive_conjugacy,
     naive_cosets,
@@ -271,21 +274,31 @@ def test_coset_table_on_targeted_subgroups(group, gens):
         assert {w.signs() for w in table.reps} == {w.signs() for w in elements}
 
 
-def _assert_tori_match_naive(theta, classes, naive=None):
-    if naive is None:
-        naive = naive_torus_classes(theta.group.kind, theta.rank, theta.rows)
-    expected = sorted(
+def _naive_tori(theta):
+    """The oracle's classes as (representative, size, minus dimension), in
+    the package's order."""
+    naive = naive_torus_classes(theta.group.kind, theta.rank, theta.rows)
+    return sorted(
         ((min(orbit, key=canonical_key), len(orbit), dim) for orbit, dim in naive),
         key=lambda t: (-t[2], canonical_key(t[0])),
     )
-    got = [(c.representative, c.orbit_size, c.minus_dimension) for c in classes]
-    assert got == expected
+
+
+def _rows(classes):
+    return [(c.representative, c.orbit_size, c.minus_dimension) for c in classes]
+
+
+def _assert_tori_match_oracles(theta, classes):
+    """The classes are the naive oracle's, and those of the conjugation by
+    every restricted line."""
+    assert _rows(classes) == _naive_tori(theta)
+    assert _rows(classes) == all_lines_torus_classes(theta)
 
 
 @pytest.mark.parametrize("case", TORI, ids=_instance_id)
 def test_torus_classes_match_naive(case):
     spec = cached_build(case[0], *case[1])
-    _assert_tori_match_naive(spec.lattice, spec.torus_classes())
+    _assert_tori_match_oracles(spec.lattice, spec.torus_classes())
 
 
 def _diagonal(*entries):
@@ -314,14 +327,13 @@ OFF_CATALOG_TORI = [
 )
 def test_off_catalog_torus_classes_match_naive(group, rows):
     theta = ThetaLattice(group, rows)
-    _assert_tori_match_naive(theta, torus_classification(theta))
+    _assert_tori_match_oracles(theta, torus_classification(theta))
 
 
-def _assert_sparse_matches_dense(theta, classify):
+def _assert_sparse_matches_dense(theta):
     """The Psi0 terms and restricted lines that the package reads from the
     sparse columns are the primitive lines of the oracle's dense Psi0 and
-    restricted roots.  With ``classify``, the torus classes agree with the
-    oracle's, or both raise ``ValueError``."""
+    restricted roots."""
     rank = theta.rank
 
     def dense(v):
@@ -334,15 +346,19 @@ def _assert_sparse_matches_dense(theta, classify):
     assert sorted(map(dense, lines)) == sorted(
         set(map(primitive_line, restricted_roots(theta)))
     )
-    if not classify:
-        return
+
+
+def _assert_tori_match_or_both_raise(theta, oracle):
+    """The torus classes are the oracle's, or both raise ``ValueError``;
+    True in the first case."""
     try:
-        naive = naive_torus_classes(theta.group.kind, rank, theta.rows)
+        expected = oracle(theta)
     except ValueError:
         with pytest.raises(ValueError):
             torus_classification(theta)
-        return
-    _assert_tori_match_naive(theta, torus_classification(theta), naive)
+        return False
+    assert _rows(torus_classification(theta)) == expected
+    return True
 
 
 @pytest.mark.parametrize(
@@ -350,7 +366,7 @@ def _assert_sparse_matches_dense(theta, classify):
 )
 def test_off_catalog_root_lines_match_dense(group, rows):
     # the classes are compared in test_off_catalog_torus_classes_match_naive
-    _assert_sparse_matches_dense(ThetaLattice(group, rows), classify=False)
+    _assert_sparse_matches_dense(ThetaLattice(group, rows))
 
 
 @st.composite
@@ -378,9 +394,18 @@ def _signed_involutions(draw):
 @settings(max_examples=50)
 @given(_signed_involutions())
 def test_root_lines_and_tori_match_dense_on_signed_involutions(theta):
-    # the oracle enumerates W(Psi0) and multiplies rational matrices, so the
-    # classes are compared while Psi0 has at most the 18 roots of B3
-    _assert_sparse_matches_dense(theta, classify=len(psi0(theta)) <= 18)
+    _assert_sparse_matches_dense(theta)
+    psi, lines = root_lines(theta)
+    if _assert_tori_match_or_both_raise(theta, all_lines_torus_classes) and psi:
+        # where the lines normalize a nonempty Psi0, the simple lines are a
+        # basis of their span (with Psi0 empty they are never sought, and
+        # lines that no root system holds can have fewer)
+        span = [[Fraction(x.get(k, 0)) for k in range(theta.rank)] for x in lines]
+        assert len(_simple_lines(lines)) == _rank(span)
+    # the naive oracle enumerates W(Psi0) and multiplies rational matrices,
+    # so it is compared while Psi0 has at most the 18 roots of B3
+    if len(psi0(theta)) <= 18:
+        _assert_tori_match_or_both_raise(theta, _naive_tori)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,13 @@ from math import comb, factorial
 
 import pytest
 
-from korbits.tori import ThetaLattice, TorusClass, root_lines, torus_classification
+from korbits.tori import (
+    ThetaLattice,
+    TorusClass,
+    _simple_lines,
+    root_lines,
+    torus_classification,
+)
 from korbits.weyl import (
     RANK_CAP,
     _reflection,
@@ -228,7 +234,8 @@ def _psi0_involution_count(spec):
 
 # closed forms past the oracle's reach: class k of GL(n) has
 # n!/(k! 2^k (n-2k)!) members and minus-dimension n-k; class k of U(p,q)
-# has C(q,k) members and minus-dimension q-k
+# has C(q,k) members and minus-dimension q-k.  The simple restricted lines
+# number n-1 for GL(n) (type A) and q for U(p,q) (type BC_q).
 CLOSED_FORMS = [
     (
         "GL",
@@ -238,14 +245,15 @@ CLOSED_FORMS = [
             for k in range(n // 2 + 1)
         ],
     )
-    for n in (6, 7, 8, 9)
+    for n in (6, 7, 8, 9, 10)
 ] + [
     ("Upq", (p, q), [(q - k, comb(q, k)) for k in range(q + 1)])
     for p, q in ((4, 4), (5, 3), (5, 4), (6, 3), (12, 4), (40, 6), (100, 1))
 ]
 
 # W(Psi0) is enumerated only while the oracle's Psi0 has at most the 42
-# roots of S7; past that (GL(8), GL(9)) the closed form alone is asserted
+# roots of S7; past that (GL(8), GL(9), GL(10)) the closed form alone is
+# asserted
 ENUMERATED_PSI0_ROOTS = 42
 
 
@@ -259,22 +267,37 @@ def test_classification_closed_forms(family, params, expected):
     classes = spec.torus_classes()
     assert [(c.minus_dimension, c.orbit_size) for c in classes] == expected
     assert [c.index for c in classes] == list(range(len(expected)))
+    simple = params[0] - 1 if family == "GL" else params[1]
+    assert len(_simple_lines(root_lines(spec.lattice)[1])) == simple
     if len(psi0(spec.lattice)) <= ENUMERATED_PSI0_ROOTS:
         assert sum(c.orbit_size for c in classes) == _psi0_involution_count(spec)
 
 
 @pytest.mark.parametrize(
-    "rows,message",
+    "rows,line,message",
     [
         # -e1 with e2 <-> e3: the restricted root (1, -1/2, 1/2) reflects
         # with denominators 3, so no conjugate is a signed permutation
-        (((-1, 0, 0), (0, 0, 1), (0, 1, 0)), "reflection does not normalize"),
+        (
+            ((-1, 0, 0), (0, 0, 1), (0, 1, 0)),
+            {0: 2, 1: -1, 2: 1},
+            "reflection does not normalize",
+        ),
         # diag(-1, -1, 1): the reflection in e1 conjugates (1 2) to a signed
         # permutation outside W(Psi0) = S2
-        (((-1, 0, 0), (0, -1, 0), (0, 0, 1)), "conjugate leaves the reflection"),
+        (
+            ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
+            {0: 1},
+            "conjugate leaves the reflection",
+        ),
     ],
     ids=["non-integral", "outside-subgroup"],
 )
-def test_classification_rejects_non_normalizing_reflections(rows, message):
+def test_classification_rejects_non_normalizing_reflections(rows, line, message):
+    # the offending line is not simple, so no conjugation of the walk takes
+    # it: the check that each line makes once, before the walk, raises
+    theta = ThetaLattice(symmetric_group(3), rows)
+    lines = root_lines(theta)[1]
+    assert lines.index(line) not in _simple_lines(lines)
     with pytest.raises(ValueError, match=message):
-        torus_classification(ThetaLattice(symmetric_group(3), rows))
+        torus_classification(theta)
