@@ -556,20 +556,14 @@ def springer(spec: GroupSpec, i: int, w: SignedPerm) -> SignedPerm:
     return springer_value(spec.context, spec.descriptor(i).twist_class, w)
 
 
-def _with_wk(spec: GroupSpec, i: int) -> TorusDescriptor:
-    """Torus i's descriptor, refused without W_K data; builds no list."""
-    desc = spec.descriptor(i)
-    if desc.wk is None:
+def coset_table(spec: GroupSpec, i: int) -> CosetTable:
+    """The coset table of torus i's little Weyl group, built on first use;
+    refused without W_K data before any list is built."""
+    if spec.descriptor(i).wk is None:
         raise MissingWkData(
             f"{spec.name} has no little-Weyl-group data for torus {i}; "
             "use the twisted-involution interface"
         )
-    return desc
-
-
-def coset_table(spec: GroupSpec, i: int) -> CosetTable:
-    """The coset table of torus i's little Weyl group, built on first use."""
-    _with_wk(spec, i)
     return spec._coset_tables[i]
 
 

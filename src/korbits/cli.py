@@ -35,7 +35,6 @@ from .catalog import (
     MissingWkData,
     a_max,
     build,
-    orbit_parameters,
     verify_matrix_claims,
 )
 from .descent import descent_report
@@ -152,12 +151,12 @@ def _cmd_orbits(spec: GroupSpec) -> _Answer:
             "torus_class": row.torus_index,
             "representative": spell(row.rep),
             "springer_value": spell(row.value),
-            "length": orbit.length,
-            "coset_size": orbit.coset_size,
+            "length": row.length,
+            "coset_size": row.coset_size,
             "field_of_definition": row.field,
             "partner": None if row.partner is None else spell(row.partner),
         }
-        for orbit, row in zip(orbit_parameters(spec), report.rows, strict=True)
+        for row in report.rows
     ]
     fixed, pairs = report.fixed_count, report.pair_count
     summary = {"parameters": len(rows), "fixed": fixed, "pairs": pairs}

@@ -6,9 +6,11 @@ parameter fixed by the conjugation yields an orbit defined over the base
 ring, while a swapped pair contributes a single orbit defined only after
 the extension.  This module builds the conjugation action on canonical
 coset representatives from the per-torus rule recorded in the catalog,
-classifies parameters into fixed/paired, and tags each with its field of
-definition.  A torus without little-Weyl-group data has no coset table, so
-``galois_action`` raises the catalog's ``MissingWkData`` for it.
+splits it into fixed points and swapped pairs, and extends each of the
+catalog's orbit parameters, in their order, with its field of definition
+and its pair partner read off those pairs.  A torus without
+little-Weyl-group data has no coset table, so ``galois_action`` raises the
+catalog's ``MissingWkData`` for it.
 ``fixed_and_pairs`` checks that the action maps the representatives into
 themselves and squares to the identity, so its fixed points and swapped
 pairs cover them exactly.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catalog import GroupSpec, coset_table, orbit_parameters
+from .catalog import GroupSpec, OrbitParam, coset_table, orbit_parameters
 from .weyl import SignedPerm
 
 __all__ = [
@@ -109,10 +111,9 @@ def fixed_and_pairs(
 
 
 @dataclass(frozen=True)
-class DescentRow:
-    torus_index: int
-    rep: SignedPerm
-    value: SignedPerm
+class DescentRow(OrbitParam):
+    """An orbit parameter with its field and its pair partner (None if fixed)."""
+
     field: str
     partner: SignedPerm | None
 
@@ -125,29 +126,22 @@ class DescentReport:
 
 
 def descent_report(spec: GroupSpec) -> DescentReport:
-    """Field of definition for every orbit parameter of the family."""
-    values = {(p.torus_index, p.rep): p.value for p in orbit_parameters(spec)}
-    rows: list[DescentRow] = []
-    fixed_total = 0
-    pair_total = 0
+    """Field of definition for every orbit parameter of the family, one row
+    per parameter in ``orbit_parameters`` order."""
+    params = orbit_parameters(spec)
+    partner: dict[tuple[int, SignedPerm], SignedPerm] = {}
+    fixed_total = pair_total = 0
     for desc in spec.tori:
-        action = galois_action(spec, desc.index)
-        fixed, pairs = fixed_and_pairs(action)
+        fixed, pairs = fixed_and_pairs(galois_action(spec, desc.index))
         fixed_total += len(fixed)
         pair_total += len(pairs)
-        partner = {w: img for w, img in action.mapping.items() if img != w}
-        for rep in action.domain:
-            rows.append(
-                DescentRow(
-                    torus_index=desc.index,
-                    rep=rep,
-                    value=values[desc.index, rep],
-                    field=FIELD_FIXED if rep not in partner else FIELD_PAIR,
-                    partner=partner.get(rep),
-                )
-            )
-    return DescentReport(
-        rows=tuple(rows),
-        fixed_count=fixed_total,
-        pair_count=pair_total,
-    )
+        for a, b in pairs:
+            partner[desc.index, a], partner[desc.index, b] = b, a
+    rows = []
+    for p in params:
+        mate = partner.get((p.torus_index, p.rep))
+        field = FIELD_FIXED if mate is None else FIELD_PAIR
+        rows.append(
+            DescentRow(p.torus_index, p.rep, p.coset_size, p.value, p.length, field, mate)
+        )
+    return DescentReport(tuple(rows), fixed_total, pair_total)

@@ -46,7 +46,6 @@ from .weyl import (
     WeylGroup,
     _reflection,
     _signed_perm,
-    canonical_key,
     conjugacy_classes,
     identity,
 )
@@ -306,11 +305,11 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
 
     conjugations = [partial(conjugate, tables[k]) for k in _simple_lines(lines)]
     classes = []
-    for orbit in conjugacy_classes(involutions, conjugations):
-        rep = min(orbit, key=canonical_key)
+    for rep, orbit in conjugacy_classes(involutions, conjugations):
         trace = sum((v == j) - (v == -j) for j, v in enumerate(rep, start=1))
         classes.append((rep, len(orbit), minus + (trace - rank) // 2))
-    classes.sort(key=lambda t: (-t[2], canonical_key(t[0])))
+    # Stable: the classes arrive in the canonical_key order of their reps.
+    classes.sort(key=lambda t: -t[2])
     return tuple(
         TorusClass(i, rep, size, dim)
         for i, (rep, size, dim) in enumerate(classes)

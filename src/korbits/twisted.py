@@ -18,7 +18,7 @@ On that set the monoid generated by the simple reflections acts by
 and the set is the closure of e under this action (Richardson-Springer,
 Hultman).  A move adds 1 to the length in the second case and 2 in the
 third.  The twist of each simple reflection is computed once per context,
-as the reflection in the image of its simple root.
+as the index of the simple root that its simple root maps to.
 
 A move forms no product.  Two index scans find the signed positions x, y
 of alpha_s's coordinates in a's one-line form, so a^-1(alpha_s) is read
@@ -101,43 +101,41 @@ class TwistContext:
         return {}
 
     @cached_property
-    def _simple_theta(self) -> dict[SignedPerm, SignedPerm]:
-        """theta(s) for each simple reflection s.  theta is conjugation by
-        g = b^-1 t, so theta(s) is the reflection in the root g(alpha_s),
-        looked up among the simple roots."""
+    def _simple_theta(self) -> tuple[int, ...]:
+        """The index of theta(s) for each simple reflection s, in order.
+        theta is conjugation by g = b^-1 t, so theta(s) is the reflection in
+        the root g(alpha_s), looked up among the simple roots."""
         terms = self.group._simple_terms
-        simple_of = {term: s for s, term in terms.items()}
+        index = {term: k for k, term in enumerate(terms)}
         g = self.base.inverse() * self.twist
-        out = {}
-        for s, (i, ci, j, cj) in terms.items():
+        out = []
+        for i, ci, j, cj in terms:
             # g(c e_k) = c * sign(g_k) e_|g_k|; order the coordinates and
             # take the root with leading coefficient +1.
             (a, ca), (b, cb) = sorted(
                 (abs(g[k]) - 1, c if g[k] > 0 else -c) for k, c in ((i, ci), (j, cj))
             )
-            image = simple_of.get((a, 1, b, ca * cb))
+            image = index.get((a, 1, b, ca * cb))
             if image is None:
                 raise ValueError(
                     "effective twist does not permute the simple reflections"
                 )
-            out[s] = image
-        return out
+            out.append(image)
+        return tuple(out)
 
     @cached_property
     def _star_rows(self) -> tuple[StarRow, ...]:
-        """A ``_star`` row for each simple reflection s, in order: the
-        coordinates k, l of alpha_s = e_k + c e_l (k == l for e_k), with
-        s(e_k) and s(e_l); the coordinates p, q of alpha_theta(s) = e_p +
-        d e_q, with theta(s)(e_p) and theta(s)(e_q).  Signed coordinates
-        stand for signed unit vectors, as in a one-line form."""
+        """A ``_star`` row for each simple reflection s, in order, read off
+        the roots: alpha_s = e_k + c e_l (k == l for e_k), with
+        s(e_k) = -c e_l and s(e_l) = -c e_k; alpha_theta(s) = e_p + d e_q,
+        with theta(s)(e_p) = -d e_q and theta(s)(e_q) = -d e_p.  Signed
+        coordinates stand for signed unit vectors, as in a one-line form."""
         terms = self.group._simple_terms
         rows = []
-        for s, theta_s in self._simple_theta.items():
-            i, _, j, c = terms[s]
-            p, _, q, d = terms[theta_s]
-            rows.append(
-                (i + 1, j + 1, c, s[i], s[j], p + 1, q + 1, d, theta_s[p], theta_s[q])
-            )
+        for (i, _, j, c), t in zip(terms, self._simple_theta):
+            p, _, q, d = terms[t]
+            k, l, p, q = i + 1, j + 1, p + 1, q + 1
+            rows.append((k, l, c, -c * l, -c * k, p, q, d, -d * q, -d * p))
         return tuple(rows)
 
     @cached_property

@@ -17,22 +17,24 @@ coefficient at the smallest coordinate is.  Summed over the roots, that
 makes ``length`` an inversion count with no list of roots (Bjorner-Brenti,
 Combinatorics of Coxeter Groups, sec. 8.1): the inversions of |w|, plus 2
 for each a < b with |w_a| < |w_b| and w_a < 0, plus the number of w_a < 0
-in type B.  ``is_left_ascent`` reads the sign of w^-1(alpha_s) from where
-the coordinates of alpha_s sit in w.  Membership reads only the sign count
-and, for AxA, where the first block goes.  A rank past ``RANK_CAP`` is
-refused before anything is allocated.  A ``CosetTable`` finds the canonical
-(``canonical_key``-least) representative of each right coset of a subgroup
-as a minimal image, down a chain of pointwise stabilizers, and lists the
-representatives as the elements that minimal image fixes, with neither the
-group nor the subgroup enumerated.  Subgroups and conjugation orbits are
-generator closures, computed by one traversal helper, ``closure``;
+in type B.  A simple reflection is kept as its root's term alone.  w0 is
+checked by its length, which no other element reaches: the number of
+positive roots, a closed form in the block sizes and the sign rule.
+Membership reads only the sign count and, for AxA, where the first block
+goes.  A rank past ``RANK_CAP`` is refused before anything is allocated.
+A ``CosetTable`` finds the canonical (``canonical_key``-least)
+representative of each right coset of a subgroup as a minimal image, down
+a chain of pointwise stabilizers, and lists the representatives as the
+elements that minimal image fixes, with neither the group nor the
+subgroup enumerated.  Subgroups and conjugation orbits are generator
+closures, computed by one traversal helper, ``closure``;
 ``conjugacy_classes`` is the one conjugation-orbit routine, and torus
 classification runs through it.
 Products, inverses, reflections and coset representatives are built
 without re-validating their images; ``SignedPerm(...)`` and
 ``from_one_line`` validate values that arrive from outside.  Per-group data
-(simple reflections, sign vectors) is computed once per group instance;
-the positive roots are generated afresh for each pass, never stored.
+(simple roots, sign vectors) is computed once per group instance; the
+positive roots are generated afresh for each pass, never stored.
 Nothing here lists a whole Weyl group.
 
 >>> w = transposition(1, 3, 3)
@@ -315,20 +317,20 @@ class WeylGroup:
             yield from ((i, 1, i, 1) for i in range(self.rank))
 
     @cached_property
-    def _simple_terms(self) -> dict[SignedPerm, Term]:
-        """Each simple reflection, in order, with its simple root: e_i -
-        e_(i+1) within each block, then e_n if one sign change is allowed,
-        else e_(n-1) + e_n if two are."""
+    def _simple_terms(self) -> tuple[Term, ...]:
+        """The simple roots, in order: e_i - e_(i+1) within each block, then
+        e_n if one sign change is allowed, else e_(n-1) + e_n if two are."""
         n = self.rank
         terms = [(i, 1, i + 1, -1) for b in self._blocks for i in b[:-1]]
         if self._allows(1):
             terms.append((n - 1, 1, n - 1, 1))
         elif self._allows(2) and n >= 2:
             terms.append((n - 2, 1, n - 1, 1))
-        return {_reflection(t, n): t for t in terms}
+        return tuple(terms)
 
     def simple_reflections(self) -> tuple[SignedPerm, ...]:
-        return tuple(self._simple_terms)
+        """The reflections in the simple roots, in order, built per call."""
+        return tuple(_reflection(t, self.rank) for t in self._simple_terms)
 
     def length(self, w: SignedPerm) -> int:
         if w.rank != self.rank:
@@ -353,16 +355,6 @@ class WeylGroup:
             later.insert(smaller, m)
         return count
 
-    def is_left_ascent(self, s: SignedPerm, w: SignedPerm) -> bool:
-        """Whether l(s w) > l(w), for a simple reflection s and w in the
-        group: whether w^-1(alpha_s) is positive."""
-        i, ci, j, cj = self._simple_terms[s]
-        # w^-1(e_k) = sign(v) e_m for w[m-1] = v = +-k; x and y are those
-        # signed m for the two coordinates of alpha_s.
-        x = w.index(i + 1) + 1 if i + 1 in w else -w.index(-i - 1) - 1
-        y = w.index(j + 1) + 1 if j + 1 in w else -w.index(-j - 1) - 1
-        return (ci * x if abs(x) <= abs(y) else cj * y) > 0
-
     def longest_element(self) -> SignedPerm:
         """Negates as many leading coordinates as the sign rule allows (all,
         or all but the last for D of odd rank); with no sign change allowed
@@ -374,9 +366,11 @@ class WeylGroup:
         else:
             images = tuple(k + 1 for b in self._blocks for k in reversed(b))
         w0 = _signed_perm(images)
-        # w0 is the one element with every simple reflection a left descent
-        # (Bjorner-Brenti, Combinatorics of Coxeter Groups, sec. 2.3).
-        assert not any(self.is_left_ascent(s, w0) for s in self._simple_terms)
+        # w0 is the one element whose length is the number of positive roots
+        # (Bjorner-Brenti, Combinatorics of Coxeter Groups, sec. 2.3): e_i -
+        # e_j within each block, e_i + e_j with two sign changes, e_i with one.
+        pairs = sum(math.comb(len(b), 2) for b in self._blocks)
+        assert self.length(w0) == (1 + self._allows(2)) * pairs + self._allows(1) * n
         return w0
 
     # -- sign vectors and the size cap -----------------------------------
@@ -611,9 +605,11 @@ class CosetTable:
 def conjugacy_classes(
     elements: Iterable[SignedPerm],
     conjugations: Sequence[Callable[[SignedPerm], SignedPerm]],
-) -> list[frozenset[SignedPerm]]:
+) -> list[tuple[SignedPerm, frozenset[SignedPerm]]]:
     """Orbits of ``elements`` under conjugation, one map x -> g x g^-1 per
-    generator g, in the ``canonical_key`` order of their least members.
+    generator g, each as (its ``canonical_key``-least member, the orbit), in
+    the order of those members: the walk takes the elements in that order
+    and starts an orbit at each one no earlier orbit holds.
 
     Each generator of a finite group has finite order, so g^-1 is a power
     of g and the orbits under the maps are the orbits under the group they
@@ -635,5 +631,5 @@ def conjugacy_classes(
         if x not in seen:
             orbit = closure([x], conjugates)
             seen |= orbit
-            classes.append(orbit)
+            classes.append((x, orbit))
     return classes

@@ -626,10 +626,9 @@ def all_lines_torus_classes(theta) -> list[tuple[SignedPerm, int, int]]:
 
     minus = theta.minus_dimension
     classes = []
-    for orbit in conjugacy_classes(
+    for rep, orbit in conjugacy_classes(
         involutions, [lambda w, p=p: conjugate(p, w) for p in lines]
     ):
-        rep = min(orbit, key=canonical_key)
         trace = sum((v == j) - (v == -j) for j, v in enumerate(rep, start=1))
         classes.append((rep, len(orbit), minus + (trace - rank) // 2))
     classes.sort(key=lambda t: (-t[2], canonical_key(t[0])))

@@ -17,6 +17,7 @@ import pytest
 
 import korbits.catalog as catalog
 import korbits.cli as cli
+import korbits.weyl as weyl
 from korbits.catalog import GBL, HSPLIT, M3, build, verify_matrix_claims
 from korbits.dyadic import UCIRC, placed
 from korbits.weyl import SignedPerm, identity
@@ -237,6 +238,31 @@ def test_upq_1000_24_builds_with_few_products(monkeypatch):
     spec = build("Upq", 1000, 24)
     assert len(spec.context._simple_theta) == 1023
     assert 0 < len(products) <= 8
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("GL", (1024,)),
+        ("SL2n", (512,)),
+        ("Ustar", (512,)),
+        ("SOodd1", (1000,)),
+        ("SOeven1", (1000,)),
+        ("Upq", (1000, 24)),
+        ("Restriction", (512,)),
+    ],
+)
+def test_builds_near_the_rank_cap_form_no_reflection(monkeypatch, family, params):
+    """A simple reflection is its root term on the build path: neither the
+    twist context nor w0's check forms a reflection as a permutation."""
+    formed = []
+    real = weyl._reflection
+    monkeypatch.setattr(
+        weyl, "_reflection", lambda term, rank: formed.append(term) or real(term, rank)
+    )
+    spec = build(family, *params)
+    assert spec.context._simple_theta
+    assert formed == []
 
 
 def test_wk_generators_are_built_once_on_first_read(monkeypatch):

@@ -413,8 +413,10 @@ def test_root_lines_and_tori_match_dense_on_signed_involutions(theta):
 )
 def test_conjugacy_classes_match_naive(group):
     elements = sorted_elements(group)
-    fast = frozenset(conjugacy_classes(elements, conjugations(elements)))
-    assert fast == naive_conjugacy(elements, elements)
+    classes = conjugacy_classes(elements, conjugations(elements))
+    for least, orbit in classes:
+        assert least == min(orbit, key=canonical_key)
+    assert frozenset(c for _, c in classes) == naive_conjugacy(elements, elements)
 
 
 GALOIS_INSTANCES = [
@@ -460,7 +462,10 @@ def test_randomized_instances_agree_with_oracles():
         fast = canon_blocks(CosetTable(gens, group), elements)
         assert fast == naive_cosets(closure, elements)
 
-        fast_classes = frozenset(conjugacy_classes(elements, conjugations(gens)))
+        classes = conjugacy_classes(elements, conjugations(gens))
+        for least, orbit in classes:
+            assert least == min(orbit, key=canonical_key)
+        fast_classes = frozenset(c for _, c in classes)
         assert fast_classes == naive_conjugacy(elements, closure)
 
         t = rng.choice([w for w in elements if (w * w).is_identity()])
