@@ -62,7 +62,6 @@ from .weyl import (
     # not called here; perfbench's tests read korbits.catalog.enumerate_subgroup
     enumerate_subgroup,  # noqa: F401
     even_hyperoctahedral_group,
-    from_one_line,
     hyperoctahedral_group,
     identity,
     product_symmetric_group,
@@ -249,11 +248,6 @@ def _circular_pairs(i: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * j - 1, 2 * j) for j in range(1, i + 1))
 
 
-def _lattice(W: WeylGroup, w: SignedPerm) -> ThetaLattice:
-    """The lattice involution given by the matrix of w."""
-    return ThetaLattice(W, tuple(map(tuple, w.matrix())))
-
-
 def _symplectic_j(n: int) -> SignedPerm:
     """The symplectic form of rank 2n, (0 1; -1 0) on each pair (2j-1, 2j)."""
     return SignedPerm(x for j in range(1, n + 1) for x in (-2 * j, 2 * j - 1))
@@ -277,7 +271,7 @@ def _gl_spec(n: int) -> GroupSpec:
         name=f"GL({n})",
         group=W,
         context=ctx,
-        lattice=_lattice(W, ctx.twist),
+        lattice=ThetaLattice(W, ctx.twist),
         tori=tori,
         reference_orbit=(0, identity(n)),
         torus_structure=diagonal_structure(n),
@@ -327,7 +321,7 @@ def _sl2n_spec(n: int) -> GroupSpec:
         name=f"SL({r})/Sp",
         group=W,
         context=ctx,
-        lattice=_lattice(W, _swaps(_circular_pairs(n), r, -1)),
+        lattice=ThetaLattice(W, _swaps(_circular_pairs(n), r, -1)),
         tori=tuple(tori),
         reference_orbit=(0, identity(r)),
         torus_structure=diagonal_structure(r),
@@ -349,7 +343,7 @@ def _ustar_spec(n: int) -> GroupSpec:
         name=f"U*({r})",
         group=W,
         context=ctx,
-        lattice=_lattice(W, ctx.twist),
+        lattice=ThetaLattice(W, ctx.twist),
         tori=tori,
         reference_orbit=(0, identity(r)),
         torus_structure=diagonal_structure(r),
@@ -384,7 +378,7 @@ def _soodd1_spec(n: int) -> GroupSpec:
         name=f"SO({2 * n + 1},1)",
         group=W,
         context=ctx,
-        lattice=_lattice(W, d),
+        lattice=ThetaLattice(W, d),
         tori=tori,
         reference_orbit=(0, transposition(1, rank, rank)),
         torus_structure=structure,
@@ -428,7 +422,7 @@ def _soeven1_spec(n: int) -> GroupSpec:
         name=f"SO({2 * n},1)",
         group=W,
         context=ctx,
-        lattice=_lattice(W, last),
+        lattice=ThetaLattice(W, last),
         tori=tori,
         reference_orbit=(1, ref_rep),
         torus_structure=structure,
@@ -481,9 +475,9 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         name=f"U({p},{q})",
         group=W,
         context=ctx,
-        lattice=_lattice(W, tori[0].twist_class),
+        lattice=ThetaLattice(W, tori[0].twist_class),
         tori=tuple(tori),
-        reference_orbit=(0, from_one_line(w_ref)),
+        reference_orbit=(0, SignedPerm(w_ref)),
         torus_structure=diagonal_structure(n),
         theta_map=(signature, False),
         galois_map=(signature, True),
@@ -493,7 +487,7 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
 def _restriction_spec(r: int) -> GroupSpec:
     W = product_symmetric_group(r)
     rank = 2 * r
-    tau = from_one_line(list(range(r + 1, rank + 1)) + list(range(1, r + 1)))
+    tau = SignedPerm(list(range(r + 1, rank + 1)) + list(range(1, r + 1)))
     ctx = TwistContext(W, tau, identity(rank))
     tori = (
         TorusDescriptor(
@@ -504,14 +498,14 @@ def _restriction_spec(r: int) -> GroupSpec:
             ),
         ),
     )
-    ref = from_one_line(list(range(r, 0, -1)) + list(range(r + 1, rank + 1)))
+    ref = SignedPerm(list(range(r, 0, -1)) + list(range(r + 1, rank + 1)))
     return GroupSpec(
         family="Restriction",
         params=(r,),
         name=f"Res({r})",
         group=W,
         context=ctx,
-        lattice=_lattice(W, tau),
+        lattice=ThetaLattice(W, tau),
         tori=tori,
         reference_orbit=(0, ref),
         torus_structure=diagonal_structure(rank),
@@ -596,9 +590,8 @@ def galois_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
 def _lattice_transform(
     spec: GroupSpec, values: Sequence[DyadicGauss]
 ) -> tuple[DyadicGauss, ...]:
-    sp = spec.lattice.as_signed_perm()
     out: list[DyadicGauss] = [G1] * len(values)
-    for j, img in enumerate(sp):
+    for j, img in enumerate(spec.lattice.theta):
         out[abs(img) - 1] = values[j] if img > 0 else values[j].inverse()
     return tuple(out)
 

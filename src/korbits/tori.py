@@ -1,27 +1,29 @@
 """Classification of stable maximal tori from an involution on the
 cocharacter lattice.
 
-The input is an integer involution theta on the lattice of a maximally
-split stable torus, together with the ambient Weyl group.  theta is kept as
-its sparse columns, theta(e_j) as {coordinate: entry}, and a root as the
-sparse term (i, c_i, j, c_j) of ``WeylGroup._root_terms()``, so theta(alpha)
-is a sum of at most two columns.  One pass over the positive roots gives
-the subsystem Psi0 of roots sent to their negatives and the lines of the
-restricted roots, the projections (alpha - theta alpha)/2 onto the
-(-1)-eigenspace.  A restricted root's line is that of the integer vector
-alpha - theta alpha, so a gcd reads it and no fraction is formed; only the
-line matters for a reflection, so restricted roots of two lengths on one
-line (the non-reduced systems of U(p,q)) give one line.  The dimension of
-the (-1)-eigenspace is (rank - trace)/2, since theta has eigenvalues +-1
-only.  The classification itself -- involutions in the reflection group of
-Psi0, up to conjugation by the reflections of the restricted roots -- runs
-on root sets.  The involutions are the products of reflections in
-pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed, and
-each keeps the indices of the roots it came from.  A reflection s
-conjugates such a product root by root, s w s being the product of the
-reflections in the images s(beta).  Each line's images are found once, as
-one table of Psi0 root indices per line, which also checks that the line
-normalizes Psi0 (see ``torus_classification``).  The reflections in the
+The input is an involution theta on the lattice of a maximally split stable
+torus, together with the ambient Weyl group.  On every catalog family theta
+is a signed permutation of the coordinates, and it is kept as one: theta(e_j)
+is s e_k for the signed image s k = theta[j-1].  A root is the sparse term
+(i, c_i, j, c_j) of ``WeylGroup._root_terms()``, so theta(alpha) is read from
+two images.  One pass over the positive roots gives the subsystem Psi0 of
+roots sent to their negatives and the lines of the restricted roots, the
+projections (alpha - theta alpha)/2 onto the (-1)-eigenspace.  A
+restricted root's line is that of the integer vector alpha - theta alpha, so
+a gcd reads it and no fraction is formed; only the line matters for a
+reflection, so restricted roots of two lengths on one line (the non-reduced
+systems of U(p,q)) give one line.  The dimension of the (-1)-eigenspace is
+(rank - trace)/2, since theta has eigenvalues +-1 only, and the trace of a
+signed permutation is read from its fixed and negated coordinates.  The
+classification itself -- involutions in the reflection group of Psi0, up to
+conjugation by the reflections of the restricted roots -- runs on root
+sets.  The involutions are the products of reflections in
+pairwise-orthogonal Psi0 roots, so W(Psi0) itself is never listed, and each
+keeps the indices of the roots it came from.  A reflection s conjugates such
+a product root by root, s w s being the product of the reflections in the
+images s(beta).  Each line's images are found once, as one table of Psi0
+root indices per line, which also checks that the line normalizes Psi0 (see
+``torus_classification``).  The reflections in the
 simple lines generate the group of all the lines (Humphreys, *Reflection
 Groups and Coxeter Groups*, 1990, section 1.5), so the classes are the
 orbits of the simple lines' conjugations under ``weyl.conjugacy_classes``,
@@ -88,60 +90,39 @@ class TorusClass:
     minus_dimension: int
 
 
+def _trace(w: SignedPerm) -> int:
+    """The trace of w's matrix: +1 per fixed coordinate, -1 per negated one."""
+    return sum((v == j) - (v == -j) for j, v in enumerate(w, start=1))
+
+
 @dataclass(frozen=True)
 class ThetaLattice:
-    """Integer involution on the lattice of the split reference torus."""
+    """Involution on the lattice of the split reference torus, as the signed
+    permutation theta of its coordinates."""
 
     group: WeylGroup
-    rows: tuple[tuple[int, ...], ...]
+    theta: SignedPerm
 
     def __post_init__(self) -> None:
-        n = self.group.rank
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValueError("lattice involution must be rank x rank")
-        # theta is an involution exactly when (1 - theta)/2 is a projection.
-        for j in range(n):
-            d = self.difference({j: 1})
-            if self.difference(d) != {m: 2 * x for m, x in d.items()}:
-                raise ValueError("lattice map is not an involution")
+        if len(self.theta) != self.group.rank:
+            raise ValueError("lattice involution must have the group's rank")
+        if not (self.theta * self.theta).is_identity():
+            raise ValueError("lattice map is not an involution")
 
     @cached_property
-    def columns(self) -> tuple[Vector, ...]:
-        """theta(e_j) as {i: entry}, for each coordinate j."""
-        columns: list[Vector] = [{} for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j, c in enumerate(row):
-                if c:
-                    columns[j][i] = c
-        return tuple(columns)
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """theta as a dense integer matrix, for readers outside the package."""
+        return tuple(map(tuple, self.theta.matrix()))
 
     @property
     def rank(self) -> int:
         return self.group.rank
 
-    def difference(self, v: Vector) -> Vector:
-        """v - theta(v), from the columns at the coordinates of v."""
-        out = dict(v)
-        for k, c in v.items():
-            for m, d in self.columns[k].items():
-                out[m] = out.get(m, 0) - c * d
-        return {m: x for m, x in out.items() if x}
-
-    def as_signed_perm(self) -> SignedPerm:
-        """The lattice map as a signed permutation (it must be monomial)."""
-        images = []
-        for col in self.columns:
-            if len(col) != 1 or set(col.values()) - {1, -1}:
-                raise ValueError("lattice map is not a signed permutation")
-            ((i, c),) = col.items()
-            images.append((i + 1) * c)
-        return SignedPerm(images)
-
     @property
     def minus_dimension(self) -> int:
         """Dimension of the (-1)-eigenspace (the split directions): an
         involution has eigenvalues +-1 only, so it is (rank - trace)/2."""
-        return (self.rank - sum(row[i] for i, row in enumerate(self.rows))) // 2
+        return (self.rank - _trace(self.theta)) // 2
 
 
 def root_lines(theta: ThetaLattice) -> tuple[tuple[Term, ...], tuple[Vector, ...]]:
@@ -151,12 +132,22 @@ def root_lines(theta: ThetaLattice) -> tuple[tuple[Term, ...], tuple[Vector, ...
     alpha = 2 alpha, and a nonzero alpha - theta alpha spans the line of the
     restricted root (alpha - theta alpha)/2.  Each line is its primitive
     integer vector, with a positive entry at its least coordinate; -alpha
-    gives the same line, so the positive roots give them all.
+    gives the same line, so the positive roots give them all.  theta(alpha)
+    is read from the images of alpha's coordinates, and a root whose
+    coordinates theta fixes is skipped at once.
     """
+    w = theta.theta
     psi0, lines = [], {}
     for term in theta.group._root_terms():
         i, ci, j, cj = term
-        d = theta.difference({i: ci, j: cj})
+        if w[i] == i + 1 and w[j] == j + 1:
+            continue
+        alpha = {i: ci, j: cj}
+        d = dict(alpha)
+        for k, c in alpha.items():
+            m, x = abs(w[k]) - 1, c if w[k] > 0 else -c
+            d[m] = d.get(m, 0) - x
+        d = {m: x for m, x in d.items() if x}
         if not d:
             continue
         if d == {i: 2 * ci, j: 2 * cj}:
@@ -306,8 +297,7 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     conjugations = [partial(conjugate, tables[k]) for k in _simple_lines(lines)]
     classes = []
     for rep, orbit in conjugacy_classes(involutions, conjugations):
-        trace = sum((v == j) - (v == -j) for j, v in enumerate(rep, start=1))
-        classes.append((rep, len(orbit), minus + (trace - rank) // 2))
+        classes.append((rep, len(orbit), minus + (_trace(rep) - rank) // 2))
     # Stable: the classes arrive in the canonical_key order of their reps.
     classes.sort(key=lambda t: -t[2])
     return tuple(

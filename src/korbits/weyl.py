@@ -31,10 +31,10 @@ closures, computed by one traversal helper, ``closure``;
 ``conjugacy_classes`` is the one conjugation-orbit routine, and torus
 classification runs through it.
 Products, inverses, reflections and coset representatives are built
-without re-validating their images; ``SignedPerm(...)`` and
-``from_one_line`` validate values that arrive from outside.  Per-group data
-(simple roots, sign vectors) is computed once per group instance; the
-positive roots are generated afresh for each pass, never stored.
+without re-validating their images; ``SignedPerm(...)`` validates values
+that arrive from outside.  Per-group data (simple roots, sign vectors) is
+computed once per group instance; the positive roots are generated afresh
+for each pass, never stored.
 Nothing here lists a whole Weyl group.
 
 >>> w = transposition(1, 3, 3)
@@ -65,7 +65,6 @@ __all__ = [
     "identity",
     "transposition",
     "sign_flip",
-    "from_one_line",
     "symmetric_group",
     "hyperoctahedral_group",
     "even_hyperoctahedral_group",
@@ -210,10 +209,6 @@ def sign_flip(coords: Iterable[int], rank: int) -> SignedPerm:
     for c in coords:
         out[c - 1] = -out[c - 1]
     return SignedPerm(out)
-
-
-def from_one_line(images: Sequence[int]) -> SignedPerm:
-    return SignedPerm(images)
 
 
 def canonical_key(w: SignedPerm) -> tuple:

@@ -1,6 +1,7 @@
 """Shared scraps for the test suite: a build cache, literal constructors, the
 oracle's elements of a group in canonical order, their partition by a
-coset table, and the conjugation maps of a generator list.
+coset table, the conjugation maps of a generator list, and the comparison of
+a lattice's root lines with the oracle's dense roots.
 
 The literal constructors build expected values straight from image tuples so
 that frozen expectations do not round-trip through the library's own helpers.
@@ -12,8 +13,9 @@ import functools
 from collections import defaultdict
 
 from korbits.catalog import build
+from korbits.tori import root_lines
 from korbits.weyl import CosetTable, SignedPerm, WeylGroup, canonical_key
-from oracle import all_elements
+from oracle import all_elements, primitive_line, psi0, restricted_roots
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,3 +58,21 @@ def canon_blocks(table: CosetTable, elements) -> frozenset[frozenset[SignedPerm]
     for x in elements:
         blocks[table.canon(x)].add(x)
     return frozenset(map(frozenset, blocks.values()))
+
+
+def assert_root_lines_match_dense(theta) -> None:
+    """The Psi0 terms and restricted lines that ``root_lines`` reads from the
+    signed permutation are the primitive lines of the oracle's dense Psi0 and
+    restricted roots."""
+    rank = theta.rank
+
+    def dense(v):
+        return tuple(v.get(k, 0) for k in range(rank))
+
+    psi, lines = root_lines(theta)
+    assert sorted(dense({i: ci, j: cj}) for i, ci, j, cj in psi) == sorted(
+        set(map(primitive_line, psi0(theta)))
+    )
+    assert sorted(map(dense, lines)) == sorted(
+        set(map(primitive_line, restricted_roots(theta)))
+    )

@@ -284,7 +284,7 @@ def test_criterion_09():
         c0 = spec.group.identity()
         for j in range(1, q + 1):
             c0 = c0 * tr(p - q + j, n - q + j, n)
-        assert spec.lattice.as_signed_perm() == c0
+        assert spec.lattice.theta == c0
 
 
 def test_criterion_10():

@@ -253,16 +253,24 @@ def test_upq_1000_24_builds_with_few_products(monkeypatch):
     ],
 )
 def test_builds_near_the_rank_cap_form_no_reflection(monkeypatch, family, params):
-    """A simple reflection is its root term on the build path: neither the
-    twist context nor w0's check forms a reflection as a permutation."""
+    """A simple reflection is its root term and the lattice involution its
+    signed permutation on the build path: neither the twist context nor w0's
+    check forms a reflection as a permutation, and nothing forms a dense
+    matrix."""
     formed = []
     real = weyl._reflection
     monkeypatch.setattr(
         weyl, "_reflection", lambda term, rank: formed.append(term) or real(term, rank)
     )
+    dense = []
+    real_matrix = SignedPerm.matrix
+    monkeypatch.setattr(
+        SignedPerm, "matrix", lambda w: dense.append(len(w)) or real_matrix(w)
+    )
     spec = build(family, *params)
     assert spec.context._simple_theta
     assert formed == []
+    assert dense == []
 
 
 def test_wk_generators_are_built_once_on_first_read(monkeypatch):

@@ -30,6 +30,7 @@ from korbits.twisted import (
 )
 from korbits.weyl import (
     CosetTable,
+    SignedPerm,
     WeylGroup,
     canonical_key,
     conjugacy_classes,
@@ -56,12 +57,16 @@ from oracle import (
     naive_theta,
     naive_torus_classes,
     naive_twisted,
-    primitive_line,
     psi0,
     reachable_set,
-    restricted_roots,
 )
-from support import cached_build, canon_blocks, conjugations, sorted_elements
+from support import (
+    assert_root_lines_match_dense,
+    cached_build,
+    canon_blocks,
+    conjugations,
+    sorted_elements,
+)
 
 # catalog instances with |W| <= 2^5 * 5! = 3840
 SMALL = (
@@ -301,51 +306,25 @@ def test_torus_classes_match_naive(case):
     _assert_tori_match_oracles(spec.lattice, spec.torus_classes())
 
 
-def _diagonal(*entries):
-    return tuple(
-        tuple(x if i == j else 0 for j in range(len(entries)))
-        for i, x in enumerate(entries)
-    )
-
-
 # lattices outside the catalog: no catalog Psi0 is of type B or D, and only
 # there do two orthogonal root sets give one involution (-1 on B2 is both
-# s(e1) s(e2) and s(e1 - e2) s(e1 + e2)); the last is not a signed permutation
+# s(e1) s(e2) and s(e1 - e2) s(e1 + e2))
 OFF_CATALOG_TORI = [
-    ("B2-minus", hyperoctahedral_group(2), _diagonal(-1, -1)),
-    ("B3-minus", hyperoctahedral_group(3), _diagonal(-1, -1, -1)),
-    ("D3-minus", even_hyperoctahedral_group(3), _diagonal(-1, -1, -1)),
-    ("D4-minus", even_hyperoctahedral_group(4), _diagonal(-1, -1, -1, -1)),
-    ("B3-diag", hyperoctahedral_group(3), _diagonal(-1, -1, 1)),
-    ("D4-diag", even_hyperoctahedral_group(4), _diagonal(-1, -1, 1, 1)),
-    ("S2-off-monomial", symmetric_group(2), ((1, 0), (1, -1))),
+    ("B2-minus", hyperoctahedral_group(2), sign_flip((1, 2), 2)),
+    ("B3-minus", hyperoctahedral_group(3), sign_flip((1, 2, 3), 3)),
+    ("D3-minus", even_hyperoctahedral_group(3), sign_flip((1, 2, 3), 3)),
+    ("D4-minus", even_hyperoctahedral_group(4), sign_flip((1, 2, 3, 4), 4)),
+    ("B3-diag", hyperoctahedral_group(3), sign_flip((1, 2), 3)),
+    ("D4-diag", even_hyperoctahedral_group(4), sign_flip((1, 2), 4)),
 ]
 
 
 @pytest.mark.parametrize(
-    "group,rows", [c[1:] for c in OFF_CATALOG_TORI], ids=[c[0] for c in OFF_CATALOG_TORI]
+    "group,w", [c[1:] for c in OFF_CATALOG_TORI], ids=[c[0] for c in OFF_CATALOG_TORI]
 )
-def test_off_catalog_torus_classes_match_naive(group, rows):
-    theta = ThetaLattice(group, rows)
+def test_off_catalog_torus_classes_match_naive(group, w):
+    theta = ThetaLattice(group, w)
     _assert_tori_match_oracles(theta, torus_classification(theta))
-
-
-def _assert_sparse_matches_dense(theta):
-    """The Psi0 terms and restricted lines that the package reads from the
-    sparse columns are the primitive lines of the oracle's dense Psi0 and
-    restricted roots."""
-    rank = theta.rank
-
-    def dense(v):
-        return tuple(v.get(k, 0) for k in range(rank))
-
-    psi, lines = root_lines(theta)
-    assert sorted(dense({i: ci, j: cj}) for i, ci, j, cj in psi) == sorted(
-        set(map(primitive_line, psi0(theta)))
-    )
-    assert sorted(map(dense, lines)) == sorted(
-        set(map(primitive_line, restricted_roots(theta)))
-    )
 
 
 def _assert_tori_match_or_both_raise(theta, oracle):
@@ -362,11 +341,11 @@ def _assert_tori_match_or_both_raise(theta, oracle):
 
 
 @pytest.mark.parametrize(
-    "group,rows", [c[1:] for c in OFF_CATALOG_TORI], ids=[c[0] for c in OFF_CATALOG_TORI]
+    "group,w", [c[1:] for c in OFF_CATALOG_TORI], ids=[c[0] for c in OFF_CATALOG_TORI]
 )
-def test_off_catalog_root_lines_match_dense(group, rows):
+def test_off_catalog_root_lines_match_dense(group, w):
     # the classes are compared in test_off_catalog_torus_classes_match_naive
-    _assert_sparse_matches_dense(ThetaLattice(group, rows))
+    assert_root_lines_match_dense(ThetaLattice(group, w))
 
 
 @st.composite
@@ -385,16 +364,21 @@ def _signed_involutions(draw):
     sign = {}
     for j in order:
         sign[j] = sign.get(image[j]) or draw(st.sampled_from((1, -1)))
-    rows = [[0] * rank for _ in range(rank)]
-    for j in range(rank):
-        rows[image[j]][j] = sign[j]
-    return ThetaLattice(WeylGroup(kind, rank), tuple(map(tuple, rows)))
+    w = SignedPerm(sign[j] * (image[j] + 1) for j in range(rank))
+    return ThetaLattice(WeylGroup(kind, rank), w)
 
 
 @settings(max_examples=50)
 @given(_signed_involutions())
 def test_root_lines_and_tori_match_dense_on_signed_involutions(theta):
-    _assert_sparse_matches_dense(theta)
+    assert_root_lines_match_dense(theta)
+    # the minus dimension, read from theta's fixed coordinates, is the rank
+    # of I - theta
+    identity_minus_theta = [
+        [Fraction(int(i == j) - x) for j, x in enumerate(row)]
+        for i, row in enumerate(theta.rows)
+    ]
+    assert theta.minus_dimension == _rank(identity_minus_theta)
     psi, lines = root_lines(theta)
     if _assert_tori_match_or_both_raise(theta, all_lines_torus_classes) and psi:
         # where the lines normalize a nonempty Psi0, the simple lines are a

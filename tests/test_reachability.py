@@ -48,6 +48,12 @@ ALLOWED = {
     # the element's printed form in error messages (NotAnInvolution's),
     # pinned by test_weyl.py::test_images_print_as_a_plain_tuple
     "weyl.SignedPerm.__repr__",
+    # the lattice involution as dense rows: perfbench's checks read
+    # spec.lattice.rows, and so do the dense references in tests/oracle.py
+    "tori.ThetaLattice.rows",
+    # the dense matrix of a signed permutation: the reference that
+    # test_dyadic.py, test_weyl.py and test_catalog.py compare against
+    "weyl.SignedPerm.matrix",
 }
 
 

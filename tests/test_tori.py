@@ -12,6 +12,7 @@ from korbits.tori import (
 )
 from korbits.weyl import (
     RANK_CAP,
+    SignedPerm,
     _reflection,
     canonical_key,
     enumerate_subgroup,
@@ -26,32 +27,28 @@ from oracle import (
     restricted_roots,
     root_reflection,
 )
-from support import cached_build, flip, perm, tr
+from support import assert_root_lines_match_dense, cached_build, flip, perm, tr
 
 
 def _neg_identity_lattice(n):
-    rows = tuple(
-        tuple(-1 if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    return ThetaLattice(symmetric_group(n), rows)
+    return ThetaLattice(symmetric_group(n), flip(tuple(range(1, n + 1)), n))
 
 
 def test_lattice_validation():
-    s2 = symmetric_group(2)
+    s3 = symmetric_group(3)
+    with pytest.raises(ValueError, match="^lattice map is not an involution$"):
+        ThetaLattice(s3, perm(2, -1, 3))  # squares to -1 on e1 and e2, not e
     with pytest.raises(ValueError):
-        ThetaLattice(s2, ((1, 1), (0, 1)))  # squares to I + 2E12, not I
-    with pytest.raises(ValueError):
-        ThetaLattice(s2, ((1, 0, 0), (0, 1, 0)))
+        ThetaLattice(s3, identity(2))
 
 
 def test_lattice_validation_at_rank_cap():
-    # the involution check runs over nonzero entries, so a monomial
+    # the involution check is one product of signed permutations, so a
     # lattice at the rank cap builds quickly
     n = RANK_CAP
-    swaps = [j ^ 1 for j in range(n)]  # (1 2)(3 4)... as 0-based images
-    rows = tuple(tuple(-int(j == swaps[i]) for j in range(n)) for i in range(n))
-    assert ThetaLattice(symmetric_group(n), rows).rank == n
-    cycle = tuple(tuple(int(j == (i + 1) % n) for j in range(n)) for i in range(n))
+    swaps = SignedPerm(-((j ^ 1) + 1) for j in range(n))  # -(1 2)(3 4)...
+    assert ThetaLattice(symmetric_group(n), swaps).rank == n
+    cycle = SignedPerm([*range(2, n + 1), 1])
     with pytest.raises(ValueError, match="^lattice map is not an involution$"):
         ThetaLattice(symmetric_group(n), cycle)
 
@@ -63,38 +60,16 @@ def _dense(term, rank):
     return tuple(v)
 
 
-def _assert_columns_match_dense(theta):
-    """The sparse columns, applied to every root term alpha, give the dense
-    product: ``difference`` is alpha - theta(alpha) with its zeros dropped."""
-    for term in theta.group._root_terms():
-        i, ci, j, cj = term
-        alpha = _dense(term, theta.rank)
-        dense = [a - b for a, b in zip(alpha, apply(theta, alpha))]
-        assert theta.difference({i: ci, j: cj}) == {k: x for k, x in enumerate(dense) if x}
-
-
 def test_lattice_apply_and_signed_perm():
     theta = _neg_identity_lattice(3)
     assert apply(theta, (1, 0, -2)) == (-1, 0, 2)
-    assert theta.columns == ({0: -1}, {1: -1}, {2: -1})
-    _assert_columns_match_dense(theta)
-    assert theta.as_signed_perm() == flip((1, 2, 3), 3)
-    swap = ThetaLattice(symmetric_group(3), tuple(map(tuple, tr(2, 3, 3).matrix())))
-    assert swap.as_signed_perm() == tr(2, 3, 3)
-    _assert_columns_match_dense(swap)
+    assert theta.rows == ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+    assert_root_lines_match_dense(theta)
+    swap = ThetaLattice(symmetric_group(3), tr(2, 3, 3))
+    assert swap.rows == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
+    assert_root_lines_match_dense(swap)
     with pytest.raises(ValueError):
-        apply(ThetaLattice(symmetric_group(2), ((0, 1), (1, 0))), (1,))
-
-
-def test_lattice_apply_matches_dense_product_off_monomial():
-    # an involution that is not a signed permutation: rows (1, 0), (1, -1)
-    theta = ThetaLattice(symmetric_group(2), ((1, 0), (1, -1)))
-    assert theta.columns == ({0: 1, 1: 1}, {1: -1})
-    _assert_columns_match_dense(theta)
-    assert theta.difference({0: 1, 1: -1}) == {1: -3}
-    assert apply(theta, (3, -2)) == (3, 5)
-    with pytest.raises(ValueError, match="not a signed permutation"):
-        theta.as_signed_perm()
+        apply(ThetaLattice(symmetric_group(2), tr(1, 2, 2)), (1,))
 
 
 RANK_8_LATTICES = (
@@ -111,7 +86,7 @@ RANK_8_LATTICES = (
 def test_lattice_apply_matches_dense_product_on_catalog(family, params):
     theta = cached_build(family, *params).lattice
     assert theta.rank <= 8
-    _assert_columns_match_dense(theta)
+    assert_root_lines_match_dense(theta)
 
 
 def test_root_reflection_shapes():
@@ -153,8 +128,6 @@ def test_minus_space_dimensions():
     assert _neg_identity_lattice(4).minus_dimension == 4
     assert cached_build("Upq", 2, 2).lattice.minus_dimension == 2
     assert cached_build("SOeven1", 3).lattice.minus_dimension == 1
-    # off-monomial: rows (1, 0), (1, -1) negate the line of e2 only
-    assert ThetaLattice(symmetric_group(2), ((1, 0), (1, -1))).minus_dimension == 1
 
 
 # (family, params, [(representative cycle string, minus dim, class size)])
@@ -274,29 +247,21 @@ def test_classification_closed_forms(family, params, expected):
 
 
 @pytest.mark.parametrize(
-    "rows,line,message",
+    "w,line,message",
     [
         # -e1 with e2 <-> e3: the restricted root (1, -1/2, 1/2) reflects
         # with denominators 3, so no conjugate is a signed permutation
-        (
-            ((-1, 0, 0), (0, 0, 1), (0, 1, 0)),
-            {0: 2, 1: -1, 2: 1},
-            "reflection does not normalize",
-        ),
+        (perm(-1, 3, 2), {0: 2, 1: -1, 2: 1}, "reflection does not normalize"),
         # diag(-1, -1, 1): the reflection in e1 conjugates (1 2) to a signed
         # permutation outside W(Psi0) = S2
-        (
-            ((-1, 0, 0), (0, -1, 0), (0, 0, 1)),
-            {0: 1},
-            "conjugate leaves the reflection",
-        ),
+        (flip((1, 2), 3), {0: 1}, "conjugate leaves the reflection"),
     ],
     ids=["non-integral", "outside-subgroup"],
 )
-def test_classification_rejects_non_normalizing_reflections(rows, line, message):
+def test_classification_rejects_non_normalizing_reflections(w, line, message):
     # the offending line is not simple, so no conjugation of the walk takes
     # it: the check that each line makes once, before the walk, raises
-    theta = ThetaLattice(symmetric_group(3), rows)
+    theta = ThetaLattice(symmetric_group(3), w)
     lines = root_lines(theta)[1]
     assert lines.index(line) not in _simple_lines(lines)
     with pytest.raises(ValueError, match=message):

@@ -20,7 +20,6 @@ from korbits.weyl import (
     conjugacy_classes,
     enumerate_subgroup,
     even_hyperoctahedral_group,
-    from_one_line,
     hyperoctahedral_group,
     identity,
     product_symmetric_group,
@@ -146,8 +145,8 @@ def test_cycle_string_matches_oracle(w):
 
 
 def test_from_one_line():
-    assert from_one_line([3, 1, 2]) == perm(3, 1, 2)
-    assert from_one_line((-1, 2)) == flip((1,), 2)
+    assert SignedPerm([3, 1, 2]) == perm(3, 1, 2)
+    assert SignedPerm((-1, 2)) == flip((1,), 2)
 
 
 GROUPS = [
