@@ -308,7 +308,9 @@ def test_torus_classes_match_naive(case):
 
 # lattices outside the catalog: no catalog Psi0 is of type B or D, and only
 # there do two orthogonal root sets give one involution (-1 on B2 is both
-# s(e1) s(e2) and s(e1 - e2) s(e1 + e2))
+# s(e1) s(e2) and s(e1 - e2) s(e1 + e2)); the catalog's B and D lattices
+# flip one sign, and the last two permute coordinates, with Psi0 of type
+# A1 x A1
 OFF_CATALOG_TORI = [
     ("B2-minus", hyperoctahedral_group(2), sign_flip((1, 2), 2)),
     ("B3-minus", hyperoctahedral_group(3), sign_flip((1, 2, 3), 3)),
@@ -316,6 +318,8 @@ OFF_CATALOG_TORI = [
     ("D4-minus", even_hyperoctahedral_group(4), sign_flip((1, 2, 3, 4), 4)),
     ("B3-diag", hyperoctahedral_group(3), sign_flip((1, 2), 3)),
     ("D4-diag", even_hyperoctahedral_group(4), sign_flip((1, 2), 4)),
+    ("B4-swaps", hyperoctahedral_group(4), SignedPerm((2, 1, 4, 3))),
+    ("D4-minus-swaps", even_hyperoctahedral_group(4), SignedPerm((-2, -1, -4, -3))),
 ]
 
 
