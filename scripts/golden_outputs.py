@@ -58,6 +58,7 @@ VERIFY_LARGE = (
     + [("Ustar", (n,)) for n in range(4, 11)]
     + [("Restriction", (r,)) for r in range(5, 13)]
     + [("SL2n", (8,))]
+    + [("GL", (30,)), ("Upq", (15, 15)), ("SL2n", (20,))]
 )
 
 #: Instances past |W| <= 5040 whose ``classify-tori`` output is fingerprinted.

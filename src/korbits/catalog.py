@@ -12,10 +12,10 @@ order.
 For GL, SL(2n)/Sp and U(p,q) a torus is its list of disjoint index pairs:
 the twist class swaps each pair, and the realizer places one 2x2 block on
 each.  A descriptor keeps its realizer as the blocks it places and builds
-the dense matrix, and its inverse from the block's, when first read (only
-``verify`` reads them).  Each family's lattice involution, theta and Galois
-maps on matrices are given by signed permutations the builder already has,
-and conjugating a matrix by one relabels its entries.
+the sparse matrix when first read (only ``verify`` reads it).  Each
+family's theta and Galois maps on matrices are given by signed permutations
+the builder already has; conjugating by one multiplies by its matrix, built
+from its n images, which keeps a matrix of disjoint blocks a block matrix.
 
 Families:
 
@@ -111,8 +111,7 @@ class TorusDescriptor:
     read.  ``realizer`` is the realizing matrix as the blocks it places,
     ``(size, block, places)``: ``block`` at each index tuple of ``places``
     inside the size x size identity; None when no realizer is known.
-    ``matrix`` is that dense matrix and ``matrix_inverse`` its inverse, the
-    inverse of ``block`` placed alike, each built on first read."""
+    ``matrix`` is that matrix, built on first read."""
 
     index: int
     twist_class: SignedPerm
@@ -128,17 +127,9 @@ class TorusDescriptor:
 
     @cached_property
     def matrix(self) -> ExactMatrix | None:
-        return self._placed(inverse=False)
-
-    @cached_property
-    def matrix_inverse(self) -> ExactMatrix | None:
-        return self._placed(inverse=True)
-
-    def _placed(self, inverse: bool) -> ExactMatrix | None:
         if self.realizer is None:
             return None
         size, block, places = self.realizer
-        block = block.inverse() if inverse else block
         return placed(size, [(idx, block) for idx in places])
 
 
@@ -568,10 +559,18 @@ def orbit_parameters(spec: GroupSpec) -> tuple[OrbitParam, ...]:
 # -- matrix-level involutions ----------------------------------------------
 
 
+def _perm_matrix(w: SignedPerm) -> ExactMatrix:
+    """The matrix of w, whose column j holds the sign of w(j) in row |w(j)|:
+    row r holds the sign of v = w^-1(r) in column |v|."""
+    rows = [((abs(v) - 1, 1 if v > 0 else -1, 0),) for v in w.inverse()]
+    return ExactMatrix(len(w), rows)
+
+
 def _apply_map(data: tuple[SignedPerm | None, bool], m: ExactMatrix) -> ExactMatrix:
     perm, invert = data
     m = m.transpose().inverse() if invert else m
-    return m if perm is None else m.permuted(perm)
+    p = None if perm is None else _perm_matrix(perm)
+    return m if p is None else p * m * p.transpose()
 
 
 def theta_matrix(spec: GroupSpec, m: ExactMatrix) -> ExactMatrix:
@@ -632,9 +631,9 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     sample = struct.sample_point()
     point = struct.embed(sample)
     # U(p,q)'s lattice involution is split by the realizer of torus 0.
-    split = spec.tori[0] if spec.family == "Upq" else None
+    split = spec.tori[0].matrix if spec.family == "Upq" else None
     if split is not None:
-        point = split.matrix * point * split.matrix_inverse
+        point = split * point * split.inverse()
 
     def involution():
         return theta_matrix(spec, theta_matrix(spec, point)) == point, ""
@@ -644,7 +643,7 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     def lattice_match():
         moved = theta_matrix(spec, point)
         if split is not None:
-            moved = split.matrix_inverse * moved * split.matrix
+            moved = split.inverse() * moved * split
         got = struct.extract(moved)
         return got == _lattice_transform(spec, sample), ""
 
@@ -681,7 +680,7 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     n = spec.torus_structure.size
     diag = diagonal_structure(n)
     for desc in spec.tori:
-        g, g_inv = desc.matrix, desc.matrix_inverse
+        g, g_inv = desc.matrix, desc.matrix.inverse()
         i = desc.index
         pairs = desc.realizer[2]
         if spec.family == "Upq":
@@ -735,7 +734,7 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     n = spec.params[0]
     size = spec.torus_structure.size
-    g, g_inv = spec.tori[1].matrix, spec.tori[1].matrix_inverse
+    g, g_inv = spec.tori[1].matrix, spec.tori[1].matrix.inverse()
     fundamental = TorusStructure(
         size,
         tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))

@@ -2,26 +2,26 @@
 extension, plus matrices over that ring.
 
 Everything here is exact: a dyadic number is an odd integer (or zero) times
-a power of two, a Gaussian dyadic is a pair of those, and matrices carry
-Gaussian-dyadic entries.  Matrix products, determinants and inverses work on
-Gaussian integers sharing one power-of-two exponent; determinants and
-inverses come from one fraction-free (Bareiss) elimination over Z[i], whose
-divisions are exact, and an inverse exists only for a unit determinant.
-Conjugation by a signed permutation (``permuted``) relabels entries, with no
-product or elimination.  ``TorusStructure`` describes how a diagonalizable
-torus sits inside matrices (plain diagonal, rotation-style 2x2 blocks, or
-norm-one blocks carrying inverse-paired eigenvalues), inverts its
-diagonalizer through its blocks, and converts torus-normalizing monomial
-matrices into signed permutations.
+a power of two, a Gaussian dyadic is a pair of those, and a matrix keeps
+only its nonzero entries, as Gaussian integers sharing one power of two.
+Determinants and inverses split the indices into the connected components
+of the nonzero pattern and run one fraction-free (Bareiss) elimination over
+Z[i] per component, so a matrix of disjoint small blocks costs only its
+blocks; an inverse exists only for a unit determinant.  ``TorusStructure``
+describes how a diagonalizable torus sits inside matrices (plain diagonal,
+rotation-style 2x2 blocks, or norm-one blocks carrying inverse-paired
+eigenvalues) and converts torus-normalizing monomial matrices into signed
+permutations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
-from .weyl import SignedPerm
+from .weyl import SignedPerm, closure
 
 __all__ = [
     "Dyadic",
@@ -60,15 +60,10 @@ class Dyadic:
     exp: int = 0
 
     def __post_init__(self) -> None:
-        num, exp = self.num, self.exp
-        if num == 0:
-            exp = 0
-        else:
-            while num % 2 == 0:
-                num //= 2
-                exp += 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        num = self.num
+        k = (num & -num).bit_length() - 1  # the lowest set bit of num
+        object.__setattr__(self, "num", num >> k if num else 0)
+        object.__setattr__(self, "exp", self.exp + k if num else 0)
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = min(self.exp, other.exp)
@@ -142,9 +137,6 @@ class DyadicGauss:
     def norm(self) -> Dyadic:
         return self.re * self.re + self.im * self.im
 
-    def is_zero(self) -> bool:
-        return self.re.is_zero() and self.im.is_zero()
-
     def is_unit(self) -> bool:
         """Unit of the Gaussian dyadic ring: norm is a power of two."""
         return self.norm().is_power_of_two()
@@ -170,31 +162,24 @@ GI = DyadicGauss(D0, D1)
 def _as_gauss(v) -> DyadicGauss:
     if isinstance(v, DyadicGauss):
         return v
-    if isinstance(v, Dyadic):
-        return DyadicGauss(v, D0)
-    if isinstance(v, int):
-        return DyadicGauss(Dyadic(v), D0)
+    if isinstance(v, (Dyadic, int)):
+        return DyadicGauss.of(v)
     raise TypeError(f"cannot coerce {v!r} to a Gaussian dyadic")
-
-
-# Internal: a matrix as Gaussian-integer pairs (re, im) sharing one
-# exponent e, entry = (re + im*i) * 2**e.  e is the least exponent of any
-# component, zeros (exponent 0) included, so no shift is negative.
-def _ints(rows) -> tuple[list[list[tuple[int, int]]], int]:
-    e = min((c.exp for row in rows for z in row for c in (z.re, z.im)), default=0)
-    ints = [
-        [(z.re.num << (z.re.exp - e), z.im.num << (z.im.exp - e)) for z in row]
-        for row in rows
-    ]
-    return ints, e
 
 
 def _gauss(re: int, im: int, e: int) -> DyadicGauss:
     return DyadicGauss(Dyadic(re, e), Dyadic(im, e)) if re or im else G0
 
 
-def _from_ints(rows, e: int) -> "ExactMatrix":
-    return ExactMatrix(tuple(tuple(_gauss(*z, e) for z in row) for row in rows))
+def _from_cells(nrows: int, ncols: int, cells) -> "ExactMatrix":
+    """The matrix with the given (row, column, value) entries, zero elsewhere."""
+    cells = [(r, c, _as_gauss(v)) for r, c, v in cells]
+    # the least exponent of any component, zeros' 0 included: no shift is negative
+    e = min((x.exp for _, _, z in cells for x in (z.re, z.im)), default=0)
+    rows: list[list] = [[] for _ in range(nrows)]
+    for r, c, z in cells:
+        rows[r].append((c, z.re.num << (z.re.exp - e), z.im.num << (z.im.exp - e)))
+    return ExactMatrix(ncols, rows, e)
 
 
 def _gauss_jordan(rows: list[list[tuple[int, int]]]) -> tuple[int, int, int]:
@@ -240,123 +225,149 @@ def _gauss_jordan(rows: list[list[tuple[int, int]]]) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Square or rectangular matrix over the Gaussian dyadics."""
+    """Matrix over the Gaussian dyadics, kept as its nonzero entries.
 
-    entries: tuple[tuple[DyadicGauss, ...], ...]
+    ``rows[r]`` lists row r's nonzero entries as (column, re, im) in column
+    order, the entry being (re + im*i) * 2**exp.  Construction drops zero
+    entries and moves the power of two that divides every component into
+    ``exp`` (0 for the zero matrix), so equal matrices have equal fields.
+    """
+
+    ncols: int
+    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+    exp: int = 0
+
+    def __post_init__(self) -> None:
+        rows = [sorted(t for t in row if t[1] or t[2]) for row in self.rows]
+        low = reduce(or_, (re | im for row in rows for _, re, im in row), 0)
+        k = (low & -low).bit_length() - 1 if low else 0
+        rows = tuple(tuple((c, re >> k, im >> k) for c, re, im in row) for row in rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "exp", self.exp + k if low else 0)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> "ExactMatrix":
-        return ExactMatrix(tuple(tuple(_as_gauss(v) for v in row) for row in rows))
+        rows = [list(row) for row in rows]
+        cells = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row)]
+        return _from_cells(len(rows), len(rows[0]) if rows else 0, cells)
 
     @staticmethod
     def diagonal(values: Sequence) -> "ExactMatrix":
-        vals = [_as_gauss(v) for v in values]
-        n = len(vals)
-        return ExactMatrix(
-            tuple(
-                tuple(vals[i] if i == j else G0 for j in range(n))
-                for i in range(n)
-            )
-        )
+        n = len(values)
+        return _from_cells(n, n, [(i, i, v) for i, v in enumerate(values)])
 
     @property
     def nrows(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, rc: tuple[int, int]) -> DyadicGauss:
-        return self.entries[rc[0]][rc[1]]
+    def entries(self) -> tuple[tuple[DyadicGauss, ...], ...]:
+        """The dense rows, for readers outside the package."""
+        dense = [[G0] * self.ncols for _ in self.rows]
+        for r, row in enumerate(self.rows):
+            for c, re, im in row:
+                dense[r][c] = _gauss(re, im, self.exp)
+        return tuple(map(tuple, dense))
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.ncols} vs {other.nrows}")
-        a, ea = _ints(self.entries)
-        b, eb = _ints(other.entries)
-        b = [[(j, yr, yi) for j, (yr, yi) in enumerate(row) if yr or yi] for row in b]
         rows = []
-        for arow in a:
-            re, im = [0] * other.ncols, [0] * other.ncols
-            for (xr, xi), brow in zip(arow, b):
-                if xr or xi:
-                    for j, yr, yi in brow:
-                        re[j] += xr * yr - xi * yi
-                        im[j] += xr * yi + xi * yr
-            rows.append(zip(re, im))
-        return _from_ints(rows, ea + eb)
+        for arow in self.rows:
+            acc: dict[int, tuple[int, int]] = {}
+            for k, xr, xi in arow:
+                for j, yr, yi in other.rows[k]:
+                    zr, zi = acc.get(j, (0, 0))
+                    acc[j] = (zr + xr * yr - xi * yi, zi + xr * yi + xi * yr)
+            rows.append([(j, zr, zi) for j, (zr, zi) in acc.items()])
+        return ExactMatrix(other.ncols, rows, self.exp + other.exp)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.entries)))
+        cols: list[list] = [[] for _ in range(self.ncols)]
+        for r, row in enumerate(self.rows):
+            for c, re, im in row:
+                cols[c].append((r, re, im))
+        return ExactMatrix(self.nrows, cols, self.exp)
 
     def conjugate(self) -> "ExactMatrix":
         """Entrywise Galois conjugation i -> -i."""
-        return ExactMatrix(
-            tuple(tuple(a.conjugate() for a in row) for row in self.entries)
-        )
-
-    def permuted(self, w: SignedPerm) -> "ExactMatrix":
-        """P * self * P^-1 for the matrix P of w: entry (a, b) moves to
-        (|w(a)|, |w(b)|), negated when w flips the sign of just one of a, b."""
-        src = [(abs(x) - 1, x > 0) for x in w.inverse()]
-        rows = [(self.entries[a], sa) for a, sa in src]
-        return ExactMatrix(
-            tuple(tuple(r[b] if sa == sb else -r[b] for b, sb in src) for r, sa in rows)
-        )
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j].is_zero()
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-            if i != j
-        )
+        rows = [[(c, re, -im) for c, re, im in row] for row in self.rows]
+        return ExactMatrix(self.ncols, rows, self.exp)
 
     def diagonal_values(self) -> tuple[DyadicGauss, ...]:
-        return tuple(self.entries[i][i] for i in range(min(self.nrows, self.ncols)))
+        n = min(self.nrows, self.ncols)
+        on = {r: t[1:] for r, row in enumerate(self.rows[:n]) for t in row if t[0] == r}
+        return tuple(_gauss(*on.get(i, (0, 0)), self.exp) for i in range(n))
+
+    def _eliminated(self, augment: bool) -> tuple[int, int, list]:
+        """(re, im) of det M for self = 2**exp * M, and the blocks of M.
+
+        The blocks are the connected components of the nonzero pattern (i ~
+        j when entry (i, j) or (j, i) is nonzero): up to relabelling, M is
+        block diagonal, so det M is the product of the blocks' determinants
+        and M^-1 places the blocks' inverses.  Each block is eliminated by
+        one ``_gauss_jordan``, with the identity appended when ``augment``,
+        and listed as (sorted indices, last pivot re, im, rows)."""
+        pattern = zip(self.rows, self.transpose().rows)
+        links = [[t[0] for t in row + col] for row, col in pattern]
+        dr, di, blocks, left = 1, 0, [], set(range(self.nrows))
+        while left:
+            comp = sorted(closure([left.pop()], links.__getitem__))
+            left.difference_update(comp)
+            m, local = len(comp), {g: k for k, g in enumerate(comp)}
+            eye = [[(int(j == k), 0) for j in range(m)] if augment else [] for k in range(m)]
+            rows = [[(0, 0)] * m + row for row in eye]
+            for k, g in enumerate(comp):
+                for c, re, im in self.rows[g]:
+                    rows[k][local[c]] = (re, im)
+            sign, cr, ci = _gauss_jordan(rows)
+            dr, di = sign * (dr * cr - di * ci), sign * (dr * ci + di * cr)
+            blocks.append((comp, cr, ci, rows))
+        return dr, di, blocks
 
     def det(self) -> DyadicGauss:
-        """Exact determinant, by fraction-free elimination over Z[i]."""
+        """Exact determinant, the product of the blocks' determinants."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows, e = _ints(self.entries)
-        sign, dr, di = _gauss_jordan(rows)
-        return _gauss(sign * dr, sign * di, self.nrows * e)
+        dr, di, _ = self._eliminated(False)
+        return _gauss(dr, di, self.nrows * self.exp)
 
     def inverse(self) -> "ExactMatrix":
         """Inverse within the Gaussian dyadic ring (determinant must be a
-        unit, otherwise the inverse has entries outside the ring)."""
+        unit, otherwise the inverse has entries outside the ring), placed
+        together from the blocks' inverses."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        rows, e = _ints(self.entries)
-        for i, row in enumerate(rows):
-            row.extend((int(i == j), 0) for j in range(n))
-        sign, dr, di = _gauss_jordan(rows)
+        dr, di, blocks = self._eliminated(True)
         norm = dr * dr + di * di
         if not norm or norm & (norm - 1):
-            d = _gauss(sign * dr, sign * di, n * e)
+            d = _gauss(dr, di, self.nrows * self.exp)
             raise NotAUnit(f"determinant {d} is not a unit")
-        # A = 2**e * M, the right block is d * M^-1, and 1/d = conj(d) / norm
-        # with norm a power of two.
-        right = (
-            [(xr * dr + xi * di, xi * dr - xr * di) for xr, xi in row[n:]]
-            for row in rows
-        )
-        return _from_ints(right, 1 - e - norm.bit_length())
+        # A block's right half is d * M^-1 for its last pivot d, and 1/d =
+        # conj(d) / |d|^2 with |d|^2 a power of two dividing norm.
+        out: list = [()] * self.nrows
+        for comp, cr, ci, rows in blocks:
+            s, m = norm.bit_length() - (cr * cr + ci * ci).bit_length(), len(comp)
+            for g, row in zip(comp, rows):
+                out[g] = [
+                    (c, (xr * cr + xi * ci) << s, (xi * cr - xr * ci) << s)
+                    for c, (xr, xi) in zip(comp, row[m:])
+                ]
+        return ExactMatrix(self.ncols, out, 1 - self.exp - norm.bit_length())
 
 
 def placed(
     size: int, placements: Iterable[tuple[Sequence[int], ExactMatrix]]
 ) -> ExactMatrix:
     """Identity matrix with blocks placed at the given 1-based indices."""
-    rows = [[G1 if i == j else G0 for j in range(size)] for i in range(size)]
+    placements = list(placements)
+    e = min([0] + [block.exp for _, block in placements])
+    rows = [[(r, 1 << -e, 0)] for r in range(size)]
     for idx, block in placements:
-        for a, r in enumerate(idx):
-            for b, c in enumerate(idx):
-                rows[r - 1][c - 1] = block[a, b]
-    return ExactMatrix(tuple(tuple(r) for r in rows))
+        s = block.exp - e
+        for r, brow in zip(idx, block.rows):
+            rows[r - 1] = [(idx[c] - 1, re << s, im << s) for c, re, im in brow]
+    return ExactMatrix(size, rows, e)
 
 
 # -- torus block structures ----------------------------------------------
@@ -366,10 +377,8 @@ def placed(
 UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 #: Diagonalizer for symmetric blocks (a c; c a) -> diag(a+c, a-c).
 _U_HYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
-#: Each block style's diagonalizer with its inverse, inverted once here.
-_BLOCKS = {
-    k: (u, u.inverse()) for k, u in (("circular", UCIRC), ("hyperbolic", _U_HYP))
-}
+#: Each block style's diagonalizer.
+_BLOCKS = {"circular": UCIRC, "hyperbolic": _U_HYP}
 
 
 @dataclass(frozen=True)
@@ -433,12 +442,10 @@ class TorusStructure:
 
     @cached_property
     def _diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix]:
-        """(U, U^-1) with U^-1 * torus * U diagonal, each placing blocks."""
+        """(U, U^-1) with U^-1 * torus * U diagonal, U placing blocks."""
         pairs = [u for u in self.units if u[0] in ("pair1", "pair2")]
-        return tuple(
-            placed(self.size, [(u[1:3], _BLOCKS[u[3]][k]) for u in pairs])
-            for k in (0, 1)
-        )
+        u = placed(self.size, [(p[1:3], _BLOCKS[p[3]]) for p in pairs])
+        return u, u.inverse()
 
     def embed(self, values: Sequence[DyadicGauss]) -> ExactMatrix:
         """Torus point with the given coordinate values (pair1 values must
@@ -447,12 +454,10 @@ class TorusStructure:
             raise ValueError(f"need {self.rank} values, got {len(values)}")
         vals = [_as_gauss(v) for v in values]
         diag = [G1] * self.size
-        labels = self.slot_labels()
-        for slot, lab in enumerate(labels):
-            if lab is None:
-                continue
-            coord, expo = lab
-            diag[slot] = vals[coord - 1] if expo == 1 else vals[coord - 1].inverse()
+        for slot, lab in enumerate(self.slot_labels()):
+            if lab is not None:
+                z = vals[lab[0] - 1]
+                diag[slot] = z if lab[1] == 1 else z.inverse()
         U, Uinv = self._diagonalizer
         return U * ExactMatrix.diagonal(diag) * Uinv
 
@@ -460,9 +465,9 @@ class TorusStructure:
         """Coordinates of a torus point; raises NotMonomial otherwise."""
         U, Uinv = self._diagonalizer
         d = Uinv * m * U
-        if not d.is_diagonal():
-            raise NotMonomial("matrix is not in the torus")
         diag = d.diagonal_values()
+        if d != ExactMatrix.diagonal(diag):
+            raise NotMonomial("matrix is not in the torus")
         out: list = [None] * self.rank
         for slot, lab in enumerate(self.slot_labels()):
             if lab is None:
@@ -480,13 +485,8 @@ class TorusStructure:
     def sample_point(self) -> tuple[DyadicGauss, ...]:
         """Generic torus point with pairwise-distinct unit coordinates,
         no value equal to another's inverse."""
-        one_plus_i = DyadicGauss.of(1, 1)
-        vals = []
-        z = one_plus_i * DyadicGauss.of(2)
-        for _ in range(self.rank):
-            vals.append(z)
-            z = z * DyadicGauss.of(2)
-        return tuple(vals)
+        powers = (Dyadic(1, k) for k in range(1, self.rank + 1))
+        return tuple(DyadicGauss(d, d) for d in powers)
 
     def to_weyl(self, m: ExactMatrix) -> SignedPerm:
         """The signed permutation by which conjugation by m permutes the
@@ -497,11 +497,10 @@ class TorusStructure:
         U, Uinv = self._diagonalizer
         d = Uinv * m * U
         col_of_row = []
-        for i in range(self.size):
-            nz = [j for j in range(self.size) if not d[i, j].is_zero()]
-            if len(nz) != 1:
-                raise NotMonomial(f"row {i + 1} has {len(nz)} nonzero entries")
-            col_of_row.append(nz[0])
+        for i, row in enumerate(d.rows):
+            if len(row) != 1:
+                raise NotMonomial(f"row {i + 1} has {len(row)} nonzero entries")
+            col_of_row.append(row[0][0])
         if len(set(col_of_row)) != self.size:
             raise NotMonomial("columns collide; matrix is not monomial")
         labels = self.slot_labels()

@@ -553,7 +553,7 @@ def naive_inverse(m: ExactMatrix) -> ExactMatrix:
                 f = a[r][col]
                 a[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(a[r], a[col])]
                 b[r] = [_qsub(x, _qmul(f, y)) for x, y in zip(b[r], b[col])]
-    return ExactMatrix(tuple(tuple(_from_q(v) for v in row) for row in b))
+    return ExactMatrix.from_rows([[_from_q(v) for v in row] for row in b])
 
 
 # -- independent routes through the package ----------------------------------

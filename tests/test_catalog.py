@@ -1,8 +1,8 @@
-import functools
 import math
 
 import pytest
 
+import korbits.dyadic as dyadic
 from korbits.catalog import (
     FAMILIES,
     InvalidParams,
@@ -18,7 +18,7 @@ from korbits.catalog import (
     theta_matrix,
     verify_matrix_claims,
 )
-from korbits.dyadic import ExactMatrix, TorusStructure, placed
+from korbits.dyadic import DyadicGauss, ExactMatrix, G1, placed
 from korbits.twisted import is_twisted_involution, twisted_involutions
 from korbits.weyl import canonical_key, enumerate_subgroup
 from oracle import (
@@ -361,9 +361,32 @@ def test_realizer_inverse_is_placed_from_its_block(family, params):
     spec = build(family, *params)
     for desc in spec.tori:
         if desc.realizer is None:
-            assert desc.matrix_inverse is None
+            assert desc.matrix is None
         else:
-            assert desc.matrix_inverse == naive_inverse(desc.matrix)
+            assert desc.matrix.inverse() == naive_inverse(desc.matrix)
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [("GL", (n,)) for n in (1, 2, 7, 40, 200)]
+    + [("Upq", pq) for pq in ((1, 1), (4, 3), (50, 50), (60, 40), (99, 1))]
+    + [("SL2n", (n,)) for n in (1, 4, 50)],
+)
+def test_realizer_determinants_in_closed_form(family, params):
+    """Torus i's realizer has det (-2i)^i in GL(n), 2^(q-i) in U(p,q) and 1
+    in SL(2n)/Sp, checked on sizes far past the oracle's."""
+    spec = build(family, *params)
+    for desc in spec.tori:
+        i = desc.index
+        base, k = {
+            "GL": (DyadicGauss.of(0, -2), i),
+            "Upq": (DyadicGauss.of(2), params[-1] - i),
+            "SL2n": (G1, 0),
+        }[family]
+        want = G1
+        for _ in range(k):
+            want = want * base
+        assert desc.matrix.det() == want, i
 
 
 def test_upq_theta_matrix_is_signature_conjugation():
@@ -382,28 +405,15 @@ def test_gl_twisted_set_matches_context():
 @pytest.mark.parametrize(
     "family,params", [("GL", (4,)), ("Upq", (3, 2)), ("SL2n", (3,)), ("SOeven1", (4,))]
 )
-def test_verify_inverts_each_distinct_diagonalizer_once(family, params, monkeypatch):
-    """Each diagonalizer block is inverted once, when the module is imported;
-    ``verify`` passes no diagonalizer and no torus realizer to
-    ``ExactMatrix.inverse``, but places the inverses of their blocks."""
-    built, inverted = [], []
-    original = TorusStructure.__dict__["_diagonalizer"].func
-
-    def counting(self):
-        pair = original(self)
-        built.append(pair[0])
-        return pair
-
-    prop = functools.cached_property(counting)
-    prop.__set_name__(TorusStructure, "_diagonalizer")
-    monkeypatch.setattr(TorusStructure, "_diagonalizer", prop)
-    real_inverse = ExactMatrix.inverse
+def test_verify_eliminates_at_most_three_rows_at_a_time(family, params, monkeypatch):
+    """Every determinant and inverse ``verify`` takes is eliminated one
+    connected component at a time, and no component is larger than the
+    largest realizer block (3x3), whatever the matrix size."""
+    sizes = []
+    eliminate = dyadic._gauss_jordan
     monkeypatch.setattr(
-        ExactMatrix, "inverse", lambda m: inverted.append(m) or real_inverse(m)
+        dyadic, "_gauss_jordan", lambda rows: sizes.append(len(rows)) or eliminate(rows)
     )
-    spec = build(family, *params)
-    claims = verify_matrix_claims(spec)
+    claims = verify_matrix_claims(build(family, *params))
     assert all(c.ok for c in claims)
-    kept = built + [d.matrix for d in spec.tori if d.realizer is not None]
-    assert len(kept) > len(spec.tori)
-    assert not [m for m in inverted if any(m is k for k in kept)]
+    assert sizes and max(sizes) <= 3

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from korbits.catalog import GBL
+from korbits.catalog import GBL, _apply_map, _perm_matrix
 from korbits.dyadic import (
     D0,
     D1,
@@ -213,10 +213,11 @@ _squares = st.integers(1, 6).flatmap(_square).map(ExactMatrix.from_rows)
 
 
 @st.composite
-def _unit_det_matrices(draw):
+def _unit_det_matrices(draw, n=None, triangular=False):
     """L * D * P * U with unitriangular L and U, a diagonal of units and a
-    permutation: the determinant is a unit."""
-    n = draw(st.integers(1, 6))
+    permutation: the determinant is a unit.  Size n, or 1 to 6; just D * U
+    when ``triangular``."""
+    n = draw(st.integers(1, 6)) if n is None else n
     rows = draw(_square(n))
     lower = [[rows[i][j] if i > j else int(i == j) for j in range(n)] for i in range(n)]
     upper = [[rows[i][j] if i < j else int(i == j) for j in range(n)] for i in range(n)]
@@ -224,6 +225,8 @@ def _unit_det_matrices(draw):
     diag = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
     images = draw(st.permutations(range(1, n + 1)))
     perm = ExactMatrix.from_rows(SignedPerm(tuple(images)).matrix())
+    if triangular:
+        return ExactMatrix.diagonal(diag) * ExactMatrix.from_rows(upper)
     return (
         ExactMatrix.from_rows(lower)
         * ExactMatrix.diagonal(diag)
@@ -255,6 +258,45 @@ def test_unit_det_inverse_matches_oracle(m):
     assert m.det().is_unit()
     _agree_with_oracle(m)
     assert m * m.inverse() == ExactMatrix.diagonal([1] * m.nrows)
+
+
+@st.composite
+def _block_structured(draw):
+    """Disjoint blocks of size 1 to 3 and one dense block of size up to 6,
+    each of unit determinant (the small ones triangular or not) but with
+    the dense block's first row scaled by a drawn factor, at indices
+    shuffled alike for rows and columns."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=4))
+    small = [draw(_unit_det_matrices(k, draw(st.booleans()))) for k in sizes]
+    blocks = [[list(r) for r in b.entries] for b in small + [draw(_unit_det_matrices())]]
+    factor = draw(st.sampled_from([G1, GI, DyadicGauss.of(3), DyadicGauss.of(1, 2)]))
+    blocks[-1][0] = [factor * v for v in blocks[-1][0]]
+    n = sum(map(len, blocks))
+    order = draw(st.permutations(range(n)))
+    rows = [[G0] * n for _ in range(n)]
+    for block in blocks:
+        idx, order = order[: len(block)], order[len(block) :]
+        for r, brow in zip(idx, block):
+            for c, v in zip(idx, brow):
+                rows[r][c] = v
+    return ExactMatrix.from_rows(rows), factor.is_unit()
+
+
+@settings(deadline=None)
+@given(_block_structured())
+def test_block_structured_matrices_match_oracle(case):
+    """Elimination one connected component at a time agrees with the
+    oracle's dense elimination, and a non-unit block makes the whole
+    matrix a non-unit."""
+    m, unit = case
+    assert ExactMatrix.from_rows(m.entries) == m
+    assert m.det() == naive_det(m)
+    assert m.det().is_unit() == unit
+    if unit:
+        assert m.inverse() == naive_inverse(m)
+    else:
+        with pytest.raises(NotAUnit):
+            m.inverse()
 
 
 @settings(deadline=None)
@@ -323,15 +365,16 @@ def _signed_perms(draw, n):
 def test_permuted_is_conjugation_by_the_signed_permutation_matrix(case):
     w, rows = case
     m = ExactMatrix.from_rows(rows)
-    p = ExactMatrix.from_rows(w.matrix())
-    assert m.permuted(w) == p * m * naive_inverse(p)
+    p = _perm_matrix(w)
+    assert p == ExactMatrix.from_rows(w.matrix())
+    assert _apply_map((w, False), m) == p * m * naive_inverse(p)
 
 
 @pytest.mark.parametrize("style", sorted(_BLOCKS))
 def test_diagonalizer_blocks_come_with_their_inverses(style):
-    u, u_inv = _BLOCKS[style]
-    assert u * u_inv == ExactMatrix.diagonal([1, 1])
-    assert u_inv == naive_inverse(u)
+    u = _BLOCKS[style]
+    assert u * u.inverse() == ExactMatrix.diagonal([1, 1])
+    assert u.inverse() == naive_inverse(u)
 
 
 def test_diagonalizer_inverse_is_placed_from_its_blocks():
