@@ -37,7 +37,7 @@ raise ``MissingWkData`` from the coset-based entry points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from .dyadic import (
@@ -49,6 +49,7 @@ from .dyadic import (
     GI,
     TorusStructure,
     UCIRC,
+    UHYP,
     diagonal_structure,
     placed,
 )
@@ -595,19 +596,6 @@ def _lattice_transform(
     return tuple(out)
 
 
-def _slot_reorder(
-    struct: TorusStructure, diag_values: Sequence[DyadicGauss]
-) -> tuple[DyadicGauss, ...]:
-    """Expected coordinates when a diagonal matrix is rewritten in a block
-    structure of the same size: coordinate k takes the diagonal value at
-    its primary slot."""
-    out: list[DyadicGauss] = [G1] * struct.rank
-    for slot, lab in enumerate(struct.slot_labels()):
-        if lab is not None and lab[1] == 1:
-            out[lab[0] - 1] = diag_values[slot]
-    return tuple(out)
-
-
 def _run_claim(claims: list[ClaimResult], name: str, body) -> None:
     try:
         ok, detail = body()
@@ -625,27 +613,32 @@ def verify_matrix_claims(spec: GroupSpec) -> tuple[ClaimResult, ...]:
     """Exact verification of every matrix-level identity the family data
     relies on.  Returns one result per claim; nothing is checked
     approximately.  A claim whose check meets the enumeration cap raises
-    ``SubgroupTooLarge`` rather than reporting a failure."""
+    ``SubgroupTooLarge`` rather than reporting a failure.  Torus points are
+    compared as matrices: ``embed`` is injective on unit coordinates.
+    Inverses are taken inside the claims, so a realizer that is not a unit
+    fails the claims that invert it."""
     claims: list[ClaimResult] = []
     struct = spec.torus_structure
     sample = struct.sample_point()
-    point = struct.embed(sample)
     # U(p,q)'s lattice involution is split by the realizer of torus 0.
     split = spec.tori[0].matrix if spec.family == "Upq" else None
-    if split is not None:
-        point = split * point * split.inverse()
+    split_inv = None if split is None else cache(split.inverse)
+
+    @cache
+    def point():
+        m = struct.embed(sample)
+        return m if split is None else split * m * split_inv()
 
     def involution():
-        return theta_matrix(spec, theta_matrix(spec, point)) == point, ""
+        return theta_matrix(spec, theta_matrix(spec, point())) == point(), ""
 
     _run_claim(claims, "theta-squares-to-identity-on-torus", involution)
 
     def lattice_match():
-        moved = theta_matrix(spec, point)
+        moved = theta_matrix(spec, point())
         if split is not None:
-            moved = split.inverse() * moved * split
-        got = struct.extract(moved)
-        return got == _lattice_transform(spec, sample), ""
+            moved = split_inv() * moved * split
+        return moved == struct.embed(_lattice_transform(spec, sample)), ""
 
     _run_claim(claims, "theta-matches-lattice-involution", lattice_match)
 
@@ -676,17 +669,19 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     """Four claims per torus realizer g: det g is a unit, g^-1 theta(g)
     (theta(g) = g for SL2n) and g^-1 Galois(g) give the twist class, and g
     conjugates the diagonal torus into the block shape of the descriptor's
-    pairs (circular for GL and SL2n, hyperbolic for U(p,q))."""
-    n = spec.torus_structure.size
-    diag = diagonal_structure(n)
+    pairs: U^-1 g D g^-1 U = D for the diagonal sample point D, with U the
+    diagonalizer (circular for GL and SL2n, hyperbolic for U(p,q)) placed
+    on the pairs."""
+    diag = spec.torus_structure  # the diagonal torus in these families
+    point = ExactMatrix.diagonal(diag.sample_point())
     for desc in spec.tori:
-        g, g_inv = desc.matrix, desc.matrix.inverse()
+        g, g_inv = desc.matrix, cache(desc.matrix.inverse)
         i = desc.index
         pairs = desc.realizer[2]
         if spec.family == "Upq":
-            style, expect = "hyperbolic", f" (expect a unit, 2^{len(pairs)})"
+            block, expect = UHYP, f" (expect a unit, 2^{len(pairs)})"
         else:
-            style, expect = "circular", ""
+            block, expect = UCIRC, ""
 
         def det_unit(g=g, expect=expect):
             d = g.det()
@@ -706,27 +701,21 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
         else:
 
             def theta_cocycle(g=g, g_inv=g_inv, c=desc.twist_class):
-                w = diag.to_weyl(g_inv * theta_matrix(spec, g))
+                w = diag.to_weyl(g_inv() * theta_matrix(spec, g))
                 return w == c, f"weyl = {w.cycle_string()}"
 
             _run_claim(claims, f"torus-{i}-theta-cocycle", theta_cocycle)
 
         def galois_cocycle(g=g, g_inv=g_inv, c=desc.twist_class):
-            w = diag.to_weyl(g_inv * galois_matrix(spec, g))
+            w = diag.to_weyl(g_inv() * galois_matrix(spec, g))
             return w == c, f"weyl = {w.cycle_string()}"
 
         _run_claim(claims, f"torus-{i}-galois-cocycle", galois_cocycle)
 
-        in_pairs = {k for pair in pairs for k in pair}
-        units = tuple(("pair2", a, b, style) for a, b in pairs) + tuple(
-            ("coord", k) for k in range(1, n + 1) if k not in in_pairs
-        )
-        hstruct = TorusStructure(n, units)
+        u = placed(diag.size, [(pair, block) for pair in pairs])
 
-        def shape(g=g, g_inv=g_inv, hstruct=hstruct):
-            vals = diag.sample_point()
-            got = hstruct.extract(g * ExactMatrix.diagonal(vals) * g_inv)
-            return got == _slot_reorder(hstruct, vals), ""
+        def shape(g=g, g_inv=g_inv, u=u):
+            return g * point * g_inv() * u == u * point, ""
 
         _run_claim(claims, f"torus-{i}-conjugate-shape", shape)
 
@@ -734,7 +723,8 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     n = spec.params[0]
     size = spec.torus_structure.size
-    g, g_inv = spec.tori[1].matrix, spec.tori[1].matrix.inverse()
+    g = spec.tori[1].matrix
+    g_inv = cache(g.inverse)
     fundamental = TorusStructure(
         size,
         tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))
@@ -754,20 +744,20 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     _run_claim(claims, "split-realizer-preserves-form", form)
 
     def cocycle_exact():
-        z = g_inv * theta_matrix(spec, g)
+        z = g_inv() * theta_matrix(spec, g)
         want = ExactMatrix.diagonal([1] * (size - 2) + [-1, -1])
         return z == want, ""
 
     _run_claim(claims, "split-theta-cocycle-exact", cocycle_exact)
 
     def cocycle_weyl():
-        w = fundamental.to_weyl(g_inv * theta_matrix(spec, g))
+        w = fundamental.to_weyl(g_inv() * theta_matrix(spec, g))
         return w == sign_flip([n], n), f"weyl = {w.images}"
 
     _run_claim(claims, "split-theta-cocycle-weyl", cocycle_weyl)
 
     def galois_weyl():
-        w = fundamental.to_weyl(g_inv * galois_matrix(spec, g))
+        w = fundamental.to_weyl(g_inv() * galois_matrix(spec, g))
         return (
             w == sign_flip([n], n) and coset_table(spec, 1).canon(w).is_identity(),
             f"weyl = {w.images}",
@@ -777,8 +767,7 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 
     def shape():
         vals = fundamental.sample_point()
-        got = spec.torus_structure.extract(g * fundamental.embed(vals) * g_inv)
-        want = vals[: n - 1] + (vals[n - 1].inverse(),)
-        return got == want, ""
+        want = spec.torus_structure.embed(vals[: n - 1] + (vals[n - 1].inverse(),))
+        return g * fundamental.embed(vals) * g_inv() == want, ""
 
     _run_claim(claims, "split-torus-conjugate-shape", shape)

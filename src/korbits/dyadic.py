@@ -8,9 +8,9 @@ Determinants and inverses split the indices into the connected components
 of the nonzero pattern and run one fraction-free (Bareiss) elimination over
 Z[i] per component, so a matrix of disjoint small blocks costs only its
 blocks; an inverse exists only for a unit determinant.  ``TorusStructure``
-describes how a diagonalizable torus sits inside matrices (plain diagonal,
-rotation-style 2x2 blocks, or norm-one blocks carrying inverse-paired
-eigenvalues) and converts torus-normalizing monomial matrices into signed
+describes how a diagonalizable torus sits inside matrices (diagonal slots,
+2x2 blocks carrying inverse-paired eigenvalues, and constant slots), embeds
+torus points and converts torus-normalizing monomial matrices into signed
 permutations.
 """
 
@@ -294,11 +294,6 @@ class ExactMatrix:
         rows = [[(c, re, -im) for c, re, im in row] for row in self.rows]
         return ExactMatrix(self.ncols, rows, self.exp)
 
-    def diagonal_values(self) -> tuple[DyadicGauss, ...]:
-        n = min(self.nrows, self.ncols)
-        on = {r: t[1:] for r, row in enumerate(self.rows[:n]) for t in row if t[0] == r}
-        return tuple(_gauss(*on.get(i, (0, 0)), self.exp) for i in range(n))
-
     def _eliminated(self, augment: bool) -> tuple[int, int, list]:
         """(re, im) of det M for self = 2**exp * M, and the blocks of M.
 
@@ -376,9 +371,11 @@ def placed(
 #: also the split-group torus realizer.
 UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 #: Diagonalizer for symmetric blocks (a c; c a) -> diag(a+c, a-c).
-_U_HYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
+UHYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
 #: Each block style's diagonalizer.
-_BLOCKS = {"circular": UCIRC, "hyperbolic": _U_HYP}
+_BLOCKS = {"circular": UCIRC, "hyperbolic": UHYP}
+#: Each unit kind's number of matrix slots.
+_SLOTS = {"coord": 1, "pair1": 2, "trivial": 1}
 
 
 @dataclass(frozen=True)
@@ -389,15 +386,13 @@ class TorusStructure:
     one of
 
     - ``("coord", r)``: matrix slot r is one torus coordinate;
-    - ``("pair2", r1, r2, style)``: a 2x2 block at rows/cols (r1, r2)
-      carrying two independent coordinates (its eigenvalues);
-    - ``("pair1", r1, r2, style)``: a 2x2 block carrying one coordinate,
-      with eigenvalues (z, 1/z);
+    - ``("pair1", r1, r2, style)``: a 2x2 block at rows/cols (r1, r2)
+      carrying one coordinate, with eigenvalues (z, 1/z);
     - ``("trivial", r)``: slot r is constant 1 (no coordinate).
 
     ``style`` is "circular" for (a b; -b a) blocks or "hyperbolic" for
     (a c; c a) blocks.  Matrix indices are 1-based.  Torus coordinates are
-    numbered by unit order (pair2 contributing two).
+    numbered by unit order, one per coord or pair1 unit.
     """
 
     size: int
@@ -406,16 +401,15 @@ class TorusStructure:
     def __post_init__(self) -> None:
         used = []
         for u in self.units:
-            used.extend(u[1:2] if u[0] in ("coord", "trivial") else u[1:3])
+            if u[0] not in _SLOTS:
+                raise ValueError(f"unknown unit kind {u[0]!r} in {self.units}")
+            used.extend(u[1 : 1 + _SLOTS[u[0]]])
         if sorted(used) != list(range(1, self.size + 1)):
             raise ValueError(f"units do not tile 1..{self.size}: {self.units}")
 
     @property
     def rank(self) -> int:
-        return sum(
-            2 if u[0] == "pair2" else 0 if u[0] == "trivial" else 1
-            for u in self.units
-        )
+        return sum(u[0] != "trivial" for u in self.units)
 
     def slot_labels(self) -> tuple:
         """Per matrix slot: (coordinate, exponent) or None (trivial).
@@ -427,23 +421,17 @@ class TorusStructure:
         labels: list = [None] * self.size
         coord = 0
         for u in self.units:
-            if u[0] == "coord":
+            if u[0] != "trivial":
                 coord += 1
                 labels[u[1] - 1] = (coord, 1)
-            elif u[0] == "pair2":
-                labels[u[1] - 1] = (coord + 1, 1)
-                labels[u[2] - 1] = (coord + 2, 1)
-                coord += 2
-            elif u[0] == "pair1":
-                coord += 1
-                labels[u[1] - 1] = (coord, 1)
+            if u[0] == "pair1":
                 labels[u[2] - 1] = (coord, -1)
         return tuple(labels)
 
     @cached_property
     def _diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix]:
         """(U, U^-1) with U^-1 * torus * U diagonal, U placing blocks."""
-        pairs = [u for u in self.units if u[0] in ("pair1", "pair2")]
+        pairs = [u for u in self.units if u[0] == "pair1"]
         u = placed(self.size, [(p[1:3], _BLOCKS[p[3]]) for p in pairs])
         return u, u.inverse()
 
@@ -460,27 +448,6 @@ class TorusStructure:
                 diag[slot] = z if lab[1] == 1 else z.inverse()
         U, Uinv = self._diagonalizer
         return U * ExactMatrix.diagonal(diag) * Uinv
-
-    def extract(self, m: ExactMatrix) -> tuple[DyadicGauss, ...]:
-        """Coordinates of a torus point; raises NotMonomial otherwise."""
-        U, Uinv = self._diagonalizer
-        d = Uinv * m * U
-        diag = d.diagonal_values()
-        if d != ExactMatrix.diagonal(diag):
-            raise NotMonomial("matrix is not in the torus")
-        out: list = [None] * self.rank
-        for slot, lab in enumerate(self.slot_labels()):
-            if lab is None:
-                if diag[slot] != G1:
-                    raise NotMonomial("trivial slot is not 1")
-                continue
-            coord, expo = lab
-            val = diag[slot] if expo == 1 else diag[slot].inverse()
-            if out[coord - 1] is None:
-                out[coord - 1] = val
-            elif out[coord - 1] != val:
-                raise NotMonomial("inconsistent paired eigenvalues")
-        return tuple(out)
 
     def sample_point(self) -> tuple[DyadicGauss, ...]:
         """Generic torus point with pairwise-distinct unit coordinates,

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from korbits.catalog import (
     theta_matrix,
     verify_matrix_claims,
 )
-from korbits.dyadic import DyadicGauss, ExactMatrix, G1, placed
+from korbits.dyadic import DyadicGauss, ExactMatrix, G1, GI, TorusStructure, placed
 from korbits.twisted import is_twisted_involution, twisted_involutions
 from korbits.weyl import canonical_key, enumerate_subgroup
 from oracle import (
@@ -417,3 +418,155 @@ def test_verify_eliminates_at_most_three_rows_at_a_time(family, params, monkeypa
     claims = verify_matrix_claims(build(family, *params))
     assert all(c.ok for c in claims)
     assert sizes and max(sizes) <= 3
+
+
+# -- verify on corrupted specs ----------------------------------------------
+
+
+def _invert_flipped(field):
+    def corrupt(spec):
+        perm, invert = getattr(spec, field)
+        return replace(spec, **{field: (perm, not invert)})
+
+    return corrupt
+
+
+def _realizer_block(rows):
+    def corrupt(spec):
+        block = ExactMatrix.from_rows(rows)
+        tori = tuple(
+            d
+            if d.realizer is None
+            else replace(d, realizer=(d.realizer[0], block, d.realizer[2]))
+            for d in spec.tori
+        )
+        return replace(spec, tori=tori)
+
+    return corrupt
+
+
+def _gl3_theta_times_flip(spec):
+    return replace(spec, theta_map=(flip((1,), 3), True))
+
+
+def _styles_swapped(spec):
+    swap = {"circular": "hyperbolic", "hyperbolic": "circular"}
+    struct = spec.torus_structure
+    units = tuple(u[:3] + (swap[u[3]],) if u[0] == "pair1" else u for u in struct.units)
+    return replace(spec, torus_structure=TorusStructure(struct.size, units))
+
+
+_HYP = [[1, 1], [1, -1]]
+_CIRC = [[1, 1], [GI, -GI]]
+
+#: (family, params, corruption, the names of exactly the claims that fail);
+#: the sets were read off ``verify_matrix_claims`` before torus points were
+#: compared as matrices, and pin that the comparison keeps every verdict.
+CORRUPTED = [
+    pytest.param(
+        "GL", (3,), _invert_flipped("theta_map"),
+        {"theta-matches-lattice-involution", "torus-1-theta-cocycle"},
+        id="GL3-theta-invert",
+    ),
+    pytest.param(
+        "GL", (3,), _gl3_theta_times_flip, {"torus-1-theta-cocycle"},
+        id="GL3-theta-flip1",
+    ),
+    pytest.param(
+        "GL", (3,), _invert_flipped("galois_map"), {"torus-1-galois-cocycle"},
+        id="GL3-galois-invert",
+    ),
+    pytest.param(
+        "GL", (3,), _realizer_block(_HYP),
+        {"torus-1-conjugate-shape", "torus-1-galois-cocycle", "torus-1-theta-cocycle"},
+        id="GL3-hyperbolic-realizer",
+    ),
+    pytest.param(
+        "SL2n", (2,), _realizer_block(_CIRC),
+        {"torus-1-realizer-theta-fixed", "torus-2-realizer-theta-fixed"},
+        id="SL4-circular-realizer",
+    ),
+    pytest.param(
+        "Upq", (2, 1), _realizer_block(_CIRC), {"torus-0-conjugate-shape"},
+        id="U21-circular-realizer",
+    ),
+    pytest.param(
+        "SOeven1", (2,), _styles_swapped, {"split-torus-conjugate-shape"},
+        id="SO41-styles-swapped",
+    ),
+    pytest.param(
+        "SOeven1", (2,), _invert_flipped("theta_map"),
+        {
+            "split-theta-cocycle-exact",
+            "split-theta-cocycle-weyl",
+            "theta-matches-lattice-involution",
+        },
+        id="SO41-theta-invert",
+    ),
+]
+
+
+@pytest.mark.parametrize("family,params,corrupt,failing", CORRUPTED)
+def test_verify_fails_exactly_the_corrupted_claims(family, params, corrupt, failing):
+    spec = build(family, *params)
+    names = [c.name for c in verify_matrix_claims(spec)]
+    claims = verify_matrix_claims(corrupt(spec))
+    assert [c.name for c in claims] == names
+    assert {c.name for c in claims if not c.ok} == failing
+
+
+#: A realizer block of determinant 3, for each family whose verify inverts
+#: realizers, with the claims that must fail and their details ("NotAUnit"
+#: for a detail that starts "NotAUnit: ").
+NON_UNIT = [
+    pytest.param(
+        "GL", (3,), [[1, 1], [0, 3]],
+        {
+            "torus-1-realizer-det-unit": "det = 3",
+            "torus-1-theta-cocycle": "NotAUnit",
+            "torus-1-galois-cocycle": "NotAUnit",
+            "torus-1-conjugate-shape": "NotAUnit",
+        },
+        id="GL3",
+    ),
+    pytest.param(
+        "Upq", (2, 1), [[1, 1], [0, 3]],
+        {
+            "theta-squares-to-identity-on-torus": "NotAUnit",
+            "theta-matches-lattice-involution": "NotAUnit",
+            "torus-0-realizer-det-unit": "det = 3 (expect a unit, 2^1)",
+            "torus-0-theta-cocycle": "NotAUnit",
+            "torus-0-galois-cocycle": "NotAUnit",
+            "torus-0-conjugate-shape": "NotAUnit",
+        },
+        id="U21",
+    ),
+    pytest.param(
+        "SOeven1", (2,), [[1, 0, 0], [0, 1, 0], [0, 0, 3]],
+        {
+            "split-realizer-det-one": "det = 3",
+            "split-realizer-preserves-form": "",
+            "split-theta-cocycle-exact": "NotAUnit",
+            "split-theta-cocycle-weyl": "NotAUnit",
+            "split-galois-cocycle-in-little-weyl": "NotAUnit",
+            "split-torus-conjugate-shape": "NotAUnit",
+        },
+        id="SO41",
+    ),
+]
+
+
+@pytest.mark.parametrize("family,params,rows,failing", NON_UNIT)
+def test_non_unit_realizer_fails_its_claims(family, params, rows, failing):
+    """A realizer that is not a unit fails the claims that invert it, with
+    the error as the detail, and verify goes on to the other claims."""
+    spec = build(family, *params)
+    names = [c.name for c in verify_matrix_claims(spec)]
+    claims = verify_matrix_claims(_realizer_block(rows)(spec))
+    assert [c.name for c in claims] == names
+    got = {
+        c.name: "NotAUnit" if c.detail.startswith("NotAUnit: ") else c.detail
+        for c in claims
+        if not c.ok
+    }
+    assert got == failing

@@ -184,20 +184,20 @@ def test_commands_other_than_verify_build_no_realizer(
 
 
 @pytest.mark.parametrize("family,args", ON_DEMAND)
-def test_verify_builds_each_realizer_once(family, args, placed_calls):
+def test_verify_builds_each_realizer_once(family, args, monkeypatch):
+    """Counts evaluations of the cached ``TorusDescriptor.matrix``, the one
+    place a realizer is placed, over two ``verify`` runs."""
+    built = []
+    prop = catalog.TorusDescriptor.matrix
+    real = prop.func
+    monkeypatch.setattr(prop, "func", lambda d: built.append(d) or real(d))
     spec = build(family, *(int(a) for a in args[1::2]))
     verify_matrix_claims(spec)
     verify_matrix_claims(spec)
-    # each descriptor places its block once, on the first read of its
-    # realizer (no block at all for an identity)
-    expect = Counter()
-    for d in spec.tori:
-        if d.realizer is not None:
-            _, block, places = d.realizer
-            expect[tuple((tuple(idx), block) for idx in places)] += 1
-    got = Counter(tuple((tuple(idx), b) for idx, b in call) for call in placed_calls)
-    assert got == expect
-    assert sum(expect.values()) == sum(d.realizer is not None for d in spec.tori)
+    # each descriptor with a realizer builds its matrix once, on first read
+    assert Counter(d.index for d in built) == Counter(
+        d.index for d in spec.tori if d.realizer is not None
+    )
 
 
 def test_gl_513_orbits_refuses_without_building_realizers(placed_calls, capsys):

@@ -20,6 +20,7 @@ from korbits.dyadic import (
     TorusStructure,
     _BLOCKS,
     diagonal_structure,
+    placed,
 )
 from korbits.weyl import SignedPerm
 from oracle import _from_q, _q, naive_det, naive_inverse
@@ -381,7 +382,7 @@ def test_diagonalizer_inverse_is_placed_from_its_blocks():
     struct = TorusStructure(
         6,
         (
-            ("pair2", 1, 4, "circular"),
+            ("pair1", 1, 4, "circular"),
             ("coord", 2),
             ("pair1", 3, 6, "hyperbolic"),
             ("trivial", 5),
@@ -410,29 +411,80 @@ def test_diagonal_structure_to_weyl():
         struct.to_weyl(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
-def test_diagonal_structure_embed_extract():
+def test_diagonal_structure_rank_and_sample_point():
     struct = diagonal_structure(3)
-    vals = struct.sample_point()
-    assert len(set(vals)) == 3
-    assert struct.extract(struct.embed(vals)) == vals
+    assert struct.rank == 3
+    assert len(set(struct.sample_point())) == 3
 
 
 @pytest.mark.parametrize("style", ["hyperbolic", "circular"])
-def test_pair1_embed_extract(style):
+def test_pair1_rank_and_slot_labels(style):
     struct = TorusStructure(2, (("pair1", 1, 2, style),))
     assert struct.rank == 1
-    z = DyadicGauss.of(1, 1)
-    m = struct.embed((z,))
-    assert struct.extract(m) == (z,)
     labels = struct.slot_labels()
     assert labels[0] == (1, 1) and labels[1] == (1, -1)
 
 
-def test_pair2_embed_extract():
-    struct = TorusStructure(2, (("pair2", 1, 2, "circular"),))
-    assert struct.rank == 2
-    vals = struct.sample_point()
-    assert struct.extract(struct.embed(vals)) == vals
+@pytest.mark.parametrize("kind", ["pair2", "coords", None])
+def test_unknown_unit_kind_is_refused(kind):
+    with pytest.raises(ValueError, match="unknown unit kind"):
+        TorusStructure(2, ((kind, 1, 2, "circular"),))
+
+
+#: Each style's diagonalizer, written out.
+_DIAGONALIZERS = {
+    "circular": ExactMatrix.from_rows([[1, 1], [GI, -GI]]),
+    "hyperbolic": ExactMatrix.from_rows([[1, 1], [1, -1]]),
+}
+#: Units of the Gaussian dyadics, for torus coordinates.
+_UNITS = [
+    G1, -G1, GI, DyadicGauss.of(1, 1), DyadicGauss.of(2), DyadicGauss.of(Dyadic(1, -2))
+]
+
+
+@st.composite
+def _tilings(draw):
+    """A structure of units of random kinds and styles at shuffled slots,
+    with two lists of unit coordinates for it."""
+    kind = st.sampled_from(["coord", "pair1", "trivial"])
+    kinds = draw(st.lists(kind, min_size=1, max_size=5))
+    size = sum(2 if k == "pair1" else 1 for k in kinds)
+    slots = draw(st.permutations(range(1, size + 1)))
+    units = []
+    for k in kinds:
+        if k == "pair1":
+            style = draw(st.sampled_from(sorted(_DIAGONALIZERS)))
+            units.append((k, slots.pop(), slots.pop(), style))
+        else:
+            units.append((k, slots.pop()))
+    rank = sum(k != "trivial" for k in kinds)
+    coords = st.lists(st.sampled_from(_UNITS), min_size=rank, max_size=rank)
+    return TorusStructure(size, tuple(units)), draw(coords), draw(coords)
+
+
+def _expected_diagonal(struct, values):
+    diag, coords = [G1] * struct.size, iter(values)
+    for unit in struct.units:
+        if unit[0] == "coord":
+            diag[unit[1] - 1] = next(coords)
+        elif unit[0] == "pair1":
+            z = next(coords)
+            diag[unit[1] - 1], diag[unit[2] - 1] = z, z.inverse()
+    return ExactMatrix.diagonal(diag)
+
+
+@settings(deadline=None)
+@given(_tilings())
+def test_embed_is_a_homomorphism(case):
+    """embed(v) is U diag U^-1 for the diagonalizers placed on the pairs,
+    it multiplies coordinatewise, and the all-ones point is the identity."""
+    struct, v, w = case
+    pairs = [u for u in struct.units if u[0] == "pair1"]
+    u = placed(struct.size, [(p[1:3], _DIAGONALIZERS[p[3]]) for p in pairs])
+    assert struct.embed(v) == u * _expected_diagonal(struct, v) * naive_inverse(u)
+    vw = [a * b for a, b in zip(v, w)]
+    assert struct.embed(v) * struct.embed(w) == struct.embed(vw)
+    assert struct.embed([G1] * struct.rank) == ExactMatrix.diagonal([1] * struct.size)
 
 
 def test_mixed_structure_slot_labels():

@@ -3,11 +3,18 @@
 ``classify-tori``, ``orbits`` and ``twisted`` queries,
 ``tests/golden_verify_large.json``, ``tests/golden_tori_large.json``,
 ``tests/golden_orbits_large.json`` and ``tests/golden_twisted_large.json``)
-was generated: same exit status, same stdout, same stderr, byte for byte."""
+was generated: same exit status, same stdout, same stderr, byte for byte.
+The census and the reachability graph of ``scripts/`` print the stdout they
+printed when ``SCRIPT_OUTPUTS`` was generated."""
 
+import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "scripts"))
@@ -34,7 +41,7 @@ def test_cli_outputs_match_golden_hashes():
 
 
 def test_large_verify_outputs_match_golden_hashes():
-    _assert_matches("golden_verify_large.json", golden_verify_large())
+    assert len(_assert_matches("golden_verify_large.json", golden_verify_large())) == 62
 
 
 def test_large_tori_outputs_match_golden_hashes():
@@ -47,3 +54,32 @@ def test_large_orbits_outputs_match_golden_hashes():
 
 def test_large_twisted_outputs_match_golden_hashes():
     assert len(_assert_matches("golden_twisted_large.json", golden_twisted_large())) == 36
+
+
+#: sha256 of the stdout of each script run, as printed by
+#: ``PYTHONPATH=src python3 scripts/<script> <arguments> | sha256sum``.
+SCRIPT_OUTPUTS = {
+    ("orbit_census.py", "--max-order", "46080"): (
+        "6eb27711f586696a195fc519e3985a61d071eb30e3f62852bd0881665ae01907"
+    ),
+    ("reachability_dot.py", "Upq", "2", "1"): (
+        "f1cd09556e9f6f2ae50b9da496bd09734120ca0b9a61f6b64ca6b0e1633c9179"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", SCRIPT_OUTPUTS, ids=" ".join)
+def test_script_outputs_match_golden_hashes(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    script, *args = argv
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        env=env,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == SCRIPT_OUTPUTS[argv]
