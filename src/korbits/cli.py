@@ -210,6 +210,47 @@ def _cmd_verify(spec: GroupSpec) -> _Answer:
     return rows, summary, columns, line, code
 
 
+#: Encodes a flat JSON row as its indented lines, on CPython's C encoder
+#: (``indent`` would send every row through the pure-Python one).
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def _indented(items: list[str], pad: str, brackets: str) -> str:
+    """A JSON array or object whose encoded items sit one per line at
+    ``pad``, its closing bracket two spaces left of them."""
+    if not items:
+        return brackets
+    sep = ",\n" + pad
+    return f"{brackets[0]}\n{pad}{sep.join(items)}\n{pad[:-2]}{brackets[1]}"
+
+
+def _json_text(payload: dict) -> str:
+    """The payload as JSON with sorted keys, indented by two spaces per
+    level, and a newline: the standard library's indented dump, byte for
+    byte, for a payload whose values are scalars, flat objects, or arrays
+    of scalars or of flat objects (the rows).  Each row is one
+    ``_ROW_ENCODER`` call, and the frame around the rows is written here."""
+    encode = _ROW_ENCODER.encode
+    fields = []
+    for key, value in sorted(payload.items()):
+        if isinstance(value, dict):
+            pairs = [f"{encode(k)}: {encode(v)}" for k, v in sorted(value.items())]
+            value = _indented(pairs, "    ", "{}")
+        elif isinstance(value, list):
+            items = [_json_row(v) if isinstance(v, dict) else encode(v) for v in value]
+            value = _indented(items, "    ", "[]")
+        else:
+            value = encode(value)
+        fields.append(f"{encode(key)}: {value}")
+    return _indented(fields, "  ", "{}") + "\n"
+
+
+def _json_row(row: dict) -> str:
+    """A flat object at indent level two: the encoder's separators already
+    put each of its pairs on its own line."""
+    return "{\n      " + _ROW_ENCODER.encode(row)[1:-1] + "\n    }" if row else "{}"
+
+
 _COMMANDS = {
     "classify-tori": _cmd_classify_tori,
     "orbits": _cmd_orbits,
@@ -232,7 +273,7 @@ def _write(spec: GroupSpec, command: str, fmt: str) -> int:
                 "rows": rows,
                 "summary": summary,
             }
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = _json_text(payload)
         else:
             spellings = [(key, _SPELLING.get(key, {})) for key in columns.values()]
             cells = [[str(sp.get(r[k], r[k])) for k, sp in spellings] for r in rows]

@@ -22,6 +22,7 @@ members of a swapped pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .catalog import GroupSpec, OrbitParam, coset_table, orbit_parameters
 from .weyl import SignedPerm
@@ -65,24 +66,29 @@ def galois_action(spec: GroupSpec, i: int) -> GaloisAction:
     are reduced to canonical representatives by the coset table, so the
     returned mapping is a permutation of the representative list.
     """
-    desc = spec.descriptor(i)
-    table = coset_table(spec, i)
+    rule, table = _rule(spec.descriptor(i)), coset_table(spec, i)
     return GaloisAction(
         domain=table.reps,
-        mapping={rep: table.canon(_apply_rule(desc, rep)) for rep in table.reps},
+        mapping={rep: table.canon(rule(rep)) for rep in table.reps},
         name=f"{spec.name} torus {i}",
     )
 
 
-def _apply_rule(desc, w: SignedPerm) -> SignedPerm:
-    x = w
-    if desc.galois_conj is not None:
-        x = x.conjugate_by(desc.galois_conj)
-    if desc.galois_left is not None:
-        x = desc.galois_left * x
-    if desc.galois_right is not None:
-        x = x * desc.galois_right
-    return x
+def _rule(desc) -> Callable[[SignedPerm], SignedPerm]:
+    """The raw rule w -> left * (c w c^-1) * right of a descriptor, as
+    w -> l * w * r with l = left * c and r = c^-1 * right, both formed once
+    (an absent factor is the identity)."""
+    left, right, conj = desc.galois_left, desc.galois_right, desc.galois_conj
+    if conj is not None:
+        inverse = conj.inverse()
+        left = conj if left is None else left * conj
+        right = inverse if right is None else inverse * right
+
+    def apply(w: SignedPerm) -> SignedPerm:
+        x = w if left is None else left * w
+        return x if right is None else x * right
+
+    return apply
 
 
 def fixed_and_pairs(

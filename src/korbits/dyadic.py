@@ -302,20 +302,31 @@ class ExactMatrix:
         block diagonal, so det M is the product of the blocks' determinants
         and M^-1 places the blocks' inverses.  Each block is eliminated by
         one ``_gauss_jordan``, with the identity appended when ``augment``,
-        and listed as (sorted indices, last pivot re, im, rows)."""
+        and listed as (sorted indices, last pivot re, im, rows); a 1x1 block
+        is read off its one entry."""
         pattern = zip(self.rows, self.transpose().rows)
         links = [[t[0] for t in row + col] for row, col in pattern]
         dr, di, blocks, left = 1, 0, [], set(range(self.nrows))
         while left:
-            comp = sorted(closure([left.pop()], links.__getitem__))
-            left.difference_update(comp)
-            m, local = len(comp), {g: k for k, g in enumerate(comp)}
-            eye = [[(int(j == k), 0) for j in range(m)] if augment else [] for k in range(m)]
-            rows = [[(0, 0)] * m + row for row in eye]
-            for k, g in enumerate(comp):
-                for c, re, im in self.rows[g]:
-                    rows[k][local[c]] = (re, im)
-            sign, cr, ci = _gauss_jordan(rows)
+            g = left.pop()
+            if all(c == g for c in links[g]):
+                # A 1x1 block [d] is its own last pivot, and [d | 1] is
+                # already [d*I | d*M^-1].
+                _, cr, ci = self.rows[g][0] if self.rows[g] else (g, 0, 0)
+                sign, comp, rows = 1, [g], [[(cr, ci), (1, 0)]]
+            else:
+                comp = sorted(closure([g], links.__getitem__))
+                left.difference_update(comp)
+                m, local = len(comp), {r: k for k, r in enumerate(comp)}
+                eye = [
+                    [(int(j == k), 0) for j in range(m)] if augment else []
+                    for k in range(m)
+                ]
+                rows = [[(0, 0)] * m + row for row in eye]
+                for k, r in enumerate(comp):
+                    for c, re, im in self.rows[r]:
+                        rows[k][local[c]] = (re, im)
+                sign, cr, ci = _gauss_jordan(rows)
             dr, di = sign * (dr * cr - di * ci), sign * (dr * ci + di * cr)
             blocks.append((comp, cr, ci, rows))
         return dr, di, blocks
@@ -435,6 +446,11 @@ class TorusStructure:
         u = placed(self.size, [(p[1:3], _BLOCKS[p[3]]) for p in pairs])
         return u, u.inverse()
 
+    @cached_property
+    def _blocked(self) -> bool:
+        """Whether some unit is a 2x2 block, that is, U is not the identity."""
+        return any(u[0] == "pair1" for u in self.units)
+
     def embed(self, values: Sequence[DyadicGauss]) -> ExactMatrix:
         """Torus point with the given coordinate values (pair1 values must
         be units, since the block also carries the inverse eigenvalue)."""
@@ -446,8 +462,11 @@ class TorusStructure:
             if lab is not None:
                 z = vals[lab[0] - 1]
                 diag[slot] = z if lab[1] == 1 else z.inverse()
+        d = ExactMatrix.diagonal(diag)
+        if not self._blocked:
+            return d
         U, Uinv = self._diagonalizer
-        return U * ExactMatrix.diagonal(diag) * Uinv
+        return U * d * Uinv
 
     def sample_point(self) -> tuple[DyadicGauss, ...]:
         """Generic torus point with pairwise-distinct unit coordinates,
@@ -461,8 +480,10 @@ class TorusStructure:
         when an eigenvalue lands on its partner's inverse slot)."""
         if m.nrows != self.size or m.ncols != self.size:
             raise NotMonomial(f"expected a {self.size}x{self.size} matrix")
-        U, Uinv = self._diagonalizer
-        d = Uinv * m * U
+        d = m
+        if self._blocked:
+            U, Uinv = self._diagonalizer
+            d = Uinv * m * U
         col_of_row = []
         for i, row in enumerate(d.rows):
             if len(row) != 1:

@@ -33,8 +33,8 @@ element and the length of every element; ``twisted_involutions``,
 read this sweep.
 
 The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
-t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images through
-lookups of t, w, w^-1 and t^-1 c, the last formed once per c, with no
+t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images off w and
+through lookups of t, w^-1 and t^-1 c, the last formed once per c, with no
 product in between.
 """
 
@@ -241,19 +241,21 @@ def springer_value(
     The value is (t w t^-1)^-1 * c * w * b = t * w^-1 * (t^-1 c) * w * b
     for conjugation twist t, torus class element c and base b.  Each image
     v(j) = t(w^-1(d(w(b(j))))), with d = t^-1 c formed once per c, is read
-    through lookups, with no product in between.  The value is always a
-    twisted involution for the context, checked by ``is_twisted_involution``
-    as v u v = u for u = t^-1 b.
+    through lookups of t, w^-1 and d and straight off w's images, with no
+    product in between.  The value is always a twisted involution for the
+    context, checked by ``is_twisted_involution`` as v u v = u for u = t^-1 b.
     """
     d = ctx._class_lookups.get(torus_element)
     if d is None:
         d = ctx._class_lookups[torus_element] = _lookup(
             ctx._twist_inverse * torus_element
         )
-    t, fwd, back = ctx._twist_lookup, _lookup(w), [0] * (2 * len(w) + 1)
+    t, back = ctx._twist_lookup, [0] * (2 * len(w) + 1)
     for j, x in enumerate(w, start=1):  # w(j) = x, so w^-1(x) = j
         back[x], back[-x] = j, -j
-    value = _signed_perm([t[back[d[fwd[x]]]] for x in ctx.base])
+    value = _signed_perm(
+        [t[back[d[w[x - 1] if x > 0 else -w[-x - 1]]]] for x in ctx.base]
+    )
     if not is_twisted_involution(ctx, value):
         raise ValueError(f"value {value} is not a twisted involution")
     return value

@@ -85,6 +85,9 @@ SUBGROUP_CAP = 2**8 * 40320
 #: Hard cap on the rank of a group, checked before anything is allocated.
 RANK_CAP = 1024
 
+#: The decimal numeral of each coordinate up to the rank cap.
+_NUMERALS = tuple(map(str, range(RANK_CAP + 1)))
+
 
 class RankMismatch(ValueError):
     """Raised when combining signed permutations of different ranks."""
@@ -149,10 +152,6 @@ class SignedPerm(tuple):
     def is_identity(self) -> bool:
         return all(v == j for j, v in enumerate(self, start=1))
 
-    def conjugate_by(self, t: "SignedPerm") -> "SignedPerm":
-        """Return ``t * self * t^-1``."""
-        return t * self * t.inverse()
-
     def signs(self) -> tuple[int, ...]:
         return tuple(1 if v > 0 else -1 for v in self)
 
@@ -163,18 +162,20 @@ class SignedPerm(tuple):
         return m
 
     def cycle_string(self) -> str:
-        """Disjoint-cycle notation; sign flips appended as a +/- vector."""
+        """Disjoint-cycle notation; sign flips appended as a +/- vector.
+        The numerals come from a table up to ``RANK_CAP``, the largest rank
+        of any group."""
         # Each cycle is entered at its least coordinate, marking the rest.
-        seen = set()
+        seen = [False] * (len(self) + 1)
         cycles = []
         for start, v in enumerate(self, start=1):
             nxt = abs(v)
-            if nxt == start or start in seen:
+            if nxt == start or seen[start]:
                 continue
-            cyc = [str(start)]
+            cyc = [_NUMERALS[start]]
             while nxt != start:
-                seen.add(nxt)
-                cyc.append(str(nxt))
+                seen[nxt] = True
+                cyc.append(_NUMERALS[nxt])
                 nxt = abs(self[nxt - 1])
             cycles.append("(" + " ".join(cyc) + ")")
         body = "".join(cycles) or "e"
@@ -491,10 +492,11 @@ class CosetTable:
     all-plus).  Absolute values: each position's value moves to the least
     point of its orbit under the pointwise stabilizer in K of the values
     already placed; each stabilizer comes from its parent by Schreier's
-    lemma, reduced by Sims' filter, cached per fixed-point set.  ``reps``
-    lists the x with canon(x) == x one position at a time: each value the
-    least of its orbit at its level, each sign vector no larger than any
-    witness makes it; ``size`` is |W_K| = |W| / len(reps).  A group past
+    lemma, reduced by Sims' filter, cached per fixed-point set (kept as the
+    int with bit v set for each fixed value v).  ``reps`` lists the x with
+    canon(x) == x one position at a time: each value the least of its orbit
+    at its level, each sign vector no larger than any witness makes it;
+    ``size`` is |W_K| = |W| / len(reps).  A group past
     ``SUBGROUP_CAP`` is refused before anything is built.
     """
 
@@ -518,11 +520,12 @@ class CosetTable:
                     todo.append(tg)
                 else:
                     schreier.append(tg * known.inverse())
-        #: The levels of K's stabilizer chain by fixed-point set.
-        self._levels = {frozenset(): _level(_sims_filter(schreier), group.rank)}
+        #: The levels of K's stabilizer chain by fixed-point set, as a bitmask.
+        self._levels = {0: _level(_sims_filter(schreier), group.rank)}
 
-    def _child(self, level: tuple, m: int, fixed: frozenset[int]) -> tuple:
-        """The stabilizer of m in ``level`` (pointwise, of ``fixed``)."""
+    def _child(self, level: tuple, m: int, fixed: int) -> tuple:
+        """The stabilizer of m in ``level`` (pointwise, of the values whose
+        bits ``fixed`` sets)."""
         gens, transversal = level
         schreier = []
         for root, v in transversal.values():
@@ -542,7 +545,7 @@ class CosetTable:
                 key=lambda y: [v < 0 for v in y],
             )
         word = [abs(v) for v in x]
-        level = self._levels[frozenset()]
+        fixed, level = 0, self._levels[0]
         for j, b in enumerate(word):
             gens, transversal = level
             if not gens:
@@ -550,18 +553,22 @@ class CosetTable:
             m, v = transversal[b]
             if b != m:
                 word[j:] = [v[c - 1] for c in word[j:]]
-            fixed = frozenset(word[: j + 1])
+            fixed |= 1 << m
             level = self._levels.get(fixed) or self._child(level, m, fixed)
         return _signed_perm([w if v > 0 else -w for w, v in zip(word, x)])
 
     @cached_property
     def reps(self) -> tuple[SignedPerm, ...]:
         """The fixed points of ``canon``, one per coset, listed directly by
-        orderly generation (McKay, J. Algorithms 26, 1998)."""
-        blocks, masks, found = self.group._blocks, self.group._sign_masks, []
+        orderly generation (McKay, J. Algorithms 26, 1998), in
+        ``canonical_key`` order: the walk lists the absolute values in
+        lexicographic order and the sign vectors come in key order, so each
+        sign vector's bucket is already sorted."""
+        blocks, masks = self.group._blocks, self.group._sign_masks
+        buckets: list[list[SignedPerm]] = [[] for _ in masks]
         others = list(self._witnesses.values())[1:]
 
-        def walk(word: tuple[int, ...], level: tuple) -> None:
+        def walk(word: tuple[int, ...], fixed: int, level: tuple) -> None:
             gens, transversal = level
             if gens:
                 # canon leaves each value the least of its orbit under the
@@ -569,9 +576,9 @@ class CosetTable:
                 b = next(b for b in blocks if len(word) in b)
                 for c in range(b.start + 1, b.stop + 1):
                     if c not in word and transversal[c][0] == c:
-                        fixed = frozenset(word + (c,))
-                        child = self._levels.get(fixed) or self._child(level, c, fixed)
-                        walk(word + (c,), child)
+                        key = fixed | 1 << c
+                        child = self._levels.get(key) or self._child(level, c, key)
+                        walk(word + (c,), key, child)
                 return
             # No generators left: every arrangement of the rest is canonical,
             # and canon keeps the signs of x exactly when, for each witness t
@@ -583,14 +590,12 @@ class CosetTable:
                 pinned = {
                     next(k for k, v in enumerate(u) if t[v - 1] < 0) for t in others
                 }
-                found.extend(
-                    _signed_perm([s * v for s, v in zip(m, u)])
-                    for m in masks
-                    if all(m[k] > 0 for k in pinned)
-                )
+                for m, bucket in zip(masks, buckets):
+                    if all(m[k] > 0 for k in pinned):
+                        bucket.append(_signed_perm([s * v for s, v in zip(m, u)]))
 
-        walk((), self._levels[frozenset()])
-        return tuple(sorted(found, key=canonical_key))
+        walk((), 0, self._levels[0])
+        return tuple(itertools.chain.from_iterable(buckets))
 
     @property
     def size(self) -> int:

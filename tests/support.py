@@ -49,7 +49,7 @@ def sorted_elements(group: WeylGroup) -> tuple[SignedPerm, ...]:
 def conjugations(gens) -> list:
     """One map x -> g x g^-1 per generator g, as ``conjugacy_classes`` takes
     them."""
-    return [lambda x, g=g: x.conjugate_by(g) for g in gens]
+    return [lambda x, g=g, h=g.inverse(): g * x * h for g in gens]
 
 
 def canon_blocks(table: CosetTable, elements) -> frozenset[frozenset[SignedPerm]]:

@@ -22,7 +22,7 @@ from korbits.catalog import (
 )
 from korbits.descent import (
     GaloisAction,
-    _apply_rule,
+    _rule,
     descent_report,
     fixed_and_pairs,
     galois_action,
@@ -328,9 +328,9 @@ def test_criterion_10():
             for rep in action.domain:
                 assert action.mapping[action.mapping[rep]] == rep
             # the rule sends each coset into the coset of its image
-            table = coset_table(spec, i)
+            table, rule = coset_table(spec, i), _rule(desc)
             for x in all_elements(spec.group.kind, spec.group.rank):
-                assert table.canon(_apply_rule(desc, x)) == action.mapping[table.canon(x)]
+                assert table.canon(rule(x)) == action.mapping[table.canon(x)]
             orbits = naive_galois_orbits(action.domain, action.mapping.__getitem__)
             fixed, pairs = fixed_and_pairs(action)
             assert {o for o in orbits if len(o) == 1} == {

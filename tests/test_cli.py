@@ -340,6 +340,45 @@ def test_json_output_is_canonical_and_schema_valid(argv, capsys, schema):
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == out
 
 
+_json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+_flat_objects = st.dictionaries(st.text(), _json_scalars, max_size=5)
+
+
+@given(
+    st.fixed_dictionaries(
+        {
+            "command": st.text(),
+            "family": st.text(),
+            "params": st.lists(st.integers(), max_size=4),
+            "rows": st.lists(_flat_objects, max_size=4),
+            "summary": _flat_objects,
+        }
+    )
+)
+@example(
+    {
+        "command": "verify",
+        "family": "Upq",
+        "params": [],
+        "rows": [],
+        "summary": {"claims": 0, "failures": None},
+    }
+)
+@example(
+    {
+        "command": 'say "hi"\n',
+        "family": "caf\u00e9 \\ \u2603",
+        "params": [-1, 0, 10**30],
+        "rows": [{"detail": 'a\tb "c" \\ \u00df\n', "ok": False, "e\u0301": True}, {}],
+        "summary": {},
+    }
+)
+def test_json_writer_matches_json_dumps(payload):
+    """The writer's C-encoded rows in its own frame give exactly the bytes
+    of the indented pure-Python encoder."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_byte_identical_reruns(capsys):
     argv = ["orbits", "--family", "Upq", "--p", "2", "--q", "2", "--format", "json"]
     first = run(argv, capsys)

@@ -15,7 +15,7 @@ from korbits.descent import (
     FIELD_PAIR,
     GaloisAction,
     NotAnInvolution,
-    _apply_rule,
+    _rule,
     descent_report,
     fixed_and_pairs,
     galois_action,
@@ -69,12 +69,10 @@ def test_rule_descends_to_cosets(family, params):
         desc = spec.descriptor(i)
         if desc.wk is None:
             continue
-        table = coset_table(spec, i)
+        table, rule = coset_table(spec, i), _rule(desc)
         targets = {}
         for x in all_elements(spec.group.kind, spec.group.rank):
-            targets.setdefault(table.canon(x), set()).add(
-                table.canon(_apply_rule(desc, x))
-            )
+            targets.setdefault(table.canon(x), set()).add(table.canon(rule(x)))
         assert all(len(t) == 1 for t in targets.values())
 
 
@@ -289,10 +287,10 @@ def test_twisted_galois_unknown_rule_and_escape():
     spec = cached_build("Upq", 2, 1)
     desc, table = spec.descriptor(0), coset_table(spec, 0)
     action = galois_action(spec, 0)
-    escaped = [r for r in table.reps if _apply_rule(desc, r) not in table.reps]
+    escaped = [r for r in table.reps if _rule(desc)(r) not in table.reps]
     assert escaped
     for rep in escaped:
-        assert action.mapping[rep] == table.canon(_apply_rule(desc, rep))
+        assert action.mapping[rep] == table.canon(_rule(desc)(rep))
         assert action.mapping[rep] in table.reps
 
 
@@ -310,7 +308,30 @@ def test_apply_rule_with_conjugation_factor():
     )
     w = perm(2, 1, 3, 4)
     want = desc.galois_left * (tau * w * tau.inverse()) * desc.galois_right
-    assert _apply_rule(desc, w) == want
+    assert _rule(desc)(w) == want
+
+
+@pytest.mark.parametrize(
+    "conj,left,right",
+    itertools.product(
+        [None, perm(3, 4, 1, 2)], [None, perm(2, 1, 3, 4)], [None, perm(-1, 2, 4, 3)]
+    ),
+)
+def test_rule_folds_the_conjugation_into_its_factors(conj, left, right):
+    # every combination of present and absent factors gives the rule applied
+    # factor by factor: conjugate, then multiply on the left and the right
+    desc = TorusDescriptor(
+        index=0,
+        twist_class=perm(1, 2, 3, 4),
+        galois_conj=conj,
+        galois_left=left,
+        galois_right=right,
+    )
+    rule = _rule(desc)
+    for w in all_elements("B", 4):
+        want = w if conj is None else conj * w * conj.inverse()
+        want = want if left is None else left * want
+        assert rule(w) == (want if right is None else want * right)
 
 
 def test_synthetic_block_swap_action_on_restriction_cosets():

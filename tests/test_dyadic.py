@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import korbits.dyadic
 from korbits.catalog import GBL, _apply_map, _perm_matrix
 from korbits.dyadic import (
     D0,
@@ -133,6 +134,31 @@ def test_matrix_inverse_errors():
         ExactMatrix.from_rows([[1, 0]]).inverse()
     with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
         ExactMatrix.from_rows([[1, 0]]).det()
+
+
+def test_one_entry_blocks_are_read_off_their_entry(monkeypatch):
+    # 1x1 components take their determinant and inverse from their entry,
+    # with no elimination; the 2x2 component still runs one
+    calls = []
+    eliminate = korbits.dyadic._gauss_jordan
+    monkeypatch.setattr(
+        korbits.dyadic, "_gauss_jordan", lambda rows: calls.append(rows) or eliminate(rows)
+    )
+    m = ExactMatrix.from_rows(
+        [[GI, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, DyadicGauss.of(1, 1)]]
+    )
+    assert m.det() == naive_det(m)
+    assert m.inverse() == naive_inverse(m)
+    assert len(calls) == 2
+    calls.clear()
+    d = ExactMatrix.diagonal([Dyadic(1, -3), GI, DyadicGauss.of(-1, 1)])
+    assert d.det() == naive_det(d)
+    assert d.inverse() == naive_inverse(d)
+    assert calls == []
+    for entries, det in (([1, 0, 1], "0"), ([1, 3], "3")):
+        with pytest.raises(NotAUnit, match=f"^determinant {det} is not a unit$"):
+            ExactMatrix.diagonal(entries).inverse()
+    assert calls == []
 
 
 def test_permutation_matrix_convention():
@@ -408,6 +434,24 @@ def test_diagonal_structure_to_weyl():
     w = SignedPerm((2, 3, 1))
     assert struct.to_weyl(ExactMatrix.from_rows(w.matrix())) == w
     with pytest.raises(NotMonomial):
+        struct.to_weyl(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_diagonal_structure_forms_no_product_with_the_identity(monkeypatch):
+    # with no 2x2 block the diagonalizer is the identity: embed and to_weyl
+    # form no product with it, and still refuse non-monomial matrices
+    struct = diagonal_structure(3)
+    m = ExactMatrix.from_rows(SignedPerm((-3, 1, 2)).matrix())  # a sign is no flip
+    point = ExactMatrix.diagonal(struct.sample_point())
+    products = []
+    multiply = ExactMatrix.__mul__
+    monkeypatch.setattr(
+        ExactMatrix, "__mul__", lambda a, b: products.append(b) or multiply(a, b)
+    )
+    assert struct.to_weyl(m) == SignedPerm((3, 1, 2))
+    assert struct.embed(struct.sample_point()) == point
+    assert products == []
+    with pytest.raises(NotMonomial, match="^row 1 has 2 nonzero entries$"):
         struct.to_weyl(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 

@@ -117,16 +117,19 @@ def _instance_id(case):
         symmetric_group(4),
         hyperoctahedral_group(3),
         even_hyperoctahedral_group(3),
+        even_hyperoctahedral_group(4),
         product_symmetric_group(3),
     ],
     ids=lambda g: g.describe(),
 )
 def test_enumeration_matches_itertools(group):
     # the trivial subgroup's representatives and the closure of the simple
-    # reflections are both all of W
+    # reflections are both all of W; the representatives come in
+    # canonical_key order, one sign vector's bucket after another
     elements = all_elements(group.kind, group.rank)
     reps = CosetTable([], group).reps
     assert set(reps) == elements and len(reps) == group.order
+    assert reps == tuple(sorted(elements, key=canonical_key))
     assert reps[0] == group.identity()
     assert enumerate_subgroup(group.simple_reflections()) == elements
 
