@@ -5,8 +5,9 @@ The orbit parameters of a family are computed over the quadratic extension
 parameter fixed by the conjugation yields an orbit defined over the base
 ring, while a swapped pair contributes a single orbit defined only after
 the extension.  This module builds the conjugation action on canonical
-coset representatives from the per-torus rule recorded in the catalog,
-splits it into fixed points and swapped pairs, and extends each of the
+coset representatives from the per-torus rule recorded in the catalog
+(one minimal image each, none when the rule fixes every coset), splits it
+into fixed points and swapped pairs, and extends each of the
 catalog's orbit parameters, in their order, with its field of definition
 and its pair partner read off those pairs.  A torus without
 little-Weyl-group data has no coset table, so ``galois_action`` raises the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .catalog import GroupSpec, OrbitParam, coset_table, orbit_parameters
-from .weyl import SignedPerm
+from .weyl import CosetTable, SignedPerm
 
 __all__ = [
     "GaloisAction",
@@ -62,27 +63,31 @@ def galois_action(spec: GroupSpec, i: int) -> GaloisAction:
     The rule is assembled from the descriptor: an optional conjugation
     element, an optional left factor, an optional right factor (with none,
     the identity).  Raises ``MissingWkData`` for a torus without
-    little-Weyl-group data, as ``coset_table`` does.  Images
-    are reduced to canonical representatives by the coset table, so the
-    returned mapping is a permutation of the representative list.
-    """
-    rule, table = _rule(spec.descriptor(i)), coset_table(spec, i)
-    return GaloisAction(
-        domain=table.reps,
-        mapping={rep: table.canon(rule(rep)) for rep in table.reps},
-        name=f"{spec.name} torus {i}",
-    )
+    little-Weyl-group data, as ``coset_table`` does.  Images are reduced to
+    canonical representatives by the coset table, so the returned mapping is
+    a permutation of the representative list; none is formed when ``_rule``
+    finds that the rule fixes every coset."""
+    table = coset_table(spec, i)
+    rule, reps = _rule(spec.descriptor(i), table), table.reps
+    images = reps if rule is None else [table.canon(rule(r)) for r in reps]
+    return GaloisAction(reps, dict(zip(reps, images)), f"{spec.name} torus {i}")
 
 
-def _rule(desc) -> Callable[[SignedPerm], SignedPerm]:
+def _rule(desc, table: CosetTable | None = None) -> Callable | None:
     """The raw rule w -> left * (c w c^-1) * right of a descriptor, as
     w -> l * w * r with l = left * c and r = c^-1 * right, both formed once
-    (an absent factor is the identity)."""
+    (an absent factor is the identity).  Given the coset table, an l in
+    W_K (canon(l) is then e, the least element of W) is dropped, as W_K·l·w
+    = W_K·w; if no factor is left, the rule fixes every coset: None."""
     left, right, conj = desc.galois_left, desc.galois_right, desc.galois_conj
     if conj is not None:
         inverse = conj.inverse()
         left = conj if left is None else left * conj
         right = inverse if right is None else inverse * right
+    if table is not None and left is not None and table.group.contains(left):
+        left = None if table.canon(left).is_identity() else left
+    if table is not None and left is None and right is None:
+        return None
 
     def apply(w: SignedPerm) -> SignedPerm:
         x = w if left is None else left * w

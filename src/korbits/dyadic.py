@@ -304,8 +304,9 @@ class ExactMatrix:
         one ``_gauss_jordan``, with the identity appended when ``augment``,
         and listed as (sorted indices, last pivot re, im, rows); a 1x1 block
         is read off its one entry."""
-        pattern = zip(self.rows, self.transpose().rows)
-        links = [[t[0] for t in row + col] for row, col in pattern]
+        links = [[c for c, _, _ in row] for row in self.rows]
+        for r, c in [(r, t[0]) for r, row in enumerate(self.rows) for t in row]:
+            links[c].append(r)
         dr, di, blocks, left = 1, 0, [], set(range(self.nrows))
         while left:
             g = left.pop()

@@ -444,38 +444,40 @@ def enumerate_subgroup(
     return closure([identity(rank)], lambda w: [g * w for g in gens], cap)
 
 
-def _sims_filter(perms: Iterable[SignedPerm]) -> tuple[SignedPerm, ...]:
-    """At most n(n-1)/2 elements generating the same group as the plain
-    permutations ``perms`` (Sims' filter: keep one element per first moved
-    point i and its image, sift every other through the kept one)."""
-    table: dict[tuple[int, int], SignedPerm] = {}
-    for g in perms:
-        while not g.is_identity():
+def _sims_filter(pairs: Iterable[tuple[tuple, tuple]], one: tuple) -> tuple:
+    """At most n(n-1)/2 pairs (g, g^-1) generating the same group as the
+    plain permutations g of ``pairs`` (Sims' filter: keep one pair per first
+    moved point i of g and its image, sift every other through the kept one)."""
+    table: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+    for g, g_inv in pairs:
+        while g != one:
             i = next(j for j, v in enumerate(g) if v != j + 1)
-            kept = table.setdefault((i, g[i]), g)
+            kept, kept_inv = table.setdefault((i, g[i]), (g, g_inv))
             if kept is g:
                 break
-            g = kept.inverse() * g
+            g = tuple([kept_inv[k - 1] for k in g])
+            g_inv = tuple([g_inv[k - 1] for k in kept])
     return tuple(table.values())
 
 
-def _level(gens: tuple[SignedPerm, ...], rank: int) -> tuple:
-    """(gens, transversal) for the group the plain permutations ``gens``
-    generate; the transversal maps each point b to (the least point m of
-    its orbit, an element v with v(b) = m)."""
-    inverses = [g.inverse() for g in gens]
-    transversal: dict[int, tuple[int, SignedPerm]] = {}
-    for m in range(1, rank + 1):
+def _level(gens: tuple, one: tuple) -> tuple:
+    """(gens, transversal) for the group the plain permutations g of the pairs
+    (g, g^-1) ``gens`` generate; the transversal maps each point b to (the
+    least point m of its orbit, v with v(b) = m, v^-1), as image tuples."""
+    transversal: dict[int, tuple[int, tuple, tuple]] = {}
+    for m in range(1, len(one) + 1):
         if m in transversal:
             continue
-        transversal[m] = (m, _signed_perm(range(1, rank + 1)))
+        transversal[m] = (m, one, one)
         todo = [m]
         while todo:
             b = todo.pop()
-            for g, g_inv in zip(gens, inverses):
+            _, v, v_inv = transversal[b]
+            for g, g_inv in gens:
                 c = g[b - 1]
-                if c not in transversal:
-                    transversal[c] = (m, transversal[b][1] * g_inv)
+                if c not in transversal:  # v·g^-1 maps c to m; its inverse is g·v^-1
+                    vg = tuple([v[k - 1] for k in g_inv])
+                    transversal[c] = (m, vg, tuple([g[k - 1] for k in v_inv]))
                     todo.append(c)
     return gens, transversal
 
@@ -493,11 +495,12 @@ class CosetTable:
     point of its orbit under the pointwise stabilizer in K of the values
     already placed; each stabilizer comes from its parent by Schreier's
     lemma, reduced by Sims' filter, cached per fixed-point set (kept as the
-    int with bit v set for each fixed value v).  ``reps`` lists the x with
-    canon(x) == x one position at a time: each value the least of its orbit
-    at its level, each sign vector no larger than any witness makes it;
-    ``size`` is |W_K| = |W| / len(reps).  A group past
-    ``SUBGROUP_CAP`` is refused before anything is built.
+    int with bit v set for each fixed value v), each generator and transversal
+    element an image tuple beside its inverse, so no child inverts.  ``reps``
+    lists the x with canon(x) == x one position at a time, with no minimal
+    image: each value the least of its orbit at its level, each sign vector
+    no larger than any witness makes it (any, if e is the only witness).
+    ``size`` is |W_K| = |W| / len(reps).  Groups past ``SUBGROUP_CAP`` are refused.
     """
 
     def __init__(self, generators: Iterable[SignedPerm], group: WeylGroup):
@@ -507,7 +510,7 @@ class CosetTable:
         for g in generators:
             if not group.contains(g):
                 raise NotASubgroup(f"generator {g} lies outside {group.describe()}")
-        one = group.identity()
+        self._one = one = group.identity()
         self._witnesses = {one.signs(): one}
         schreier = []
         todo = [one]
@@ -519,38 +522,37 @@ class CosetTable:
                 if known is tg:
                     todo.append(tg)
                 else:
-                    schreier.append(tg * known.inverse())
+                    schreier.append((tg * known.inverse(), known * tg.inverse()))
         #: The levels of K's stabilizer chain by fixed-point set, as a bitmask.
-        self._levels = {0: _level(_sims_filter(schreier), group.rank)}
+        self._levels = {0: _level(_sims_filter(schreier, one), one)}
 
     def _child(self, level: tuple, m: int, fixed: int) -> tuple:
         """The stabilizer of m in ``level`` (pointwise, of the values whose
         bits ``fixed`` sets)."""
         gens, transversal = level
-        schreier = []
-        for root, v in transversal.values():
+        one, schreier = self._one, []
+        for root, v, u in transversal.values():
             if root == m:
-                u = v.inverse()
-                for g in gens:
-                    gu = g * u
-                    schreier.append(transversal[gu[m - 1]][1] * gu)
-        self._levels[fixed] = _level(_sims_filter(schreier), self.group.rank)
+                for g, h in gens:  # s = w·g·u fixes m; its inverse is v·h·w^-1
+                    _, w, w_inv = transversal[g[u[m - 1] - 1]]
+                    s = tuple([w[g[k - 1] - 1] for k in u])
+                    if s != one:
+                        schreier.append((s, tuple([v[h[k - 1] - 1] for k in w_inv])))
+        self._levels[fixed] = _level(_sims_filter(schreier, one), one)
         return self._levels[fixed]
 
     def canon(self, x: SignedPerm) -> SignedPerm:
         """The canonical_key-least element of W_K·x."""
         if len(self._witnesses) > 1:
-            x = min(
-                (t * x for t in self._witnesses.values()),
-                key=lambda y: [v < 0 for v in y],
-            )
+            moved = [t * x for t in self._witnesses.values()]
+            x = min(moved, key=lambda y: [v < 0 for v in y])
         word = [abs(v) for v in x]
         fixed, level = 0, self._levels[0]
         for j, b in enumerate(word):
             gens, transversal = level
             if not gens:
                 break
-            m, v = transversal[b]
+            m, v, _ = transversal[b]
             if b != m:
                 word[j:] = [v[c - 1] for c in word[j:]]
             fixed |= 1 << m
@@ -563,9 +565,10 @@ class CosetTable:
         orderly generation (McKay, J. Algorithms 26, 1998), in
         ``canonical_key`` order: the walk lists the absolute values in
         lexicographic order and the sign vectors come in key order, so each
-        sign vector's bucket is already sorted."""
+        sign vector's bucket is already sorted (all-plus first, taking u)."""
         blocks, masks = self.group._blocks, self.group._sign_masks
         buckets: list[list[SignedPerm]] = [[] for _ in masks]
+        plus, signed = buckets[0], list(zip(masks[1:], buckets[1:]))
         others = list(self._witnesses.values())[1:]
 
         def walk(word: tuple[int, ...], fixed: int, level: tuple) -> None:
@@ -587,11 +590,12 @@ class CosetTable:
             rest = [[k + 1 for k in b if k + 1 not in word] for b in blocks if b.stop > j]
             for parts in itertools.product(*map(itertools.permutations, rest)):
                 u = word + sum(parts, ())
+                plus.append(_signed_perm(u))
                 pinned = {
                     next(k for k, v in enumerate(u) if t[v - 1] < 0) for t in others
                 }
-                for m, bucket in zip(masks, buckets):
-                    if all(m[k] > 0 for k in pinned):
+                for m, bucket in signed:
+                    if not pinned or all(m[k] > 0 for k in pinned):
                         bucket.append(_signed_perm([s * v for s, v in zip(m, u)]))
 
         walk((), 0, self._levels[0])

@@ -1,4 +1,6 @@
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +23,12 @@ from korbits.descent import (
     galois_action,
 )
 from korbits.twisted import image_set
-from korbits.weyl import canonical_key, enumerate_subgroup
+from korbits.weyl import CosetTable, canonical_key, enumerate_subgroup
 from oracle import all_elements, rational_parameters
 from support import cached_build, perm, tr
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from orbit_census import instances  # noqa: E402
 
 WITH_GALOIS = [
     ("SL2n", (2,)),
@@ -74,6 +79,62 @@ def test_rule_descends_to_cosets(family, params):
         for x in all_elements(spec.group.kind, spec.group.rank):
             targets.setdefault(table.canon(x), set()).add(table.canon(rule(x)))
         assert all(len(t) == 1 for t in targets.values())
+
+
+#: Every census instance with W_K data and |W| <= 5040, then SL(10)/Sp and
+#: U(5,4), as (family, params).
+WITH_WK = [
+    (spec.family, spec.params)
+    for spec in instances(5040)
+    if any(desc.wk is not None for desc in spec.tori)
+] + [("SL2n", (5,)), ("Upq", (5, 4))]
+
+
+@pytest.mark.parametrize("family,params", WITH_WK)
+def test_action_is_the_raw_rule_reduced_by_canon(family, params):
+    # the action takes no minimal image where the rule's left factor lies in
+    # W_K, yet it is still canon of the raw rule on every representative
+    spec = cached_build(family, *params)
+    for desc in spec.tori:
+        if desc.wk is None:
+            continue
+        table, rule = coset_table(spec, desc.index), _rule(desc)
+        want = {rep: table.canon(rule(rep)) for rep in table.reps}
+        assert galois_action(spec, desc.index).mapping == want
+
+
+@pytest.mark.parametrize(
+    "family,per_rep",
+    [("SL2n", False), ("SOeven1", False), ("Restriction", False),
+     ("Upq", True), ("SOodd1", True)],
+)
+def test_minimal_images_per_torus_or_per_rep(monkeypatch, family, per_rep):
+    # SL(2n)/Sp, SO(2n,1) and Res(r) take at most one minimal image per
+    # torus, the test of the left factor; U(p,q) (a right factor w0) and
+    # SO(2n+1,1) (a left factor outside W) one per representative.  The one
+    # exception is the SL(2n)/Sp torus with all n blocks flipped at odd n,
+    # whose c lies outside W_K (see test_sl2n_triviality_threshold).
+    calls = []
+    canon = CosetTable.canon
+
+    def counting(table, x):
+        calls.append(x)
+        return canon(table, x)
+
+    monkeypatch.setattr(CosetTable, "canon", counting)
+    specs = [spec for spec in instances(5040) if spec.family == family]
+    assert len(specs) >= 3
+    for spec in specs:
+        for desc in spec.tori:
+            calls.clear()
+            action = galois_action(spec, desc.index)
+            odd_top = family == "SL2n" and spec.params[0] % 2 == 1
+            if per_rep:
+                assert len(calls) == len(action.domain), spec.name
+            elif odd_top and desc.index == spec.params[0]:
+                assert len(calls) == 1 + len(action.domain), spec.name
+            else:
+                assert len(calls) <= 1, spec.name
 
 
 def test_fixed_and_pairs_rejects_non_involutions():

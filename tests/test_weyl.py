@@ -1,8 +1,9 @@
 import functools
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 import korbits.weyl
@@ -28,7 +29,14 @@ from korbits.weyl import (
     symmetric_group,
     transposition,
 )
-from oracle import _roots, all_elements, naive_contains, naive_cycle_string, naive_length
+from oracle import (
+    _roots,
+    all_elements,
+    naive_contains,
+    naive_cycle_string,
+    naive_length,
+    naive_subgroup,
+)
 from support import canon_blocks, conjugations, flip, perm, tr
 
 
@@ -393,6 +401,90 @@ def test_coset_reps_come_sorted_without_canonical_key(monkeypatch):
     assert len({w.signs() for w in reps}) > 1
     assert reps == tuple(sorted(reps, key=canonical_key))
     assert set(reps) == {table.canon(w) for w in all_elements("B", 4)}
+
+
+def _signed_images(draw, kind, points, rank):
+    """An element of the group of ``kind`` at ``rank`` that permutes and
+    signs only ``points``, by the kind's sign rule; a draw that would fix
+    every point is turned by one place, so the element moves some point."""
+    out = list(range(1, rank + 1))
+    images = draw(st.permutations(points))
+    if images == list(points):
+        images = images[1:] + images[:1]
+    signs = [1] * len(points)
+    if kind in ("B", "D"):
+        signs = list(draw(st.tuples(*[st.sampled_from((1, -1))] * len(points))))
+        if kind == "D" and signs.count(-1) % 2:
+            signs[0] = -signs[0]
+    for p, q, s in zip(points, images, signs):
+        out[p - 1] = s * q
+    return SignedPerm(out)
+
+
+@st.composite
+def subgroup_cases(draw, max_rank=6):
+    """A group of kind A, B, D or AxA at rank up to ``max_rank``, one to
+    three generators of a subgroup, each moving two to four coordinates of
+    one block (so the naive closure stays small), and three elements of the
+    group, each the product of one element per block."""
+    kind = draw(st.sampled_from(["A", "B", "D", "AxA"]))
+    blocks = 2 if kind == "AxA" else 1
+    r = draw(st.integers(2 // blocks, max_rank // blocks))
+    rank = blocks * r
+    block_points = [list(range(b * r + 1, (b + 1) * r + 1)) for b in range(blocks)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        points = draw(st.permutations(draw(st.sampled_from(block_points))))
+        size = draw(st.integers(min(2, r), min(4, r)))
+        gens.append(_signed_images(draw, kind, sorted(points[:size]), rank))
+    group = WeylGroup(kind, rank)
+    xs = []
+    for _ in range(3):
+        x = group.identity()
+        for points in block_points:
+            x = x * _signed_images(draw, kind, points, rank)
+        xs.append(x)
+    return group, gens, xs
+
+
+@settings(max_examples=150)
+@given(subgroup_cases())
+def test_levels_keep_inverses_and_canon_is_the_least_image(case):
+    # canon is the least element of the naive coset, every cached level
+    # entry (m, v, v^-1) has v(b) = m and v v^-1 = e, and no child level
+    # takes an inverse
+    group, gens, xs = case
+    assume(len(enumerate_subgroup(gens)) <= 400)
+    members = naive_subgroup(gens, group.rank)
+    table = CosetTable(gens, group)
+    depth, inverses = [0], []
+    child, inverse = CosetTable._child, SignedPerm.inverse
+
+    def counting_child(self, *args):
+        depth[0] += 1
+        try:
+            return child(self, *args)
+        finally:
+            depth[0] -= 1
+
+    def counting_inverse(w):
+        inverses.append(depth[0])
+        return inverse(w)
+
+    with mock.patch.object(CosetTable, "_child", counting_child), mock.patch.object(
+        SignedPerm, "inverse", counting_inverse
+    ):
+        for x in xs + [group.identity()]:
+            assert group.contains(x)
+            assert table.canon(x) == min((h * x for h in members), key=canonical_key)
+    assert not any(inverses)
+    one = group.identity()
+    for level_gens, transversal in table._levels.values():
+        for g, g_inv in level_gens:
+            assert SignedPerm(g) * SignedPerm(g_inv) == one
+        for b, (m, v, v_inv) in transversal.items():
+            assert v[b - 1] == m <= b
+            assert SignedPerm(v) * SignedPerm(v_inv) == one
 
 
 def test_coset_table_rejects_outside_generators():
