@@ -240,6 +240,11 @@ def _circular_pairs(i: int) -> tuple[tuple[int, int], ...]:
     return tuple((2 * j - 1, 2 * j) for j in range(1, i + 1))
 
 
+def _paired_labels(n: int) -> tuple[int, ...]:
+    """Slot labels (1, -1, ..., n, -n), for the pairs (2j-1, 2j), j = 1..n."""
+    return tuple(s * j for j in range(1, n + 1) for s in (1, -1))
+
+
 def _symplectic_j(n: int) -> SignedPerm:
     """The symplectic form of rank 2n, (0 1; -1 0) on each pair (2j-1, 2j)."""
     return SignedPerm(x for j in range(1, n + 1) for x in (-2 * j, 2 * j - 1))
@@ -360,9 +365,9 @@ def _soodd1_spec(n: int) -> GroupSpec:
         ),
     )
     structure = TorusStructure(
-        2 * rank,
-        tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, rank))
-        + (("pair1", 2 * rank - 1, 2 * rank, "hyperbolic"),),
+        _paired_labels(rank),
+        tuple((p, UCIRC) for p in _circular_pairs(rank - 1))
+        + (((2 * rank - 1, 2 * rank), UHYP),),
     )
     return GroupSpec(
         family="SOodd1",
@@ -403,9 +408,8 @@ def _soeven1_spec(n: int) -> GroupSpec:
     # Reference structure is the torus of the split class: n-1 rotation
     # blocks, a constant slot, then one split block.
     structure = TorusStructure(
-        size,
-        tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n))
-        + (("trivial", size - 2), ("pair1", size - 1, size, "hyperbolic")),
+        _paired_labels(n - 1) + (0, n, -n),
+        tuple((p, UCIRC) for p in _circular_pairs(n - 1)) + (((size - 1, size), UHYP),),
     )
     ref_rep = transposition(1, n, n) if n > 1 else identity(1)
     return GroupSpec(
@@ -563,7 +567,7 @@ def orbit_parameters(spec: GroupSpec) -> tuple[OrbitParam, ...]:
 def _perm_matrix(w: SignedPerm) -> ExactMatrix:
     """The matrix of w, whose column j holds the sign of w(j) in row |w(j)|:
     row r holds the sign of v = w^-1(r) in column |v|."""
-    rows = [((abs(v) - 1, 1 if v > 0 else -1, 0),) for v in w.inverse()]
+    rows = [{abs(v) - 1: (1 if v > 0 else -1, 0)} for v in w.inverse()]
     return ExactMatrix(len(w), rows)
 
 
@@ -670,8 +674,8 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     (theta(g) = g for SL2n) and g^-1 Galois(g) give the twist class, and g
     conjugates the diagonal torus into the block shape of the descriptor's
     pairs: U^-1 g D g^-1 U = D for the diagonal sample point D, with U the
-    diagonalizer (circular for GL and SL2n, hyperbolic for U(p,q)) placed
-    on the pairs."""
+    diagonalizer (UCIRC for GL and SL2n, UHYP for U(p,q)) placed on the
+    pairs."""
     diag = spec.torus_structure  # the diagonal torus in these families
     point = ExactMatrix.diagonal(diag.sample_point())
     for desc in spec.tori:
@@ -726,9 +730,7 @@ def _verify_soeven1(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     g = spec.tori[1].matrix
     g_inv = cache(g.inverse)
     fundamental = TorusStructure(
-        size,
-        tuple(("pair1", 2 * j - 1, 2 * j, "circular") for j in range(1, n + 1))
-        + (("trivial", size),),
+        _paired_labels(n) + (0,), tuple((p, UCIRC) for p in _circular_pairs(n))
     )
 
     def det_one():

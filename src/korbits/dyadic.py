@@ -8,10 +8,10 @@ Determinants and inverses split the indices into the connected components
 of the nonzero pattern and run one fraction-free (Bareiss) elimination over
 Z[i] per component, so a matrix of disjoint small blocks costs only its
 blocks; an inverse exists only for a unit determinant.  ``TorusStructure``
-describes how a diagonalizable torus sits inside matrices (diagonal slots,
-2x2 blocks carrying inverse-paired eigenvalues, and constant slots), embeds
-torus points and converts torus-normalizing monomial matrices into signed
-permutations.
+describes how a diagonalizable torus sits inside matrices, as the torus
+coordinate on each diagonal slot after diagonalizing and the 2x2 blocks
+that diagonalize; it embeds torus points and converts torus-normalizing
+monomial matrices into signed permutations.
 """
 
 from __future__ import annotations
@@ -176,9 +176,9 @@ def _from_cells(nrows: int, ncols: int, cells) -> "ExactMatrix":
     cells = [(r, c, _as_gauss(v)) for r, c, v in cells]
     # the least exponent of any component, zeros' 0 included: no shift is negative
     e = min((x.exp for _, _, z in cells for x in (z.re, z.im)), default=0)
-    rows: list[list] = [[] for _ in range(nrows)]
+    rows: list[dict] = [{} for _ in range(nrows)]
     for r, c, z in cells:
-        rows[r].append((c, z.re.num << (z.re.exp - e), z.im.num << (z.im.exp - e)))
+        rows[r][c] = (z.re.num << (z.re.exp - e), z.im.num << (z.im.exp - e))
     return ExactMatrix(ncols, rows, e)
 
 
@@ -227,21 +227,24 @@ def _gauss_jordan(rows: list[list[tuple[int, int]]]) -> tuple[int, int, int]:
 class ExactMatrix:
     """Matrix over the Gaussian dyadics, kept as its nonzero entries.
 
-    ``rows[r]`` lists row r's nonzero entries as (column, re, im) in column
-    order, the entry being (re + im*i) * 2**exp.  Construction drops zero
-    entries and moves the power of two that divides every component into
-    ``exp`` (0 for the zero matrix), so equal matrices have equal fields.
+    ``rows[r]`` maps each column of a nonzero entry in row r to (re, im),
+    the entry being (re + im*i) * 2**exp.  Construction drops zero entries
+    and moves the power of two that divides every component into ``exp``
+    (0 for the zero matrix); dict equality ignores the order in which
+    entries arrive, so equal matrices have equal fields.
     """
 
     ncols: int
-    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+    rows: tuple[dict[int, tuple[int, int]], ...]
     exp: int = 0
 
     def __post_init__(self) -> None:
-        rows = [sorted(t for t in row if t[1] or t[2]) for row in self.rows]
-        low = reduce(or_, (re | im for row in rows for _, re, im in row), 0)
+        low = reduce(or_, (x | y for row in self.rows for x, y in row.values()), 0)
         k = (low & -low).bit_length() - 1 if low else 0
-        rows = tuple(tuple((c, re >> k, im >> k) for c, re, im in row) for row in rows)
+        rows = self.rows
+        if k:
+            rows = [{c: (x >> k, y >> k) for c, (x, y) in r.items()} for r in rows]
+        rows = tuple({c: z for c, z in r.items() if z[0] or z[1]} for r in rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "exp", self.exp + k if low else 0)
 
@@ -265,7 +268,7 @@ class ExactMatrix:
         """The dense rows, for readers outside the package."""
         dense = [[G0] * self.ncols for _ in self.rows]
         for r, row in enumerate(self.rows):
-            for c, re, im in row:
+            for c, (re, im) in row.items():
                 dense[r][c] = _gauss(re, im, self.exp)
         return tuple(map(tuple, dense))
 
@@ -275,23 +278,23 @@ class ExactMatrix:
         rows = []
         for arow in self.rows:
             acc: dict[int, tuple[int, int]] = {}
-            for k, xr, xi in arow:
-                for j, yr, yi in other.rows[k]:
+            for k, (xr, xi) in arow.items():
+                for j, (yr, yi) in other.rows[k].items():
                     zr, zi = acc.get(j, (0, 0))
                     acc[j] = (zr + xr * yr - xi * yi, zi + xr * yi + xi * yr)
-            rows.append([(j, zr, zi) for j, (zr, zi) in acc.items()])
+            rows.append(acc)
         return ExactMatrix(other.ncols, rows, self.exp + other.exp)
 
     def transpose(self) -> "ExactMatrix":
-        cols: list[list] = [[] for _ in range(self.ncols)]
+        cols: list[dict] = [{} for _ in range(self.ncols)]
         for r, row in enumerate(self.rows):
-            for c, re, im in row:
-                cols[c].append((r, re, im))
+            for c, z in row.items():
+                cols[c][r] = z
         return ExactMatrix(self.nrows, cols, self.exp)
 
     def conjugate(self) -> "ExactMatrix":
         """Entrywise Galois conjugation i -> -i."""
-        rows = [[(c, re, -im) for c, re, im in row] for row in self.rows]
+        rows = [{c: (re, -im) for c, (re, im) in row.items()} for row in self.rows]
         return ExactMatrix(self.ncols, rows, self.exp)
 
     def _eliminated(self, augment: bool) -> tuple[int, int, list]:
@@ -304,16 +307,17 @@ class ExactMatrix:
         one ``_gauss_jordan``, with the identity appended when ``augment``,
         and listed as (sorted indices, last pivot re, im, rows); a 1x1 block
         is read off its one entry."""
-        links = [[c for c, _, _ in row] for row in self.rows]
-        for r, c in [(r, t[0]) for r, row in enumerate(self.rows) for t in row]:
-            links[c].append(r)
+        links = [list(row) for row in self.rows]
+        for r, row in enumerate(self.rows):
+            for c in row:
+                links[c].append(r)
         dr, di, blocks, left = 1, 0, [], set(range(self.nrows))
         while left:
             g = left.pop()
             if all(c == g for c in links[g]):
                 # A 1x1 block [d] is its own last pivot, and [d | 1] is
                 # already [d*I | d*M^-1].
-                _, cr, ci = self.rows[g][0] if self.rows[g] else (g, 0, 0)
+                cr, ci = self.rows[g].get(g, (0, 0))
                 sign, comp, rows = 1, [g], [[(cr, ci), (1, 0)]]
             else:
                 comp = sorted(closure([g], links.__getitem__))
@@ -325,8 +329,8 @@ class ExactMatrix:
                 ]
                 rows = [[(0, 0)] * m + row for row in eye]
                 for k, r in enumerate(comp):
-                    for c, re, im in self.rows[r]:
-                        rows[k][local[c]] = (re, im)
+                    for c, z in self.rows[r].items():
+                        rows[k][local[c]] = z
                 sign, cr, ci = _gauss_jordan(rows)
             dr, di = sign * (dr * cr - di * ci), sign * (dr * ci + di * cr)
             blocks.append((comp, cr, ci, rows))
@@ -356,10 +360,10 @@ class ExactMatrix:
         for comp, cr, ci, rows in blocks:
             s, m = norm.bit_length() - (cr * cr + ci * ci).bit_length(), len(comp)
             for g, row in zip(comp, rows):
-                out[g] = [
-                    (c, (xr * cr + xi * ci) << s, (xi * cr - xr * ci) << s)
+                out[g] = {
+                    c: ((xr * cr + xi * ci) << s, (xi * cr - xr * ci) << s)
                     for c, (xr, xi) in zip(comp, row[m:])
-                ]
+                }
         return ExactMatrix(self.ncols, out, 1 - self.exp - norm.bit_length())
 
 
@@ -369,102 +373,68 @@ def placed(
     """Identity matrix with blocks placed at the given 1-based indices."""
     placements = list(placements)
     e = min([0] + [block.exp for _, block in placements])
-    rows = [[(r, 1 << -e, 0)] for r in range(size)]
+    rows = [{r: (1 << -e, 0)} for r in range(size)]
     for idx, block in placements:
         s = block.exp - e
         for r, brow in zip(idx, block.rows):
-            rows[r - 1] = [(idx[c] - 1, re << s, im << s) for c, re, im in brow]
+            rows[r - 1] = {idx[c] - 1: (x << s, y << s) for c, (x, y) in brow.items()}
     return ExactMatrix(size, rows, e)
 
 
-# -- torus block structures ----------------------------------------------
+# -- torus structures -----------------------------------------------------
 
 #: Diagonalizer for rotation blocks (a b; -b a) -> diag(z, z'), z = a + bi;
 #: also the split-group torus realizer.
 UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 #: Diagonalizer for symmetric blocks (a c; c a) -> diag(a+c, a-c).
 UHYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
-#: Each block style's diagonalizer.
-_BLOCKS = {"circular": UCIRC, "hyperbolic": UHYP}
-#: Each unit kind's number of matrix slots.
-_SLOTS = {"coord": 1, "pair1": 2, "trivial": 1}
 
 
 @dataclass(frozen=True)
 class TorusStructure:
-    """How a torus sits inside size x size matrices.
+    """How a torus sits inside size x size matrices, size = len(labels).
 
-    ``units`` lists the diagonal building blocks in matrix order; each is
-    one of
-
-    - ``("coord", r)``: matrix slot r is one torus coordinate;
-    - ``("pair1", r1, r2, style)``: a 2x2 block at rows/cols (r1, r2)
-      carrying one coordinate, with eigenvalues (z, 1/z);
-    - ``("trivial", r)``: slot r is constant 1 (no coordinate).
-
-    ``style`` is "circular" for (a b; -b a) blocks or "hyperbolic" for
-    (a c; c a) blocks.  Matrix indices are 1-based.  Torus coordinates are
-    numbered by unit order, one per coord or pair1 unit.
+    After conjugating by U, the torus is diagonal: 0-based slot s holds
+    coordinate k when ``labels[s]`` is k, its inverse when it is -k, and
+    the constant 1 when it is 0; ``rank`` is the largest |label|.
+    ``blocks`` lists the 2x2 blocks of U as ((r1, r2), UCIRC or UHYP) at
+    1-based indices, U being the identity elsewhere; UCIRC diagonalizes
+    (a b; -b a) blocks and UHYP (a c; c a) blocks.
     """
 
-    size: int
-    units: tuple[tuple, ...]
+    labels: tuple[int, ...]
+    blocks: tuple[tuple[tuple[int, int], ExactMatrix], ...] = ()
 
     def __post_init__(self) -> None:
-        used = []
-        for u in self.units:
-            if u[0] not in _SLOTS:
-                raise ValueError(f"unknown unit kind {u[0]!r} in {self.units}")
-            used.extend(u[1 : 1 + _SLOTS[u[0]]])
-        if sorted(used) != list(range(1, self.size + 1)):
-            raise ValueError(f"units do not tile 1..{self.size}: {self.units}")
+        used = [r for idx, _ in self.blocks for r in idx]
+        if len(set(used)) != len(used) or not set(used) <= set(range(1, self.size + 1)):
+            raise ValueError(f"blocks overlap or leave 1..{self.size}: {used}")
+
+    @property
+    def size(self) -> int:
+        return len(self.labels)
 
     @property
     def rank(self) -> int:
-        return sum(u[0] != "trivial" for u in self.units)
-
-    def slot_labels(self) -> tuple:
-        """Per matrix slot: (coordinate, exponent) or None (trivial).
-
-        Slots are returned in 1-based matrix order; the label describes
-        which torus coordinate shows up on that diagonal slot after
-        diagonalizing, and with which exponent.
-        """
-        labels: list = [None] * self.size
-        coord = 0
-        for u in self.units:
-            if u[0] != "trivial":
-                coord += 1
-                labels[u[1] - 1] = (coord, 1)
-            if u[0] == "pair1":
-                labels[u[2] - 1] = (coord, -1)
-        return tuple(labels)
+        return max(map(abs, self.labels), default=0)
 
     @cached_property
-    def _diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix]:
-        """(U, U^-1) with U^-1 * torus * U diagonal, U placing blocks."""
-        pairs = [u for u in self.units if u[0] == "pair1"]
-        u = placed(self.size, [(p[1:3], _BLOCKS[p[3]]) for p in pairs])
+    def _diagonalizer(self) -> tuple[ExactMatrix, ExactMatrix] | None:
+        """(U, U^-1) with U^-1 * torus * U diagonal; None if U is the identity."""
+        if not self.blocks:
+            return None
+        u = placed(self.size, self.blocks)
         return u, u.inverse()
 
-    @cached_property
-    def _blocked(self) -> bool:
-        """Whether some unit is a 2x2 block, that is, U is not the identity."""
-        return any(u[0] == "pair1" for u in self.units)
-
     def embed(self, values: Sequence[DyadicGauss]) -> ExactMatrix:
-        """Torus point with the given coordinate values (pair1 values must
-        be units, since the block also carries the inverse eigenvalue)."""
+        """Torus point with the given coordinate values (a value on an
+        inverse slot must be a unit)."""
         if len(values) != self.rank:
             raise ValueError(f"need {self.rank} values, got {len(values)}")
-        vals = [_as_gauss(v) for v in values]
-        diag = [G1] * self.size
-        for slot, lab in enumerate(self.slot_labels()):
-            if lab is not None:
-                z = vals[lab[0] - 1]
-                diag[slot] = z if lab[1] == 1 else z.inverse()
+        vals = [G1] + [_as_gauss(v) for v in values]
+        diag = [vals[k] if k >= 0 else vals[-k].inverse() for k in self.labels]
         d = ExactMatrix.diagonal(diag)
-        if not self._blocked:
+        if self._diagonalizer is None:
             return d
         U, Uinv = self._diagonalizer
         return U * d * Uinv
@@ -477,39 +447,32 @@ class TorusStructure:
 
     def to_weyl(self, m: ExactMatrix) -> SignedPerm:
         """The signed permutation by which conjugation by m permutes the
-        torus coordinates (coordinate k -> coordinate j, with exponent -1
-        when an eigenvalue lands on its partner's inverse slot)."""
+        torus coordinates (coordinate k -> coordinate j, with a sign flip
+        when an eigenvalue lands on a slot of the opposite sign)."""
         if m.nrows != self.size or m.ncols != self.size:
             raise NotMonomial(f"expected a {self.size}x{self.size} matrix")
-        d = m
-        if self._blocked:
+        if self._diagonalizer is not None:
             U, Uinv = self._diagonalizer
-            d = Uinv * m * U
+            m = Uinv * m * U
         col_of_row = []
-        for i, row in enumerate(d.rows):
+        for i, row in enumerate(m.rows):
             if len(row) != 1:
                 raise NotMonomial(f"row {i + 1} has {len(row)} nonzero entries")
-            col_of_row.append(row[0][0])
+            col_of_row.extend(row)
         if len(set(col_of_row)) != self.size:
             raise NotMonomial("columns collide; matrix is not monomial")
-        labels = self.slot_labels()
         images = [0] * self.rank
-        for out_slot in range(self.size):
-            in_slot = col_of_row[out_slot]
-            in_lab, out_lab = labels[in_slot], labels[out_slot]
-            if (in_lab is None) != (out_lab is None):
+        for out_lab, in_slot in zip(self.labels, col_of_row):
+            in_lab = self.labels[in_slot]
+            if (in_lab == 0) != (out_lab == 0):
                 raise NotMonomial("torus coordinate mixes with a trivial slot")
-            if in_lab is None:
-                continue
-            k, e_in = in_lab
-            j, e_out = out_lab
-            img = (j if e_in == e_out else -j)
-            if images[k - 1] == 0:
-                images[k - 1] = img
-            elif images[k - 1] != img:
-                raise NotMonomial("paired slots map inconsistently")
+            if in_lab:
+                k, img = abs(in_lab) - 1, out_lab if in_lab > 0 else -out_lab
+                if images[k] not in (0, img):
+                    raise NotMonomial("paired slots map inconsistently")
+                images[k] = img
         return SignedPerm(images)
 
 
 def diagonal_structure(n: int) -> TorusStructure:
-    return TorusStructure(n, tuple(("coord", r) for r in range(1, n + 1)))
+    return TorusStructure(tuple(range(1, n + 1)))

@@ -19,7 +19,7 @@ from korbits.catalog import (
     theta_matrix,
     verify_matrix_claims,
 )
-from korbits.dyadic import DyadicGauss, ExactMatrix, G1, GI, TorusStructure, placed
+from korbits.dyadic import UCIRC, UHYP, DyadicGauss, ExactMatrix, G1, GI, placed
 from korbits.twisted import is_twisted_involution, twisted_involutions
 from korbits.weyl import canonical_key, enumerate_subgroup
 from oracle import (
@@ -450,10 +450,9 @@ def _gl3_theta_times_flip(spec):
 
 
 def _styles_swapped(spec):
-    swap = {"circular": "hyperbolic", "hyperbolic": "circular"}
     struct = spec.torus_structure
-    units = tuple(u[:3] + (swap[u[3]],) if u[0] == "pair1" else u for u in struct.units)
-    return replace(spec, torus_structure=TorusStructure(struct.size, units))
+    blocks = tuple((idx, UHYP if u == UCIRC else UCIRC) for idx, u in struct.blocks)
+    return replace(spec, torus_structure=replace(struct, blocks=blocks))
 
 
 _HYP = [[1, 1], [1, -1]]

@@ -18,8 +18,9 @@ from korbits.dyadic import (
     ExactMatrix,
     NotAUnit,
     NotMonomial,
+    UCIRC,
+    UHYP,
     TorusStructure,
-    _BLOCKS,
     diagonal_structure,
     placed,
 )
@@ -397,23 +398,39 @@ def test_permuted_is_conjugation_by_the_signed_permutation_matrix(case):
     assert _apply_map((w, False), m) == p * m * naive_inverse(p)
 
 
-@pytest.mark.parametrize("style", sorted(_BLOCKS))
-def test_diagonalizer_blocks_come_with_their_inverses(style):
-    u = _BLOCKS[style]
+_sparse = st.one_of(st.just(G0), _entries)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(_sparse, min_size=n, max_size=n), min_size=n, max_size=n),
+            _signed_perms(n),
+            _signed_perms(n),
+        )
+    )
+)
+def test_matrix_equality_ignores_the_order_entries_arrive_in(case):
+    """Products accumulate each row's entries in the order of the factors'
+    patterns, so P^T (P M) and (M Q) Q^T build M's rows in other orders."""
+    rows, w, v = case
+    m = ExactMatrix.from_rows(rows)
+    p, q = _perm_matrix(w), _perm_matrix(v)
+    assert p.transpose() * (p * m) == m
+    assert (m * q) * q.transpose() == m
+    shuffled = [dict(reversed(row.items())) for row in m.rows]
+    assert ExactMatrix(m.ncols, shuffled, m.exp) == m
+
+
+@pytest.mark.parametrize("u", [UCIRC, UHYP], ids=["UCIRC", "UHYP"])
+def test_diagonalizer_blocks_come_with_their_inverses(u):
     assert u * u.inverse() == ExactMatrix.diagonal([1, 1])
     assert u.inverse() == naive_inverse(u)
 
 
 def test_diagonalizer_inverse_is_placed_from_its_blocks():
-    struct = TorusStructure(
-        6,
-        (
-            ("pair1", 1, 4, "circular"),
-            ("coord", 2),
-            ("pair1", 3, 6, "hyperbolic"),
-            ("trivial", 5),
-        ),
-    )
+    struct = TorusStructure((1, 2, 3, -1, 0, -3), (((1, 4), UCIRC), ((3, 6), UHYP)))
     u, u_inv = struct._diagonalizer
     assert u * u_inv == ExactMatrix.diagonal([1] * 6)
     assert u_inv == naive_inverse(u)
@@ -461,25 +478,36 @@ def test_diagonal_structure_rank_and_sample_point():
     assert len(set(struct.sample_point())) == 3
 
 
-@pytest.mark.parametrize("style", ["hyperbolic", "circular"])
-def test_pair1_rank_and_slot_labels(style):
-    struct = TorusStructure(2, (("pair1", 1, 2, style),))
-    assert struct.rank == 1
-    labels = struct.slot_labels()
-    assert labels[0] == (1, 1) and labels[1] == (1, -1)
+@pytest.mark.parametrize("u", [UCIRC, UHYP], ids=["UCIRC", "UHYP"])
+def test_block_structure_rank_and_size(u):
+    struct = TorusStructure((1, -1), (((1, 2), u),))
+    assert (struct.rank, struct.size) == (1, 2)
+    assert struct.embed([DyadicGauss.of(2)]) == u * ExactMatrix.diagonal(
+        [2, Dyadic(1, -1)]
+    ) * naive_inverse(u)
 
 
-@pytest.mark.parametrize("kind", ["pair2", "coords", None])
-def test_unknown_unit_kind_is_refused(kind):
-    with pytest.raises(ValueError, match="unknown unit kind"):
-        TorusStructure(2, ((kind, 1, 2, "circular"),))
+@pytest.mark.parametrize(
+    "labels,places",
+    [
+        ((1, -1, 2), ((1, 2), (2, 3))),
+        ((1, -1, 2, -2), ((1, 2), (2, 1))),
+        ((1, -1), ((1, 1),)),
+        ((1, -1), ((2, 3),)),
+        ((1, -1), ((0, 1),)),
+    ],
+    ids=["overlap", "same-pair-twice", "one-slot-twice", "past-size", "below-one"],
+)
+def test_overlapping_or_out_of_range_blocks_are_refused(labels, places):
+    with pytest.raises(ValueError, match=r"^blocks overlap or leave 1\.\.\d+: "):
+        TorusStructure(labels, tuple((idx, UCIRC) for idx in places))
 
 
-#: Each style's diagonalizer, written out.
-_DIAGONALIZERS = {
-    "circular": ExactMatrix.from_rows([[1, 1], [GI, -GI]]),
-    "hyperbolic": ExactMatrix.from_rows([[1, 1], [1, -1]]),
-}
+#: Each block's diagonalizer, written out.
+_DIAGONALIZERS = [
+    ExactMatrix.from_rows([[1, 1], [GI, -GI]]),
+    ExactMatrix.from_rows([[1, 1], [1, -1]]),
+]
 #: Units of the Gaussian dyadics, for torus coordinates.
 _UNITS = [
     G1, -G1, GI, DyadicGauss.of(1, 1), DyadicGauss.of(2), DyadicGauss.of(Dyadic(1, -2))
@@ -487,56 +515,108 @@ _UNITS = [
 
 
 @st.composite
-def _tilings(draw):
-    """A structure of units of random kinds and styles at shuffled slots,
-    with two lists of unit coordinates for it."""
-    kind = st.sampled_from(["coord", "pair1", "trivial"])
-    kinds = draw(st.lists(kind, min_size=1, max_size=5))
-    size = sum(2 if k == "pair1" else 1 for k in kinds)
-    slots = draw(st.permutations(range(1, size + 1)))
-    units = []
-    for k in kinds:
-        if k == "pair1":
-            style = draw(st.sampled_from(sorted(_DIAGONALIZERS)))
-            units.append((k, slots.pop(), slots.pop(), style))
-        else:
-            units.append((k, slots.pop()))
-    rank = sum(k != "trivial" for k in kinds)
-    coords = st.lists(st.sampled_from(_UNITS), min_size=rank, max_size=rank)
-    return TorusStructure(size, tuple(units)), draw(coords), draw(coords)
+def _structures(draw):
+    """Labels and blocks at shuffled slots: each coordinate sits on one
+    slot, as itself or as its inverse, or on two slots as itself and its
+    inverse, under a drawn diagonalizer block or none; the remaining slots
+    are constant."""
+    # how many slots each coordinate holds, 0 standing for a constant slot
+    spans = draw(st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    slots = draw(st.permutations(range(sum(max(k, 1) for k in spans))))
+    labels, blocks, coord = [0] * len(slots), [], 0
+    for k in spans:
+        if k == 0:
+            slots.pop()
+            continue
+        coord += 1
+        if k == 1:
+            labels[slots.pop()] = draw(st.sampled_from((coord, -coord)))
+            continue
+        a, b = slots.pop(), slots.pop()
+        labels[a], labels[b] = coord, -coord
+        u = draw(st.sampled_from(_DIAGONALIZERS + [None]))
+        if u is not None:
+            blocks.append(((a + 1, b + 1), u))
+    return TorusStructure(tuple(labels), tuple(blocks))
+
+
+def _points(struct):
+    return st.lists(st.sampled_from(_UNITS), min_size=struct.rank, max_size=struct.rank)
 
 
 def _expected_diagonal(struct, values):
-    diag, coords = [G1] * struct.size, iter(values)
-    for unit in struct.units:
-        if unit[0] == "coord":
-            diag[unit[1] - 1] = next(coords)
-        elif unit[0] == "pair1":
-            z = next(coords)
-            diag[unit[1] - 1], diag[unit[2] - 1] = z, z.inverse()
-    return ExactMatrix.diagonal(diag)
+    return ExactMatrix.diagonal(
+        [
+            G1 if k == 0 else values[k - 1] if k > 0 else values[-k - 1].inverse()
+            for k in struct.labels
+        ]
+    )
 
 
 @settings(deadline=None)
-@given(_tilings())
-def test_embed_is_a_homomorphism(case):
-    """embed(v) is U diag U^-1 for the diagonalizers placed on the pairs,
+@given(_structures(), st.data())
+def test_embed_is_a_homomorphism(struct, data):
+    """embed(v) is U diag U^-1 for the diagonalizers placed on the blocks,
     it multiplies coordinatewise, and the all-ones point is the identity."""
-    struct, v, w = case
-    pairs = [u for u in struct.units if u[0] == "pair1"]
-    u = placed(struct.size, [(p[1:3], _DIAGONALIZERS[p[3]]) for p in pairs])
+    v, w = data.draw(_points(struct)), data.draw(_points(struct))
+    u = placed(struct.size, struct.blocks)
     assert struct.embed(v) == u * _expected_diagonal(struct, v) * naive_inverse(u)
     vw = [a * b for a, b in zip(v, w)]
     assert struct.embed(v) * struct.embed(w) == struct.embed(vw)
     assert struct.embed([G1] * struct.rank) == ExactMatrix.diagonal([1] * struct.size)
 
 
-def test_mixed_structure_slot_labels():
-    struct = TorusStructure(
-        4, (("coord", 1), ("pair1", 2, 3, "hyperbolic"), ("trivial", 4))
-    )
-    assert struct.rank == 2
-    assert struct.slot_labels() == ((1, 1), (2, 1), (2, -1), None)
+@st.composite
+def _normalizers(draw):
+    """A structure, a signed permutation w of its coordinates that maps
+    one-slot coordinates to one-slot coordinates and two-slot ones to
+    two-slot ones, and U P U^-1 for a monomial P with unit entries that
+    moves each slot's eigenvalue to the slot w gives it."""
+    struct = draw(_structures())
+    slot = {k: s for s, k in enumerate(struct.labels) if k}
+    coords = range(1, struct.rank + 1)
+    pairs = [k for k in coords if k in slot and -k in slot]
+    singles = [k for k in coords if k not in pairs]
+    images = [0] * struct.rank
+    for group in (singles, pairs):
+        for k, j in zip(group, draw(st.permutations(group))):
+            images[k - 1] = j
+    for k in singles:  # the sign that lands k's slot on j's slot
+        j = images[k - 1]
+        images[k - 1] = j if (k in slot) == (j in slot) else -j
+    for k in pairs:
+        images[k - 1] *= draw(st.sampled_from((1, -1)))
+    trivial = [s for s, k in enumerate(struct.labels) if k == 0]
+    target = dict(zip(trivial, draw(st.permutations(trivial))))
+    for s, k in enumerate(struct.labels):
+        if k:
+            target[s] = slot[images[abs(k) - 1] * (1 if k > 0 else -1)]
+    rows = [[0] * struct.size for _ in range(struct.size)]
+    for s, t in target.items():
+        rows[t][s] = draw(st.sampled_from(_UNITS))
+    u = placed(struct.size, struct.blocks)
+    m = u * ExactMatrix.from_rows(rows) * naive_inverse(u)
+    return struct, SignedPerm(images), m
+
+
+@settings(deadline=None)
+@given(_normalizers(), st.data())
+def test_to_weyl_reads_back_the_permutation_of_the_coordinates(case, data):
+    """to_weyl recovers w from a matrix that permutes the torus by w, and
+    conjugating embed(v) by that matrix gives the point that w moves v to."""
+    struct, w, m = case
+    assert struct.to_weyl(m) == w
+    v = data.draw(_points(struct))
+    moved = [G1] * struct.rank
+    for k, img in enumerate(w):
+        moved[abs(img) - 1] = v[k] if img > 0 else v[k].inverse()
+    assert m * struct.embed(v) * naive_inverse(m) == struct.embed(moved)
+
+
+def test_mixed_structure_rank_and_size():
+    struct = TorusStructure((1, 2, -2, 0), (((2, 3), UHYP),))
+    assert (struct.rank, struct.size) == (2, 4)
+    assert struct._diagonalizer[0] == placed(4, [((2, 3), UHYP)])
 
 
 def test_sample_point_avoids_inverse_collisions():
