@@ -10,8 +10,9 @@ new checkout with no bytecode cached, so every import compiles
 standard library; then each of ``--imports`` fresh imports prints its wall
 time split into compiling ``src/korbits`` (``SourceFileLoader.
 source_to_code``), creating the package's dataclasses
-(``dataclasses._process_class``) and the rest, followed by the medians.
-Nothing under ``perfbench/`` is read or edited.
+(``dataclasses._process_class``), creating its named tuples
+(``typing.NamedTupleMeta.__new__``) and the rest, each part with its count,
+followed by the medians.  Nothing under ``perfbench/`` is read or edited.
 
     python3 scripts/import_cost.py --imports 5
 """
@@ -30,7 +31,8 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-PARTS = ("compile", "dataclasses")
+#: Each timed part with what its count counts.
+PARTS = {"compile": "modules", "dataclasses": "classes", "namedtuples": "classes"}
 
 
 def _timed(fn, spent: dict, part: str, ours):
@@ -66,6 +68,7 @@ def fresh_import(spent: dict) -> float:
 
 def child(imports: int) -> None:
     import dataclasses
+    import typing
     from importlib.machinery import SourceFileLoader
 
     sys.path.insert(0, str(SRC))
@@ -79,23 +82,28 @@ def child(imports: int) -> None:
         dataclasses._process_class, spent, "dataclasses",
         lambda cls, *_: cls.__module__.startswith("korbits"),
     )
+    typing.NamedTupleMeta.__new__ = _timed(
+        typing.NamedTupleMeta.__new__, spent, "namedtuples",
+        lambda meta, name, bases, ns: ns["__module__"].startswith("korbits"),
+    )
     fresh_import(spent)
     rows = []
     for k in range(1, imports + 1):
         total = fresh_import(spent)
-        (comp, modules), (dc, classes) = spent["compile"], spent["dataclasses"]
-        rows.append((total, comp, dc, total - comp - dc))
+        times = [spent[part][0] for part in PARTS]
+        rest = total - sum(times)
+        rows.append([total, *times, rest])
+        parts = " + ".join(
+            f"{part} {spent[part][0] * 1e3:.1f} ms ({spent[part][1]} {unit})"
+            for part, unit in PARTS.items()
+        )
         print(
-            f"import {k}: {total * 1e3:.1f} ms = compile {comp * 1e3:.1f} ms"
-            f" ({modules} modules) + dataclasses {dc * 1e3:.1f} ms"
-            f" ({classes} classes) + rest {(total - comp - dc) * 1e3:.1f} ms",
+            f"import {k}: {total * 1e3:.1f} ms = {parts} + rest {rest * 1e3:.1f} ms",
             flush=True,
         )
-    total, comp, dc, rest = (statistics.median(col) * 1e3 for col in zip(*rows))
-    print(
-        f"median of {imports}: {total:.1f} ms = compile {comp:.1f} ms"
-        f" + dataclasses {dc:.1f} ms + rest {rest:.1f} ms"
-    )
+    total, *times, rest = (statistics.median(col) * 1e3 for col in zip(*rows))
+    parts = " + ".join(f"{part} {t:.1f} ms" for part, t in zip(PARTS, times))
+    print(f"median of {imports}: {total:.1f} ms = {parts} + rest {rest:.1f} ms")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .dyadic import (
     D0,
@@ -145,7 +145,6 @@ class GroupSpec:
     family: str
     params: tuple[int, ...]
     name: str
-    group: WeylGroup
     context: TwistContext
     lattice: ThetaLattice
     tori: tuple[TorusDescriptor, ...]
@@ -160,6 +159,10 @@ class GroupSpec:
                 f"{self.name} has torus indices 0..{len(self.tori) - 1}, got {i}"
             )
         return self.tori[i]
+
+    @property
+    def group(self) -> WeylGroup:
+        return self.context.group
 
     def torus_classes(self) -> tuple[TorusClass, ...]:
         return self._torus_classes
@@ -182,7 +185,7 @@ class GroupSpec:
     @cached_property
     def _orbit_parameters(self) -> tuple[OrbitParam, ...]:
         """Every orbit parameter with its Springer value, computed once."""
-        out = []
+        out, group = [], self.group
         for desc in self.tori:
             table = coset_table(self, desc.index)
             for rep in table.reps:
@@ -192,14 +195,13 @@ class GroupSpec:
                         rep=rep,
                         coset_size=table.size,
                         value=springer(self, desc.index, rep),
-                        length=self.group.length(rep),
+                        length=group.length(rep),
                     )
                 )
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class OrbitParam:
+class OrbitParam(NamedTuple):
     """One orbit parameter: a torus index with a coset representative."""
 
     torus_index: int
@@ -209,8 +211,7 @@ class OrbitParam:
     length: int
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -266,7 +267,6 @@ def _gl_spec(n: int) -> GroupSpec:
         family="GL",
         params=(n,),
         name=f"GL({n})",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, ctx.twist),
         tori=tori,
@@ -316,7 +316,6 @@ def _sl2n_spec(n: int) -> GroupSpec:
         family="SL2n",
         params=(n,),
         name=f"SL({r})/Sp",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, _swaps(_circular_pairs(n), r, -1)),
         tori=tuple(tori),
@@ -338,7 +337,6 @@ def _ustar_spec(n: int) -> GroupSpec:
         family="Ustar",
         params=(n,),
         name=f"U*({r})",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, ctx.twist),
         tori=tori,
@@ -373,7 +371,6 @@ def _soodd1_spec(n: int) -> GroupSpec:
         family="SOodd1",
         params=(n,),
         name=f"SO({2 * n + 1},1)",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, d),
         tori=tori,
@@ -416,7 +413,6 @@ def _soeven1_spec(n: int) -> GroupSpec:
         family="SOeven1",
         params=(n,),
         name=f"SO({2 * n},1)",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, last),
         tori=tori,
@@ -469,7 +465,6 @@ def _upq_spec(p: int, q: int) -> GroupSpec:
         family="Upq",
         params=(p, q),
         name=f"U({p},{q})",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, tori[0].twist_class),
         tori=tuple(tori),
@@ -499,7 +494,6 @@ def _restriction_spec(r: int) -> GroupSpec:
         family="Restriction",
         params=(r,),
         name=f"Res({r})",
-        group=W,
         context=ctx,
         lattice=ThetaLattice(W, tau),
         tori=tori,

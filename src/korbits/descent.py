@@ -22,10 +22,9 @@ members of a swapped pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .catalog import GroupSpec, OrbitParam, coset_table, orbit_parameters
+from .catalog import GroupSpec, coset_table, orbit_parameters
 from .weyl import CosetTable, SignedPerm
 
 __all__ = [
@@ -48,8 +47,7 @@ class NotAnInvolution(ValueError):
     """Raised when a conjugation action fails to square to the identity."""
 
 
-@dataclass
-class GaloisAction:
+class GaloisAction(NamedTuple):
     """A conjugation action on a finite parameter domain."""
 
     domain: tuple[SignedPerm, ...]
@@ -121,16 +119,19 @@ def fixed_and_pairs(
     return tuple(fixed), tuple(pairs)
 
 
-@dataclass(frozen=True)
-class DescentRow(OrbitParam):
-    """An orbit parameter with its field and its pair partner (None if fixed)."""
+class DescentRow(NamedTuple):
+    """``OrbitParam``'s five fields, then the field and the partner (None if fixed)."""
 
+    torus_index: int
+    rep: SignedPerm
+    coset_size: int
+    value: SignedPerm
+    length: int
     field: str
     partner: SignedPerm | None
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(NamedTuple):
     rows: tuple[DescentRow, ...]
     fixed_count: int
     pair_count: int
@@ -152,7 +153,5 @@ def descent_report(spec: GroupSpec) -> DescentReport:
     for p in params:
         mate = partner.get((p.torus_index, p.rep))
         field = FIELD_FIXED if mate is None else FIELD_PAIR
-        rows.append(
-            DescentRow(p.torus_index, p.rep, p.coset_size, p.value, p.length, field, mate)
-        )
+        rows.append(DescentRow(*p, field, mate))
     return DescentReport(tuple(rows), fixed_total, pair_total)

@@ -231,7 +231,10 @@ class ExactMatrix:
     the entry being (re + im*i) * 2**exp.  Construction drops zero entries
     and moves the power of two that divides every component into ``exp``
     (0 for the zero matrix); dict equality ignores the order in which
-    entries arrive, so equal matrices have equal fields.
+    entries arrive, so equal matrices have equal fields.  With no zero to
+    drop and no power to move, the caller's row dicts are kept: every
+    producer (``__mul__``, ``transpose``, ``conjugate``, ``inverse``,
+    ``placed``, ``_from_cells``, ``catalog._perm_matrix``) builds them fresh.
     """
 
     ncols: int
@@ -239,13 +242,15 @@ class ExactMatrix:
     exp: int = 0
 
     def __post_init__(self) -> None:
-        low = reduce(or_, (x | y for row in self.rows for x, y in row.values()), 0)
+        bits = [x | y for row in self.rows for x, y in row.values()]
+        low = reduce(or_, bits, 0)
         k = (low & -low).bit_length() - 1 if low else 0
         rows = self.rows
-        if k:
-            rows = [{c: (x >> k, y >> k) for c, (x, y) in r.items()} for r in rows]
-        rows = tuple({c: z for c, z in r.items() if z[0] or z[1]} for r in rows)
-        object.__setattr__(self, "rows", rows)
+        if k or 0 in bits:
+            rows = [
+                {c: (x >> k, y >> k) for c, (x, y) in r.items() if x or y} for r in rows
+            ]
+        object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "exp", self.exp + k if low else 0)
 
     @staticmethod

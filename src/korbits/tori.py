@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .weyl import (
     SUBGROUP_CAP,
@@ -80,8 +80,7 @@ def _term(v: Vector) -> Term:
     return (i, ci, j, cj)
 
 
-@dataclass(frozen=True)
-class TorusClass:
+class TorusClass(NamedTuple):
     """One conjugacy class of stable maximal tori."""
 
     index: int

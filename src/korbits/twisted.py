@@ -43,7 +43,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .weyl import SignedPerm, WeylGroup, _signed_perm, canonical_key, closure
 
@@ -261,8 +261,7 @@ def springer_value(
     return value
 
 
-@dataclass(frozen=True)
-class ReachabilityGraph:
+class ReachabilityGraph(NamedTuple):
     """Monoid move graph on the twisted involutions of a context."""
 
     context: TwistContext

@@ -6,15 +6,18 @@ import pytest
 
 from korbits.catalog import (
     MissingWkData,
+    OrbitParam,
     TorusDescriptor,
     a_max,
     coset_table,
     orbit_parameters,
     springer,
+    verify_matrix_claims,
 )
 from korbits.descent import (
     FIELD_FIXED,
     FIELD_PAIR,
+    DescentRow,
     GaloisAction,
     NotAnInvolution,
     _rule,
@@ -22,7 +25,7 @@ from korbits.descent import (
     fixed_and_pairs,
     galois_action,
 )
-from korbits.twisted import image_set
+from korbits.twisted import ReachabilityGraph, image_set
 from korbits.weyl import CosetTable, canonical_key, enumerate_subgroup
 from oracle import all_elements, rational_parameters
 from support import cached_build, perm, tr
@@ -164,6 +167,25 @@ def test_fixed_and_pairs_counts():
     assert pairs == ((b, c),)
 
 
+def test_result_records_refuse_field_assignment():
+    spec = cached_build("Upq", 2, 1)
+    report = descent_report(spec)
+    records = [
+        orbit_parameters(spec)[0],
+        verify_matrix_claims(spec)[0],
+        spec.torus_classes()[0],
+        galois_action(spec, 0),
+        report.rows[0],
+        report,
+        ReachabilityGraph.build(spec.context),
+    ]
+    assert len({type(record) for record in records}) == 7
+    for record in records:
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
+
 def test_sl2_descent_frozen():
     report = descent_report(cached_build("SL2n", 1))
     assert (report.fixed_count, report.pair_count) == (1, 1)
@@ -221,6 +243,9 @@ def test_descent_counting_identity(family, params):
     report = descent_report(spec)
     assert report.fixed_count + 2 * report.pair_count == len(report.rows)
     assert len(report.rows) == len(orbit_parameters(spec))
+    # each row starts with its orbit parameter's fields, in their order
+    assert DescentRow._fields[:5] == OrbitParam._fields
+    assert [row[:5] for row in report.rows] == list(orbit_parameters(spec))
     for row in report.rows:
         if row.partner is not None:
             back = [
