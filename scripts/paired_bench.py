@@ -6,9 +6,10 @@ in a changed one, pair by pair, pair k on seed k for both sides.  Which side
 runs first flips from one pair to the next, as the CPU's speed drifts from
 run to run.  Every pair's end-to-end metrics are printed as they come, then
 for each metric the medians of both sides, the parent's interquartile
-spread and the number of pairs the change wins.  The metrics and which way
-is better are read from the parent's ``BENCHMARK.json``; nothing under
-either ``perfbench/`` is edited.
+spread and the number of pairs the change wins, and last how many runs of
+each side reported ``correct: false`` or ``failed > 0``; the exit status is
+1 if any did.  The metrics and which way is better are read from the
+parent's ``BENCHMARK.json``; nothing under either ``perfbench/`` is edited.
 
     python3 scripts/paired_bench.py PARENT_DIR CHANGE_DIR \\
         --workload orbits-large --pairs 10 --seconds 25
@@ -54,12 +55,14 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     values = {s: {m: [] for m in better} for s in sides}
+    bad = dict.fromkeys(sides, 0)
     for k in range(args.pairs):
         seed = k + 1
         order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         results = {s: run(sides[s], args.workload, seed, args.seconds) for s in order}
         for s, result in results.items():
             if not result["correct"] or result["failed"]:
+                bad[s] += 1
                 print(f"pair {k + 1}: {s} failed {result['failed']} "
                       f"of {result['attempted']}, correct={result['correct']}")
             for m in better:
@@ -79,7 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {m}: median {med_old:.4f} -> {med_new:.4f} ({rel:+.1f} %), "
               f"parent quartile spread {quartile_spread(old):.4f}, "
               f"change better in {wins}/{len(old)} pairs ({way} is better)")
-    return 0
+    print(f"runs with correct: false or failed > 0: parent {bad['parent']}/"
+          f"{args.pairs}, change {bad['change']}/{args.pairs}")
+    return 1 if any(bad.values()) else 0
 
 
 if __name__ == "__main__":

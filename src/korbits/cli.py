@@ -41,7 +41,7 @@ from .descent import descent_report
 from .twisted import (
     ReachabilityGraph,
     image_set,
-    involution_lengths,
+    involution_levels,
     twisted_involutions,
 )
 from .weyl import SignedPerm, SubgroupTooLarge, canonical_key
@@ -180,11 +180,10 @@ def _cmd_twisted(spec: GroupSpec) -> _Answer:
     involutions = twisted_involutions(ctx)
     top = a_max(spec)
     image = image_set(ctx, top)
-    lengths = involution_lengths(ctx)
-    ordered = sorted(involutions, key=lambda w: (lengths[w], canonical_key(w)))
     rows = [
-        {"element": w.cycle_string(), "length": lengths[w], "in_image": w in image}
-        for w in ordered
+        {"element": w.cycle_string(), "length": length, "in_image": w in image}
+        for length, level in enumerate(involution_levels(ctx))
+        for w in sorted(level, key=canonical_key)
     ]
     summary = {
         "twisted_involutions": len(involutions),

@@ -26,11 +26,19 @@ off their signs; s a differs from a only at |x| and |y|, and s a theta(s)
 from s a only at theta(s)'s two coordinates.  The middle case holds
 exactly when a^-1 s a = theta(s), that is, when a^-1(alpha_s) =
 +-alpha_theta(s), which compares x and y with theta(s)'s root.  So a move
-edits at most four entries of a, and its kind gives the length.  A context
-computes the closure of e once, recording every move that changes an
-element and the length of every element; ``twisted_involutions``,
-``involution_lengths``, ``image_set`` and ``ReachabilityGraph.build`` all
-read this sweep.
+edits at most four entries of a, and its kind gives the length.
+
+A context computes the closure of e once, as a sweep by length: level L
+holds the twisted involutions of length L, and a level is swept only after
+every shorter one.  s is a descent of b (s * b = b) exactly when some
+shorter a != b has s * a = b (Richardson-Springer, Geom. Dedicata 35 (1990);
+Hultman, Trans. AMS 359 (2007)).  Every such a lies on an earlier level, so
+by the time b's level is swept, the moves into b have marked all of b's
+descents, and only the other simple reflections, its ascents, are tried.
+The sweep records every move that changes an element, the length of every
+element and the levels; ``twisted_involutions``, ``involution_lengths``,
+``involution_levels``, ``image_set`` and ``ReachabilityGraph.build`` all
+read it.
 
 The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
 t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images off w and
@@ -43,9 +51,17 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
-from .weyl import SignedPerm, WeylGroup, _signed_perm, canonical_key, closure
+from .weyl import (
+    SUBGROUP_CAP,
+    SignedPerm,
+    SubgroupTooLarge,
+    WeylGroup,
+    _signed_perm,
+    canonical_key,
+    closure,
+)
 
 Move = tuple[SignedPerm, int, SignedPerm]
 #: What a move by one simple reflection s reads and edits, see ``_star``.
@@ -56,6 +72,7 @@ __all__ = [
     "ReachabilityGraph",
     "twisted_involutions",
     "involution_lengths",
+    "involution_levels",
     "is_twisted_involution",
     "image_set",
     "springer_value",
@@ -141,27 +158,50 @@ class TwistContext:
     @cached_property
     def _sweep(
         self,
-    ) -> tuple[frozenset[SignedPerm], tuple[Move, ...], dict[SignedPerm, int]]:
+    ) -> tuple[
+        frozenset[SignedPerm],
+        tuple[Move, ...],
+        dict[SignedPerm, int],
+        list[list[SignedPerm]],
+    ]:
         """The twisted involutions, as the closure of e under the monoid
         action; every move (a, idx, s_idx * a) that changes an element,
-        simples numbered from 1; and the length of every element, carried
-        by move kind."""
+        simples numbered from 1, each source's moves in that order; the
+        length of every element, carried by move kind; and the elements
+        by length, each level in the order found.
+
+        The sweep runs level by level.  A move (a, idx, b) sets bit idx of
+        b's descent mask, and every move into b comes from a shorter
+        element, so b's mask is complete when b's level is reached and
+        ``_star`` is called only for b's ascents."""
         self.group.check_enumerable()
         one = self.group.identity()
         moves: list[Move] = []
         lengths = {one: 0}
-        rows = tuple(enumerate(self._star_rows, start=1))
-
-        def step(a: SignedPerm) -> Iterator[SignedPerm]:
-            length = lengths[a]
-            for idx, row in rows:
-                b, gain = _star(row, a)
-                if gain:
-                    moves.append((a, idx, b))
-                    lengths[b] = length + gain
-                    yield b
-
-        return closure([one], step), tuple(moves), lengths
+        descents = {one: 0}
+        levels: list[list[SignedPerm]] = [[one]]
+        rows = tuple((idx, 1 << idx, row) for idx, row in enumerate(self._star_rows, 1))
+        star, record, cap = _star, moves.append, SUBGROUP_CAP
+        for length, level in enumerate(levels):  # levels grows as it is swept
+            for a in level:
+                mask = descents.pop(a)
+                for idx, bit, row in rows:
+                    if mask & bit:
+                        continue
+                    b, gain = star(row, a)
+                    if gain:
+                        record((a, idx, b))
+                        if b in descents:
+                            descents[b] |= bit
+                            continue
+                        descents[b] = bit
+                        lengths[b] = length + gain
+                        while len(levels) <= length + gain:
+                            levels.append([])
+                        levels[length + gain].append(b)
+                        if len(lengths) > cap:
+                            raise SubgroupTooLarge(f"closure exceeds cap {cap}")
+        return frozenset(lengths), tuple(moves), lengths, levels
 
 
 def _star(row: StarRow, a: SignedPerm) -> tuple[SignedPerm, int]:
@@ -219,6 +259,12 @@ def involution_lengths(ctx: TwistContext) -> dict[SignedPerm, int]:
     return ctx._sweep[2]
 
 
+def involution_levels(ctx: TwistContext) -> list[list[SignedPerm]]:
+    """The twisted involutions by length: entry L holds those of length L,
+    in the order the sweep found them; an entry may be empty."""
+    return ctx._sweep[3]
+
+
 def image_set(ctx: TwistContext, top: SignedPerm) -> frozenset[SignedPerm]:
     """Twisted involutions from which the monoid action reaches ``top``.
 
@@ -272,7 +318,9 @@ class ReachabilityGraph(NamedTuple):
     def build(ctx: TwistContext) -> "ReachabilityGraph":
         nodes = sorted(twisted_involutions(ctx), key=canonical_key)
         position = {a: i for i, a in enumerate(nodes)}
-        edges = sorted(ctx._sweep[1], key=lambda e: (position[e[0]], e[1]))
+        # The sweep lists each source's moves together, in simple-reflection
+        # order, so a stable sort by source keeps (position, idx) order.
+        edges = sorted(ctx._sweep[1], key=lambda e: position[e[0]])
         return ReachabilityGraph(ctx, tuple(nodes), tuple(edges))
 
     def to_dot(self) -> str:

@@ -213,11 +213,9 @@ def sign_flip(coords: Iterable[int], rank: int) -> SignedPerm:
 
 
 def canonical_key(w: SignedPerm) -> tuple:
-    """Sort key for canonical representatives: signs first, then one-line."""
-    return (
-        tuple(0 if v > 0 else 1 for v in w),
-        tuple(abs(v) for v in w),
-    )
+    """Sort key for canonical representatives: signs first (positive before
+    negative, coordinate by coordinate), then the one-line absolute values."""
+    return ([v < 0 for v in w], [*map(abs, w)])
 
 
 #: Each kind of group as (blocks, sign rule): it permutes each of ``blocks``

@@ -6,13 +6,15 @@ tests, no caching — and shares nothing with the package beyond the
 types.  When a fast routine and its
 oracle agree on an instance, that agreement is evidence, not tautology.
 
-The three routes at the end, ``rational_parameters``, ``reachable_set``
-and ``all_lines_torus_classes``, do read the package: its coset table, its
-monoid move (through ``monoid_star``, which names a move by its simple
-reflection), and its Psi0, restricted lines, involutions and orbit routine.
+The four routes at the end, ``rational_parameters``, ``reachable_set``,
+``closure_sweep`` and ``all_lines_torus_classes``, do read the package: its
+coset table, its monoid move (through ``monoid_star``, which names a move
+by its simple reflection, or straight from the move table), its generic
+closure, and its Psi0, restricted lines, involutions and orbit routine.
 Each is independent of what it checks -- the Galois action's fixed points,
-the one reverse closure behind ``image_set``, and the conjugation by the
-simple lines only, through one image table per line -- not of the package.
+the one reverse closure behind ``image_set``, the sweep by length that
+tries only ascents, and the conjugation by the simple lines only, through
+one image table per line -- not of the package.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from typing import Callable, Iterable, Sequence
 from korbits.catalog import GroupSpec, coset_table
 from korbits.dyadic import Dyadic, DyadicGauss, ExactMatrix, NotAUnit, placed
 from korbits.tori import _involutions, root_lines
-from korbits.twisted import TwistContext, _star
+from korbits.twisted import Move, TwistContext, _star
 from korbits.weyl import (
     SignedPerm,
     _reflection,
     canonical_key,
+    closure,
     conjugacy_classes,
     identity,
 )
@@ -107,6 +110,16 @@ def naive_cycle_string(w: SignedPerm) -> str:
         marks = "".join("+" if v > 0 else "-" for v in w.images)
         return f"{body}[{marks}]"
     return body
+
+
+def naive_canonical_key(w: SignedPerm) -> tuple:
+    """The canonical order written out as two tuples: the sign pattern (0
+    for a positive image, 1 for a negative one), then the absolute
+    one-line images."""
+    return (
+        tuple(0 if v > 0 else 1 for v in w.images),
+        tuple(abs(v) for v in w.images),
+    )
 
 
 def naive_cosets(
@@ -591,6 +604,31 @@ def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
                 seen.add(y)
                 todo.append(y)
     return frozenset(seen)
+
+
+def closure_sweep(
+    ctx: TwistContext,
+) -> tuple[frozenset[SignedPerm], list[Move], dict[SignedPerm, int]]:
+    """The twisted involutions as the generic closure of e, with every
+    simple reflection tried on every element, descents included: the set,
+    every move (a, idx, b) with b != a, simples numbered from 1, and the
+    length of every element, carried by move kind."""
+    one = ctx.group.identity()
+    moves: list[Move] = []
+    lengths = {one: 0}
+    rows = tuple(enumerate(ctx._star_rows, start=1))
+
+    def step(a: SignedPerm) -> list[SignedPerm]:
+        out = []
+        for idx, row in rows:
+            b, gain = _star(row, a)
+            if gain:
+                moves.append((a, idx, b))
+                lengths[b] = lengths[a] + gain
+                out.append(b)
+        return out
+
+    return closure([one], step), moves, lengths
 
 
 def all_lines_torus_classes(theta) -> list[tuple[SignedPerm, int, int]]:

@@ -14,8 +14,14 @@ from collections import defaultdict
 
 from korbits.catalog import build
 from korbits.tori import root_lines
-from korbits.weyl import CosetTable, SignedPerm, WeylGroup, canonical_key
-from oracle import all_elements, primitive_line, psi0, restricted_roots
+from korbits.weyl import CosetTable, SignedPerm, WeylGroup
+from oracle import (
+    all_elements,
+    naive_canonical_key,
+    primitive_line,
+    psi0,
+    restricted_roots,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,8 +48,9 @@ def flip(coords: tuple[int, ...], rank: int) -> SignedPerm:
 
 
 def sorted_elements(group: WeylGroup) -> tuple[SignedPerm, ...]:
-    """The oracle's elements of ``group``, in ``canonical_key`` order."""
-    return tuple(sorted(all_elements(group.kind, group.rank), key=canonical_key))
+    """The oracle's elements of ``group``, in canonical order, sorted by the
+    oracle's own key."""
+    return tuple(sorted(all_elements(group.kind, group.rank), key=naive_canonical_key))
 
 
 def conjugations(gens) -> list:

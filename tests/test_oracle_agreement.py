@@ -5,13 +5,18 @@ once through full enumeration — and requires exact set equality.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import korbits.catalog
+import korbits.twisted
+import korbits.weyl
 from korbits.catalog import (
     MissingWkData,
     a_max,
@@ -26,6 +31,7 @@ from korbits.twisted import (
     ReachabilityGraph,
     image_set,
     involution_lengths,
+    involution_levels,
     twisted_involutions,
 )
 from korbits.weyl import (
@@ -46,6 +52,7 @@ from oracle import (
     _rank,
     all_elements,
     all_lines_torus_classes,
+    closure_sweep,
     monoid_star,
     naive_conjugacy,
     naive_cosets,
@@ -67,6 +74,9 @@ from support import (
     conjugations,
     sorted_elements,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from orbit_census import instances  # noqa: E402
 
 # catalog instances with |W| <= 2^5 * 5! = 3840
 SMALL = (
@@ -93,6 +103,9 @@ TORI = (
     + [("Upq", (p, q)) for q in range(1, 4) for p in range(q, 8 - q)]
     + [("Restriction", (r,)) for r in range(1, 6)]
 )
+
+# every instance of scripts/orbit_census.py --max-order 46080
+CENSUS = [(spec.family, spec.params) for spec in instances(46080)]
 
 RANDOM_GROUPS = [
     symmetric_group(3),
@@ -190,6 +203,52 @@ def test_sweep_lengths_match_group_length(case):
     assert lengths.keys() == twisted_involutions(spec.context)
     for a, ell in lengths.items():
         assert ell == spec.group.length(a)
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail any call that lists a subgroup by closure under products."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a subgroup")
+
+    monkeypatch.setattr(korbits.weyl, "enumerate_subgroup", refuse)
+    monkeypatch.setattr(korbits.catalog, "enumerate_subgroup", refuse)
+
+
+@pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
+def test_sweep_tries_only_ascents(case, no_enumeration, monkeypatch):
+    """The sweep calls the move once per move it records, so it never tries
+    a descent, and its levels partition the involutions by length."""
+    calls = 0
+    star = korbits.twisted._star
+
+    def counted(row, a):
+        nonlocal calls
+        calls += 1
+        return star(row, a)
+
+    monkeypatch.setattr(korbits.twisted, "_star", counted)
+    ctx = build(case[0], *case[1]).context
+    involutions, moves, lengths, _ = ctx._sweep
+    assert calls == len(moves)
+    levels = involution_levels(ctx)
+    listed = [w for level in levels for w in level]
+    assert len(listed) == len(involutions) and set(listed) == involutions
+    for length, level in enumerate(levels):
+        assert set(level) == {w for w in involutions if lengths[w] == length}
+
+
+@pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
+def test_sweep_matches_closure_sweep(case):
+    """The sweep by length records the moves and lengths of the closure that
+    tries every simple reflection on every element."""
+    ctx = cached_build(case[0], *case[1]).context
+    involutions, moves, lengths = closure_sweep(ctx)
+    assert twisted_involutions(ctx) == involutions
+    assert len(ctx._sweep[1]) == len(moves)
+    assert set(ctx._sweep[1]) == set(moves)
+    assert involution_lengths(ctx) == lengths
 
 
 @pytest.mark.parametrize("case", SMALL, ids=_instance_id)

@@ -1,3 +1,5 @@
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+import korbits.twisted
+from korbits.cli import main as korbits_main
 from korbits.twisted import (
     ReachabilityGraph,
     TwistContext,
@@ -13,10 +17,13 @@ from korbits.twisted import (
     springer_value,
     twisted_involutions,
 )
-from korbits.weyl import identity, sign_flip, symmetric_group
+from korbits.weyl import SubgroupTooLarge, identity, sign_flip, symmetric_group
 from oracle import (
     all_elements,
     monoid_star,
+    naive_canonical_key,
+    naive_cycle_string,
+    naive_length,
     naive_springer_value,
     naive_theta,
     naive_twisted,
@@ -25,6 +32,7 @@ from oracle import (
 from support import flip, perm, tr
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+from golden_outputs import command_line  # noqa: E402
 from orbit_census import instances  # noqa: E402
 
 
@@ -171,3 +179,36 @@ def test_reachability_graph():
     dot = graph.to_dot()
     assert dot.startswith("digraph twisted {")
     assert dot.count("label=") == len(graph.nodes) + len(graph.edges)
+
+
+@pytest.mark.parametrize("spec", list(instances(46080)), ids=lambda spec: spec.name)
+def test_twisted_rows_in_length_then_canonical_order(spec, capsys):
+    """``twisted`` lists its rows by length, then by the oracle's canonical
+    key, in table and json form, on every census instance."""
+    group = spec.group
+    involutions = twisted_involutions(spec.context)
+    by_name = {naive_cycle_string(w): w for w in involutions}
+    assert len(by_name) == len(involutions)
+    lengths = {w: naive_length(group.kind, group.rank, w) for w in involutions}
+    want = sorted(involutions, key=lambda w: (lengths[w], naive_canonical_key(w)))
+    for fmt in ("table", "json"):
+        assert korbits_main(command_line("twisted", spec.family, spec.params, fmt)) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            rows = [(r["element"], r["length"]) for r in json.loads(out)["rows"]]
+        else:
+            # the rows lie between the dashes and the summary line
+            lines = out.splitlines()[3:-1]
+            rows = [(c[0], int(c[1])) for c in (re.split(r"\s{2,}", x) for x in lines)]
+        got = [by_name[name] for name, _ in rows]
+        assert got == want, (spec.name, fmt)
+        assert [ell for _, ell in rows] == [lengths[w] for w in want], (spec.name, fmt)
+
+
+def test_sweep_refuses_past_the_cap(monkeypatch):
+    # GL(4) has 10 twisted involutions; the sweep counts them as it inserts
+    monkeypatch.setattr(korbits.twisted, "SUBGROUP_CAP", 9)
+    with pytest.raises(SubgroupTooLarge, match=r"^closure exceeds cap 9$"):
+        _gl_context(4)._sweep
+    monkeypatch.setattr(korbits.twisted, "SUBGROUP_CAP", 10)
+    assert len(_gl_context(4)._sweep[0]) == 10

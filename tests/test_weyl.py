@@ -37,7 +37,7 @@ from oracle import (
     naive_length,
     naive_subgroup,
 )
-from support import canon_blocks, conjugations, flip, perm, tr
+from support import canon_blocks, conjugations, flip, perm, sorted_elements, tr
 
 
 @st.composite
@@ -321,6 +321,21 @@ def test_membership():
         s3.length(flip((1,), 3))
     with pytest.raises(RankMismatch):
         s3.length(perm(1, 2))
+
+
+@given(
+    st.sampled_from(
+        [(k, n) for k in ("A", "B", "D", "AxA") for n in range(1, 5) if k != "AxA" or n % 2 == 0]
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_canonical_key_orders_as_naive_key(kind_rank, rnd):
+    # all of the group, in any order, sorts by canonical_key as by the
+    # oracle's two-tuple key
+    group = WeylGroup(*kind_rank)
+    elements = list(_members(*kind_rank))
+    rnd.shuffle(elements)
+    assert tuple(sorted(elements, key=canonical_key)) == sorted_elements(group)
 
 
 def test_sorted_elements_start_at_identity():
