@@ -6,9 +6,13 @@ in a changed one, pair by pair, pair k on seed k for both sides.  Which side
 runs first flips from one pair to the next, as the CPU's speed drifts from
 run to run.  Every pair's end-to-end metrics are printed as they come, then
 for each metric the medians of both sides, the parent's interquartile
-spread and the number of pairs the change wins, and last how many runs of
-each side reported ``correct: false`` or ``failed > 0``; the exit status is
-1 if any did.  The metrics and which way is better are read from the
+spread, the number of pairs the change wins and the metric's bound, and
+last how many runs of each side reported ``correct: false`` or
+``failed > 0``.  A metric is marked "worse beyond bound" when the change's
+median is worse than the parent's by more than bound x the parent's
+median, as ``perfbench/README.md`` ("Steadiness and bounds") reads the
+bounds.  The exit status is 1 if any run failed or any metric is marked.
+The metrics, which way is better and the bounds are read from the
 parent's ``BENCHMARK.json``; nothing under either ``perfbench/`` is edited.
 
     python3 scripts/paired_bench.py PARENT_DIR CHANGE_DIR \\
@@ -53,6 +57,7 @@ def main(argv: list[str] | None = None) -> int:
 
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sides = {"parent": args.parent, "change": args.change}
     values = {s: {m: [] for m in better} for s in sides}
     bad = dict.fromkeys(sides, 0)
@@ -74,17 +79,22 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"{args.workload}, {args.pairs} pairs of {args.seconds:g}-s runs,"
           " parent/change:")
+    marked = 0
     for m, way in better.items():
         old, new = values["parent"][m], values["change"][m]
         wins = sum((b < a) if way == "lower" else (b > a) for a, b in zip(old, new))
         med_old, med_new = statistics.median(old), statistics.median(new)
         rel = (med_new - med_old) / med_old * 100 if med_old else 0.0
+        worse = med_new - med_old if way == "lower" else med_old - med_new
+        beyond = worse > bound[m] * med_old
+        marked += beyond
         print(f"  {m}: median {med_old:.4f} -> {med_new:.4f} ({rel:+.1f} %), "
               f"parent quartile spread {quartile_spread(old):.4f}, "
-              f"change better in {wins}/{len(old)} pairs ({way} is better)")
+              f"change better in {wins}/{len(old)} pairs ({way} is better), "
+              f"bound {bound[m]:g}" + (", worse beyond bound" if beyond else ""))
     print(f"runs with correct: false or failed > 0: parent {bad['parent']}/"
           f"{args.pairs}, change {bad['change']}/{args.pairs}")
-    return 1 if any(bad.values()) else 0
+    return 1 if marked or any(bad.values()) else 0
 
 
 if __name__ == "__main__":

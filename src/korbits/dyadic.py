@@ -4,6 +4,9 @@ extension, plus matrices over that ring.
 Everything here is exact: a dyadic number is an odd integer (or zero) times
 a power of two, a Gaussian dyadic is a pair of those, and a matrix keeps
 only its nonzero entries, as Gaussian integers sharing one power of two.
+The scalars add, subtract and multiply but do not divide: the only
+quotient needed is the inverse of a unit z, whose norm is a power of two
+2^e, so 1/z is conj(z) times 2^-e.
 Determinants and inverses split the indices into the connected components
 of the nonzero pattern and run one fraction-free (Bareiss) elimination over
 Z[i] per component, so a matrix of disjoint small blocks costs only its
@@ -28,7 +31,6 @@ __all__ = [
     "DyadicGauss",
     "ExactMatrix",
     "TorusStructure",
-    "DivisionNotDyadic",
     "NotAUnit",
     "NotMonomial",
     "diagonal_structure",
@@ -38,10 +40,6 @@ __all__ = [
     "G1",
     "GI",
 ]
-
-
-class DivisionNotDyadic(ArithmeticError):
-    """Raised when a quotient has an odd factor in its denominator."""
 
 
 class NotAUnit(ArithmeticError):
@@ -80,13 +78,6 @@ class Dyadic:
     def __mul__(self, other: "Dyadic") -> "Dyadic":
         return Dyadic(self.num * other.num, self.exp + other.exp)
 
-    def __truediv__(self, other: "Dyadic") -> "Dyadic":
-        if other.num == 0:
-            raise ZeroDivisionError("dyadic division by zero")
-        if self.num % other.num:
-            raise DivisionNotDyadic(f"{self} / {other} leaves the dyadic ring")
-        return Dyadic(self.num // other.num, self.exp - other.exp)
-
     def is_zero(self) -> bool:
         return self.num == 0
 
@@ -124,13 +115,6 @@ class DyadicGauss:
             self.re * other.im + self.im * other.re,
         )
 
-    def __truediv__(self, other: "DyadicGauss") -> "DyadicGauss":
-        n = other.norm()
-        if n.is_zero():
-            raise ZeroDivisionError("division by zero")
-        z = self * other.conjugate()
-        return DyadicGauss(z.re / n, z.im / n)
-
     def conjugate(self) -> "DyadicGauss":
         return DyadicGauss(self.re, -self.im)
 
@@ -142,9 +126,12 @@ class DyadicGauss:
         return self.norm().is_power_of_two()
 
     def inverse(self) -> "DyadicGauss":
-        if not self.is_unit():
+        """1/z = conj(z) / |z|^2, and a unit's norm is a power of two 2^e, so
+        the division is a multiplication by 2^-e."""
+        n = self.norm()
+        if not n.is_power_of_two():
             raise NotAUnit(f"{self} is not a unit")
-        return self.conjugate() / DyadicGauss(self.norm(), D0)
+        return self.conjugate() * DyadicGauss(Dyadic(1, -n.exp))
 
     def __str__(self) -> str:
         if self.im.is_zero():

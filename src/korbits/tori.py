@@ -110,8 +110,12 @@ class ThetaLattice:
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """theta as a dense integer matrix, for readers outside the package."""
-        return tuple(map(tuple, self.theta.matrix()))
+        """theta as a dense integer matrix, for readers outside the package:
+        column j holds +-1 in row |theta(j)|."""
+        w = self.theta
+        return tuple(
+            tuple((v == r) - (v == -r) for v in w) for r in range(1, len(w) + 1)
+        )
 
     @property
     def rank(self) -> int:
@@ -261,8 +265,10 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
     as one table of root indices per line (``_image_table``): a line that
     does not normalize the subsystem, or that leaves the reflection
     subgroup, raises ``ValueError`` there, simple or not.  The walk then
-    only multiplies the reflections of the table images: no quotient and
-    no vector arithmetic per conjugation.
+    only multiplies the reflections of the table images: no quotient, no
+    vector arithmetic and no membership test per conjugation
+    (``conjugacy_classes`` checks that every conjugate is an involution of
+    W(Psi0)).
 
     The (-1)-eigenspace of w lies in span Psi0, inside the minus space of
     theta, so the minus dimension of w's class is theta's less that of w:
@@ -288,10 +294,7 @@ def torus_classification(theta: ThetaLattice) -> tuple[TorusClass, ...]:
             i, ci, j, cj = psi0[table[b]]
             s = -ci * cj
             images[i], images[j] = s * images[j], s * images[i]
-        conj = _signed_perm(images)
-        if conj not in involutions:
-            raise ValueError("conjugate leaves the reflection subgroup")
-        return conj
+        return _signed_perm(images)
 
     conjugations = [partial(conjugate, tables[k]) for k in _simple_lines(lines)]
     classes = []

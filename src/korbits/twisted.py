@@ -38,7 +38,10 @@ descents, and only the other simple reflections, its ascents, are tried.
 The sweep records every move that changes an element, the length of every
 element and the levels; ``twisted_involutions``, ``involution_lengths``,
 ``involution_levels``, ``image_set`` and ``ReachabilityGraph.build`` all
-read it.
+read it.  The moves come with source lengths that never decrease, so the
+monoid image I' of an element is one pass over them in reverse: a move
+into the image puts its source in the image, and read backwards, every
+move out of b comes before every move into b.
 
 The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
 t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images off w and
@@ -48,7 +51,6 @@ product in between.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -60,7 +62,6 @@ from .weyl import (
     WeylGroup,
     _signed_perm,
     canonical_key,
-    closure,
 )
 
 Move = tuple[SignedPerm, int, SignedPerm]
@@ -268,15 +269,18 @@ def involution_levels(ctx: TwistContext) -> list[list[SignedPerm]]:
 def image_set(ctx: TwistContext, top: SignedPerm) -> frozenset[SignedPerm]:
     """Twisted involutions from which the monoid action reaches ``top``.
 
-    Computed by one reverse closure over the full monoid move graph rather
-    than one forward closure per element.
+    One pass over the sweep's moves in reverse, adding a whenever a move
+    (a, s, b) leads into the image.  Every move into b comes from a shorter
+    element, and the sweep records b's own moves after all of those, so
+    b's membership is final before any move into b is read.
     """
     if top not in twisted_involutions(ctx):
         raise ValueError("top element is not a twisted involution")
-    reverse: defaultdict[SignedPerm, list[SignedPerm]] = defaultdict(list)
-    for a, _, b in ctx._sweep[1]:
-        reverse[b].append(a)
-    return closure([top], reverse.__getitem__)
+    image = {top}
+    for a, _, b in reversed(ctx._sweep[1]):
+        if b in image:
+            image.add(a)
+    return frozenset(image)
 
 
 def springer_value(

@@ -155,12 +155,6 @@ class SignedPerm(tuple):
     def signs(self) -> tuple[int, ...]:
         return tuple(1 if v > 0 else -1 for v in self)
 
-    def matrix(self) -> list[list[int]]:
-        m = [[0] * len(self) for _ in self]
-        for j, v in enumerate(self):
-            m[abs(v) - 1][j] = 1 if v > 0 else -1
-        return m
-
     def cycle_string(self) -> str:
         """Disjoint-cycle notation; sign flips appended as a +/- vector.
         The numerals come from a table up to ``RANK_CAP``, the largest rank

@@ -6,21 +6,24 @@ tests, no caching — and shares nothing with the package beyond the
 types.  When a fast routine and its
 oracle agree on an instance, that agreement is evidence, not tautology.
 
-The four routes at the end, ``rational_parameters``, ``reachable_set``,
-``closure_sweep`` and ``all_lines_torus_classes``, do read the package: its
-coset table, its monoid move (through ``monoid_star``, which names a move
-by its simple reflection, or straight from the move table), its generic
-closure, and its Psi0, restricted lines, involutions and orbit routine.
-Each is independent of what it checks -- the Galois action's fixed points,
-the one reverse closure behind ``image_set``, the sweep by length that
-tries only ascents, and the conjugation by the simple lines only, through
-one image table per line -- not of the package.
+The five routes at the end, ``rational_parameters``, ``reachable_set``,
+``closure_sweep``, ``reverse_closure_image`` and
+``all_lines_torus_classes``, do read the package: its coset table, its
+monoid move (through ``monoid_star``, which names a move by its simple
+reflection, or straight from the move table), the sweep's moves, its
+generic closure, and its Psi0, restricted lines, involutions and orbit
+routine.  Each is independent of what it checks -- the Galois action's
+fixed points, the one reverse pass behind ``image_set`` (checked both by
+forward closures and by a reverse index), the sweep by length that tries
+only ascents, and the conjugation by the simple lines only, through one
+image table per line -- not of the package.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -347,7 +350,8 @@ def _reflection_matrix(beta: Sequence) -> list[list[Fraction]]:
     ]
 
 
-def _perm_matrix(w: SignedPerm) -> list[list[int]]:
+def perm_matrix(w: SignedPerm) -> list[list[int]]:
+    """The dense matrix of w: column j holds sign(w(j)) in row |w(j)|."""
     n = len(w.images)
     m = [[0] * n for _ in range(n)]
     for j, v in enumerate(w.images):
@@ -413,7 +417,7 @@ def naive_torus_classes(
     def conjugates(w: SignedPerm) -> set[SignedPerm]:
         out = set()
         for r in conj_mats:
-            prod = _matmul(_matmul(r, _perm_matrix(w)), r)
+            prod = _matmul(_matmul(r, perm_matrix(w)), r)
             if any(x.denominator != 1 for row in prod for x in row):
                 raise ValueError("reflection does not normalize the subsystem")
             y = _matrix_perm(prod)
@@ -438,7 +442,7 @@ def naive_torus_classes(
             [theta[i][j] + int(i == j) for j in range(rank)] for i in range(rank)
         ] + [
             [Fraction(m - int(i == j)) for j, m in enumerate(row)]
-            for i, row in enumerate(_perm_matrix(w))
+            for i, row in enumerate(perm_matrix(w))
         ]
         classes.append((frozenset(orbit), rank - _rank(stacked)))
     return frozenset(classes)
@@ -506,7 +510,15 @@ def _q(z: DyadicGauss) -> tuple[Fraction, Fraction]:
 
 
 def _from_q(v: tuple[Fraction, Fraction]) -> DyadicGauss:
-    return DyadicGauss(*(Dyadic(x.numerator) / Dyadic(x.denominator) for x in v))
+    """The Gaussian dyadic of two Fractions; ArithmeticError unless each
+    denominator is a power of two."""
+    parts = []
+    for x in v:
+        d = x.denominator
+        if d & (d - 1):
+            raise ArithmeticError(f"{x} is not a dyadic rational")
+        parts.append(Dyadic(x.numerator, 1 - d.bit_length()))
+    return DyadicGauss(*parts)
 
 
 def _qmul(a, b):
@@ -629,6 +641,18 @@ def closure_sweep(
         return out
 
     return closure([one], step), moves, lengths
+
+
+def reverse_closure_image(
+    ctx: TwistContext, top: SignedPerm
+) -> frozenset[SignedPerm]:
+    """The twisted involutions from which the monoid action reaches top, as
+    the generic closure of top under the sweep's moves taken backwards,
+    through an index of every element's sources."""
+    reverse: defaultdict[SignedPerm, list[SignedPerm]] = defaultdict(list)
+    for a, _, b in ctx._sweep[1]:
+        reverse[b].append(a)
+    return closure([top], reverse.__getitem__)
 
 
 def all_lines_torus_classes(theta) -> list[tuple[SignedPerm, int, int]]:

@@ -28,6 +28,7 @@ from oracle import (
     naive_galois_matrix,
     naive_inverse,
     naive_theta_matrix,
+    perm_matrix,
 )
 from support import cached_build, flip, perm, tr
 
@@ -392,7 +393,7 @@ def test_realizer_determinants_in_closed_form(family, params):
 
 def test_upq_theta_matrix_is_signature_conjugation():
     spec = cached_build("Upq", 2, 1)
-    m = ExactMatrix.from_rows(perm(2, 3, 1).matrix())
+    m = ExactMatrix.from_rows(perm_matrix(perm(2, 3, 1)))
     j = ExactMatrix.diagonal([1, 1, -1])
     assert theta_matrix(spec, m) == j * m * j
 

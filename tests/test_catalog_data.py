@@ -19,7 +19,8 @@ import korbits.catalog as catalog
 import korbits.cli as cli
 import korbits.weyl as weyl
 from korbits.catalog import GBL, HSPLIT, M3, build, verify_matrix_claims
-from korbits.dyadic import UCIRC, placed
+from korbits.dyadic import UCIRC, ExactMatrix, placed
+from korbits.tori import ThetaLattice
 from korbits.weyl import SignedPerm, identity
 from support import flip, tr
 
@@ -262,9 +263,14 @@ def test_builds_near_the_rank_cap_form_no_reflection(monkeypatch, family, params
         weyl, "_reflection", lambda term, rank: formed.append(term) or real(term, rank)
     )
     dense = []
-    real_matrix = SignedPerm.matrix
+    real_rows, real_entries = ThetaLattice.rows.func, ExactMatrix.entries.fget
     monkeypatch.setattr(
-        SignedPerm, "matrix", lambda w: dense.append(len(w)) or real_matrix(w)
+        ThetaLattice, "rows", property(lambda t: dense.append(t.rank) or real_rows(t))
+    )
+    monkeypatch.setattr(
+        ExactMatrix,
+        "entries",
+        property(lambda m: dense.append(m.nrows) or real_entries(m)),
     )
     spec = build(family, *params)
     assert spec.context._simple_theta

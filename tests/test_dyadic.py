@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from korbits.dyadic import (
     G0,
     G1,
     GI,
-    DivisionNotDyadic,
     Dyadic,
     DyadicGauss,
     ExactMatrix,
@@ -25,7 +25,7 @@ from korbits.dyadic import (
     placed,
 )
 from korbits.weyl import SignedPerm
-from oracle import _from_q, _q, naive_det, naive_inverse
+from oracle import _from_q, _q, naive_det, naive_inverse, perm_matrix
 from support import flip, tr
 
 dyadics = st.builds(
@@ -41,22 +41,13 @@ def test_dyadic_normalization():
     assert Dyadic(12, -2) == Dyadic(3, 0)
 
 
-def test_dyadic_division():
-    assert Dyadic(1) / Dyadic(1, 3) == Dyadic(1, -3)
-    assert Dyadic(6) / Dyadic(3) == Dyadic(2)
-    with pytest.raises(DivisionNotDyadic):
-        Dyadic(1) / Dyadic(3)
-    with pytest.raises(ZeroDivisionError):
-        Dyadic(1) / D0
-
-
 def test_dyadic_fraction_roundtrip():
     # the oracle's conversions through Fraction meet the dyadic normal form
     q = Fraction(-5, 8)
     z = _from_q((q, Fraction(3)))
     assert z == DyadicGauss(Dyadic(-5, -3), Dyadic(3))
     assert _q(z) == (q, Fraction(3))
-    with pytest.raises(DivisionNotDyadic):
+    with pytest.raises(ArithmeticError):
         _from_q((Fraction(1, 3), Fraction(0)))
 
 
@@ -78,13 +69,32 @@ def test_gauss_units():
         DyadicGauss.of(3).inverse()
 
 
-def test_gauss_inverse_and_division():
+def test_gauss_inverse():
     z = DyadicGauss.of(1, 1)
     assert z.inverse() == DyadicGauss(Dyadic(1, -1), Dyadic(-1, -1))
     assert z * z.inverse() == G1
-    assert z / z == G1
-    with pytest.raises(DivisionNotDyadic):
-        G1 / DyadicGauss.of(3)
+
+
+@given(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=-9, max_value=9),
+)
+def test_unit_inverse_matches_fractions(a, b, c):
+    # z = i^a (1+i)^b 2^c runs over the units of the Gaussian dyadics
+    z = DyadicGauss(Dyadic(1, c))
+    for factor in [GI] * a + [DyadicGauss.of(1, 1)] * b:
+        z = z * factor
+    x, y = _q(z)
+    n = x * x + y * y
+    assert z.inverse() == _from_q((x / n, -y / n))
+    assert z * z.inverse() == G1
+
+
+@pytest.mark.parametrize("z", [G0, DyadicGauss.of(3), DyadicGauss.of(1, 2)])
+def test_non_units_have_no_inverse(z):
+    with pytest.raises(NotAUnit, match=f"^{re.escape(str(z))} is not a unit$"):
+        z.inverse()
 
 
 @given(gausses, gausses)
@@ -164,19 +174,19 @@ def test_one_entry_blocks_are_read_off_their_entry(monkeypatch):
 
 def test_permutation_matrix_convention():
     # column j carries the sign in row w(j)
-    assert ExactMatrix.from_rows(tr(1, 2, 3).matrix()) == ExactMatrix.from_rows(
+    assert ExactMatrix.from_rows(perm_matrix(tr(1, 2, 3))) == ExactMatrix.from_rows(
         [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
     )
-    m = ExactMatrix.from_rows(flip((1,), 2).matrix())
+    m = ExactMatrix.from_rows(perm_matrix(flip((1,), 2)))
     assert m == ExactMatrix.from_rows([[-1, 0], [0, 1]])
 
 
 def test_permutation_matrix_multiplicative():
     w = SignedPerm((2, -3, 1))
     v = SignedPerm((-1, 3, 2))
-    assert ExactMatrix.from_rows((w * v).matrix()) == ExactMatrix.from_rows(
-        w.matrix()
-    ) * ExactMatrix.from_rows(v.matrix())
+    assert ExactMatrix.from_rows(perm_matrix(w * v)) == ExactMatrix.from_rows(
+        perm_matrix(w)
+    ) * ExactMatrix.from_rows(perm_matrix(v))
 
 
 _elementary = st.one_of(
@@ -201,7 +211,7 @@ def _elementary_matrix(kind) -> ExactMatrix:
         return ExactMatrix.from_rows(rows)
     if kind[0] == "diag":
         return ExactMatrix.diagonal([DyadicGauss.of(Dyadic(1, e)) for e in kind[1]])
-    return ExactMatrix.from_rows(SignedPerm(tuple(kind[1])).matrix())
+    return ExactMatrix.from_rows(perm_matrix(SignedPerm(tuple(kind[1]))))
 
 
 @given(st.lists(_elementary, min_size=1, max_size=5))
@@ -252,7 +262,7 @@ def _unit_det_matrices(draw, n=None, triangular=False):
     units = [G1, GI, DyadicGauss.of(1, 1), DyadicGauss.of(Dyadic(1, -2))]
     diag = draw(st.lists(st.sampled_from(units), min_size=n, max_size=n))
     images = draw(st.permutations(range(1, n + 1)))
-    perm = ExactMatrix.from_rows(SignedPerm(tuple(images)).matrix())
+    perm = ExactMatrix.from_rows(perm_matrix(SignedPerm(tuple(images))))
     if triangular:
         return ExactMatrix.diagonal(diag) * ExactMatrix.from_rows(upper)
     return (
@@ -394,7 +404,7 @@ def test_permuted_is_conjugation_by_the_signed_permutation_matrix(case):
     w, rows = case
     m = ExactMatrix.from_rows(rows)
     p = _perm_matrix(w)
-    assert p == ExactMatrix.from_rows(w.matrix())
+    assert p == ExactMatrix.from_rows(perm_matrix(w))
     assert _apply_map((w, False), m) == p * m * naive_inverse(p)
 
 
@@ -449,7 +459,7 @@ def test_conj_transpose():
 def test_diagonal_structure_to_weyl():
     struct = diagonal_structure(3)
     w = SignedPerm((2, 3, 1))
-    assert struct.to_weyl(ExactMatrix.from_rows(w.matrix())) == w
+    assert struct.to_weyl(ExactMatrix.from_rows(perm_matrix(w))) == w
     with pytest.raises(NotMonomial):
         struct.to_weyl(ExactMatrix.from_rows([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
@@ -458,7 +468,7 @@ def test_diagonal_structure_forms_no_product_with_the_identity(monkeypatch):
     # with no 2x2 block the diagonalizer is the identity: embed and to_weyl
     # form no product with it, and still refuse non-monomial matrices
     struct = diagonal_structure(3)
-    m = ExactMatrix.from_rows(SignedPerm((-3, 1, 2)).matrix())  # a sign is no flip
+    m = ExactMatrix.from_rows(perm_matrix(SignedPerm((-3, 1, 2))))  # a sign is no flip
     point = ExactMatrix.diagonal(struct.sample_point())
     products = []
     multiply = ExactMatrix.__mul__

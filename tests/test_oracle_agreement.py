@@ -66,6 +66,7 @@ from oracle import (
     naive_twisted,
     psi0,
     reachable_set,
+    reverse_closure_image,
 )
 from support import (
     assert_root_lines_match_dense,
@@ -249,6 +250,27 @@ def test_sweep_matches_closure_sweep(case):
     assert len(ctx._sweep[1]) == len(moves)
     assert set(ctx._sweep[1]) == set(moves)
     assert involution_lengths(ctx) == lengths
+
+
+@pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
+def test_moves_come_by_source_length(case):
+    """What the reverse pass of ``image_set`` relies on: along the sweep's
+    moves the source lengths never decrease, and every target is longer
+    than its source."""
+    ctx = cached_build(case[0], *case[1]).context
+    lengths = involution_lengths(ctx)
+    last = 0
+    for a, _, b in ctx._sweep[1]:
+        assert lengths[a] >= last
+        assert lengths[b] > lengths[a]
+        last = lengths[a]
+
+
+@pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
+def test_image_matches_reverse_closure(case):
+    spec = cached_build(case[0], *case[1])
+    top = a_max(spec)
+    assert image_set(spec.context, top) == reverse_closure_image(spec.context, top)
 
 
 @pytest.mark.parametrize("case", SMALL, ids=_instance_id)

@@ -1,6 +1,8 @@
 """``scripts/paired_bench.py`` on canned run results: no subprocess, no
 timing.  The summary counts the runs of each side that reported
-``correct: false`` or ``failed > 0``, and the exit status is 1 if any did."""
+``correct: false`` or ``failed > 0``, prints each metric's bound and marks
+a metric whose median got worse by more than bound x the parent's median;
+the exit status is 1 if any run failed or any metric is marked."""
 
 import json
 import sys
@@ -11,15 +13,18 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import paired_bench  # noqa: E402
 
-METRICS = [{"name": "run_s", "better": "lower"}, {"name": "peak_rss_mib", "better": "lower"}]
+METRICS = [
+    {"name": "run_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+]
 
 
-def _result(run_s, correct=True, failed=0):
+def _result(run_s, correct=True, failed=0, peak_rss_mib=20.0):
     return {
         "correct": correct,
         "failed": failed,
         "attempted": 10,
-        "metrics": {"run_s": {"value": run_s}, "peak_rss_mib": {"value": 20.0}},
+        "metrics": {"run_s": {"value": run_s}, "peak_rss_mib": {"value": peak_rss_mib}},
     }
 
 
@@ -88,3 +93,48 @@ def test_failed_or_incorrect_runs_exit_1(monkeypatch, checkouts, capsys, bad_par
     assert sum(" failed " in line and "correct=" in line for line in lines) == (
         parent_bad + change_bad
     )
+
+
+def _metric_line(out, name):
+    (line,) = [line for line in out.splitlines() if line.startswith(f"  {name}: ")]
+    return line
+
+
+@pytest.mark.parametrize(
+    "change_run_s,marked",
+    [(0.09, False), (0.12, False), (0.13, True), (0.20, True)],
+)
+def test_worse_beyond_bound_is_marked_and_exits_1(
+    monkeypatch, checkouts, capsys, change_run_s, marked
+):
+    # the parent's median is 0.10 and run_s's bound 0.25: the change may be
+    # up to 0.125 and is marked past it
+    results = {
+        "parent": [_result(0.10), _result(0.10), _result(0.10)],
+        "change": [_result(change_run_s)] * 3,
+    }
+    code, _ = _main(monkeypatch, checkouts, results, 3)
+    out = capsys.readouterr().out
+    assert code == (1 if marked else 0)
+    line = _metric_line(out, "run_s")
+    assert "(lower is better), bound 0.25" in line
+    assert line.endswith(", worse beyond bound") == marked
+    assert _metric_line(out, "peak_rss_mib").endswith("(lower is better), bound 0.1")
+
+
+@pytest.mark.parametrize("change_value,marked", [(95.0, False), (89.0, True), (120.0, False)])
+def test_higher_is_better_is_marked_when_it_falls(
+    monkeypatch, checkouts, capsys, change_value, marked
+):
+    # peak_rss_mib stands in for a metric where higher is better, bound 0.1
+    parent, _ = checkouts
+    metrics = [METRICS[0], {"name": "peak_rss_mib", "better": "higher", "bound": 0.1}]
+    (parent / "BENCHMARK.json").write_text(json.dumps({"end_to_end": metrics}))
+    results = {
+        "parent": [_result(0.10, peak_rss_mib=100.0)] * 2,
+        "change": [_result(0.10, peak_rss_mib=change_value)] * 2,
+    }
+    code, _ = _main(monkeypatch, checkouts, results, 2)
+    line = _metric_line(capsys.readouterr().out, "peak_rss_mib")
+    assert code == (1 if marked else 0)
+    assert line.endswith(", worse beyond bound") == marked

@@ -51,9 +51,6 @@ ALLOWED = {
     # the lattice involution as dense rows: perfbench's checks read
     # spec.lattice.rows, and so do the dense references in tests/oracle.py
     "tori.ThetaLattice.rows",
-    # the dense matrix of a signed permutation: the reference that
-    # test_dyadic.py, test_weyl.py and test_catalog.py compare against
-    "weyl.SignedPerm.matrix",
     # the dense rows of a matrix: perfbench's checks read them (_matrix), and
     # so do the references in tests/oracle.py and test_dyadic.py
     "dyadic.ExactMatrix.entries",

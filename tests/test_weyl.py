@@ -36,6 +36,7 @@ from oracle import (
     naive_cycle_string,
     naive_length,
     naive_subgroup,
+    perm_matrix,
 )
 from support import canon_blocks, conjugations, flip, perm, sorted_elements, tr
 
@@ -101,7 +102,7 @@ def test_composition_convention(w, v, j):
 @given(signed_perms())
 def test_apply_on_vectors(w):
     # column j of the matrix is the image of e_j
-    m = w.matrix()
+    m = perm_matrix(w)
     for j in range(1, 5):
         img = tuple(row[j - 1] for row in m)
         k = _act(w, j)
@@ -540,7 +541,7 @@ def test_conjugacy_classes_restricted_conjugators():
 
 def test_matrix_convention():
     w = SignedPerm((3, -1, 2))
-    m = w.matrix()
+    m = perm_matrix(w)
     for j in range(1, 4):
         img = _act(w, j)
         assert m[abs(img) - 1][j - 1] == (1 if img > 0 else -1)
