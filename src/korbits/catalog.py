@@ -36,7 +36,6 @@ raise ``MissingWkData`` from the coset-based entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -103,9 +102,9 @@ class TorusIndexOutOfRange(IndexError):
     """Raised for a torus index outside the family's descriptor list."""
 
 
-@dataclass(frozen=True)
 class TorusDescriptor:
-    """One known class of stable maximal tori inside a family.
+    """One known class of stable maximal tori inside a family, compared and
+    hashed by identity.
 
     ``wk`` builds the generators of the little Weyl group, None when no
     closed form is known; ``wk_generators`` is their tuple, built on first
@@ -114,13 +113,20 @@ class TorusDescriptor:
     inside the size x size identity; None when no realizer is known.
     ``matrix`` is that matrix, built on first read."""
 
-    index: int
-    twist_class: SignedPerm
-    wk: Callable[[], tuple[SignedPerm, ...]] | None = None
-    galois_conj: SignedPerm | None = None
-    galois_left: SignedPerm | None = None
-    galois_right: SignedPerm | None = None
-    realizer: tuple[int, ExactMatrix, tuple[tuple[int, ...], ...]] | None = None
+    def __init__(
+        self, index: int, twist_class: SignedPerm,
+        wk: Callable[[], tuple[SignedPerm, ...]] | None = None,
+        galois_conj: SignedPerm | None = None, galois_left: SignedPerm | None = None,
+        galois_right: SignedPerm | None = None,
+        realizer: tuple[int, ExactMatrix, tuple[tuple[int, ...], ...]] | None = None,
+    ) -> None:
+        self.index = index
+        self.twist_class = twist_class
+        self.wk = wk
+        self.galois_conj = galois_conj
+        self.galois_left = galois_left
+        self.galois_right = galois_right
+        self.realizer = realizer
 
     @cached_property
     def wk_generators(self) -> tuple[SignedPerm, ...] | None:
@@ -134,24 +140,31 @@ class TorusDescriptor:
         return placed(size, [(idx, block) for idx in places])
 
 
-@dataclass(frozen=True)
 class GroupSpec:
-    """A symmetric pair with its complete orbit bookkeeping data.
+    """A symmetric pair with its complete orbit bookkeeping data, compared
+    and hashed by identity.
 
     ``theta_map`` and ``galois_map`` are (P, invert): m -> P f(m) P^-1 for a
     signed permutation P (None for e), with f the inverse transpose if
     ``invert``, else the identity; Galois maps the conjugate (i -> -i) of m."""
 
-    family: str
-    params: tuple[int, ...]
-    name: str
-    context: TwistContext
-    lattice: ThetaLattice
-    tori: tuple[TorusDescriptor, ...]
-    reference_orbit: tuple[int, SignedPerm]
-    torus_structure: TorusStructure
-    theta_map: tuple[SignedPerm | None, bool]
-    galois_map: tuple[SignedPerm | None, bool]
+    def __init__(
+        self, family: str, params: tuple[int, ...], name: str, context: TwistContext,
+        lattice: ThetaLattice, tori: tuple[TorusDescriptor, ...],
+        reference_orbit: tuple[int, SignedPerm], torus_structure: TorusStructure,
+        theta_map: tuple[SignedPerm | None, bool],
+        galois_map: tuple[SignedPerm | None, bool],
+    ) -> None:
+        self.family = family
+        self.params = params
+        self.name = name
+        self.context = context
+        self.lattice = lattice
+        self.tori = tori
+        self.reference_orbit = reference_orbit
+        self.torus_structure = torus_structure
+        self.theta_map = theta_map
+        self.galois_map = galois_map
 
     def descriptor(self, i: int) -> TorusDescriptor:
         if not 0 <= i < len(self.tori):
@@ -667,19 +680,18 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
     """Four claims per torus realizer g: det g is a unit, g^-1 theta(g)
     (theta(g) = g for SL2n) and g^-1 Galois(g) give the twist class, and g
     conjugates the diagonal torus into the block shape of the descriptor's
-    pairs: U^-1 g D g^-1 U = D for the diagonal sample point D, with U the
-    diagonalizer (UCIRC for GL and SL2n, UHYP for U(p,q)) placed on the
-    pairs."""
+    pairs: U^-1 g D g^-1 U = D for a diagonal D with pairwise distinct
+    entries, with U the diagonalizer (UCIRC for GL and SL2n, UHYP for
+    U(p,q)) placed on the pairs.  X = U^-1 g then commutes with D, which
+    holds exactly when X is diagonal, so the claim takes one product."""
     diag = spec.torus_structure  # the diagonal torus in these families
-    point = ExactMatrix.diagonal(diag.sample_point())
+    block = UHYP if spec.family == "Upq" else UCIRC
+    block_inv = block.inverse()
     for desc in spec.tori:
         g, g_inv = desc.matrix, cache(desc.matrix.inverse)
         i = desc.index
         pairs = desc.realizer[2]
-        if spec.family == "Upq":
-            block, expect = UHYP, f" (expect a unit, 2^{len(pairs)})"
-        else:
-            block, expect = UCIRC, ""
+        expect = f" (expect a unit, 2^{len(pairs)})" if spec.family == "Upq" else ""
 
         def det_unit(g=g, expect=expect):
             d = g.det()
@@ -710,10 +722,12 @@ def _verify_tori(spec: GroupSpec, claims: list[ClaimResult]) -> None:
 
         _run_claim(claims, f"torus-{i}-galois-cocycle", galois_cocycle)
 
-        u = placed(diag.size, [(pair, block) for pair in pairs])
+        u_inv = placed(diag.size, [(pair, block_inv) for pair in pairs])
 
-        def shape(g=g, g_inv=g_inv, u=u):
-            return g * point * g_inv() * u == u * point, ""
+        def shape(g=g, g_inv=g_inv, u_inv=u_inv):
+            g_inv()  # a realizer that is not a unit fails here
+            x = u_inv * g
+            return all(row.keys() <= {r} for r, row in enumerate(x.rows)), ""
 
         _run_claim(claims, f"torus-{i}-conjugate-shape", shape)
 

@@ -382,7 +382,6 @@ UCIRC = ExactMatrix.from_rows([[1, 1], [GI, -GI]])
 UHYP = ExactMatrix.from_rows([[1, 1], [1, -1]])
 
 
-@dataclass(frozen=True)
 class TorusStructure:
     """How a torus sits inside size x size matrices, size = len(labels).
 
@@ -391,14 +390,18 @@ class TorusStructure:
     the constant 1 when it is 0; ``rank`` is the largest |label|.
     ``blocks`` lists the 2x2 blocks of U as ((r1, r2), UCIRC or UHYP) at
     1-based indices, U being the identity elsewhere; UCIRC diagonalizes
-    (a b; -b a) blocks and UHYP (a c; c a) blocks.
+    (a b; -b a) blocks and UHYP (a c; c a) blocks.  Structures are
+    compared and hashed by identity.
     """
 
-    labels: tuple[int, ...]
-    blocks: tuple[tuple[tuple[int, int], ExactMatrix], ...] = ()
-
-    def __post_init__(self) -> None:
-        used = [r for idx, _ in self.blocks for r in idx]
+    def __init__(
+        self,
+        labels: tuple[int, ...],
+        blocks: tuple[tuple[tuple[int, int], ExactMatrix], ...] = (),
+    ) -> None:
+        self.labels = labels
+        self.blocks = blocks
+        used = [r for idx, _ in blocks for r in idx]
         if len(set(used)) != len(used) or not set(used) <= set(range(1, self.size + 1)):
             raise ValueError(f"blocks overlap or leave 1..{self.size}: {used}")
 

@@ -35,7 +35,6 @@ trace as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -94,18 +93,16 @@ def _trace(w: SignedPerm) -> int:
     return sum((v == j) - (v == -j) for j, v in enumerate(w, start=1))
 
 
-@dataclass(frozen=True)
 class ThetaLattice:
     """Involution on the lattice of the split reference torus, as the signed
-    permutation theta of its coordinates."""
+    permutation theta of its coordinates; compared and hashed by identity."""
 
-    group: WeylGroup
-    theta: SignedPerm
-
-    def __post_init__(self) -> None:
-        if len(self.theta) != self.group.rank:
+    def __init__(self, group: WeylGroup, theta: SignedPerm) -> None:
+        self.group = group
+        self.theta = theta
+        if len(theta) != group.rank:
             raise ValueError("lattice involution must have the group's rank")
-        if not (self.theta * self.theta).is_identity():
+        if not (theta * theta).is_identity():
             raise ValueError("lattice map is not an involution")
 
     @cached_property

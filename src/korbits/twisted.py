@@ -51,7 +51,6 @@ product in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -80,28 +79,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class TwistContext:
-    """Group with a conjugation twist and a base translation element."""
+    """Group with a conjugation twist and a base translation element,
+    compared and hashed by identity."""
 
-    group: WeylGroup
-    twist: SignedPerm
-    base: SignedPerm
-
-    def __post_init__(self) -> None:
-        if not self.group.contains(self.base):
+    def __init__(self, group: WeylGroup, twist: SignedPerm, base: SignedPerm) -> None:
+        self.group = group
+        self.twist = twist
+        self.base = base
+        self._twist_inverse = twist.inverse()
+        #: t^-1 c as a lookup, for each torus class element c asked for.
+        self._class_lookups: dict[SignedPerm, tuple[int, ...]] = {}
+        if not group.contains(base):
             raise ValueError("base element must lie in the group")
-        if not (self.theta_raw(self.base) * self.base).is_identity():
+        if not (self.theta_raw(base) * base).is_identity():
             raise ValueError("twist of the base times the base must be e")
-        self._simple_theta  # raises unless theta permutes the simple reflections
+        self._simple_theta = self._theta_on_simples()
 
     def theta_raw(self, w: SignedPerm) -> SignedPerm:
         """``t * w * t^-1``."""
         return self.twist * w * self._twist_inverse
-
-    @cached_property
-    def _twist_inverse(self) -> SignedPerm:
-        return self.twist.inverse()
 
     @cached_property
     def _twist_lookup(self) -> tuple[int, ...]:
@@ -113,16 +110,11 @@ class TwistContext:
         u = self._twist_inverse * self.base
         return _lookup(u), list(u)
 
-    @cached_property
-    def _class_lookups(self) -> dict[SignedPerm, tuple[int, ...]]:
-        """t^-1 c as a lookup, for each torus class element c asked for."""
-        return {}
-
-    @cached_property
-    def _simple_theta(self) -> tuple[int, ...]:
-        """The index of theta(s) for each simple reflection s, in order.
-        theta is conjugation by g = b^-1 t, so theta(s) is the reflection in
-        the root g(alpha_s), looked up among the simple roots."""
+    def _theta_on_simples(self) -> tuple[int, ...]:
+        """The index of theta(s) for each simple reflection s, in order;
+        raises unless theta permutes the simple reflections.  theta is
+        conjugation by g = b^-1 t, so theta(s) is the reflection in the root
+        g(alpha_s), looked up among the simple roots."""
         terms = self.group._simple_terms
         index = {term: k for k, term in enumerate(terms)}
         g = self.base.inverse() * self.twist

@@ -49,7 +49,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -238,42 +237,34 @@ def _reflection(term: Term, rank: int) -> SignedPerm:
     return _signed_perm(out)
 
 
-@dataclass(frozen=True)
 class WeylGroup:
     """One of the classical signed-permutation groups used downstream.
 
     ``kind`` is "A" (plain permutations), "B" (all signed permutations),
     "D" (even number of sign flips) or "AxA" (block-preserving permutations
     of rank 2r, no signs); ``_KINDS`` holds each as (blocks, sign rule).
-    A group past ``RANK_CAP`` is refused on construction.
+    A group past ``RANK_CAP`` is refused on construction.  Groups are
+    compared and hashed by identity.
     """
 
-    kind: str
-    rank: int
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.rank > RANK_CAP:
+    def __init__(self, kind: str, rank: int, name: str = "") -> None:
+        self.kind = kind
+        self.rank = rank
+        self.name = name
+        if kind not in _KINDS:
+            raise ValueError(f"unknown kind {kind!r}")
+        if rank > RANK_CAP:
             raise SubgroupTooLarge(
-                f"rank of {self.describe()} = {self.rank} exceeds cap {RANK_CAP}"
+                f"rank of {self.describe()} = {rank} exceeds cap {RANK_CAP}"
             )
-        blocks = _KINDS[self.kind][0]
-        if self.rank % blocks:
-            raise ValueError(f"{self.kind} groups need a rank divisible by {blocks}")
-
-    @cached_property
-    def _blocks(self) -> tuple[range, ...]:
-        """The runs of coordinates (0-based) that the group permutes."""
-        blocks = _KINDS[self.kind][0]
-        r = self.rank // blocks
-        return tuple(range(b * r, (b + 1) * r) for b in range(blocks))
-
-    @cached_property
-    def _allows(self) -> Callable[[int], bool]:
-        """Whether the group has elements with the given number of sign changes."""
-        return _SIGN_RULES[_KINDS[self.kind][1]]
+        blocks, rule = _KINDS[kind]
+        if rank % blocks:
+            raise ValueError(f"{kind} groups need a rank divisible by {blocks}")
+        r = rank // blocks
+        #: The runs of coordinates (0-based) that the group permutes.
+        self._blocks = tuple(range(b * r, (b + 1) * r) for b in range(blocks))
+        #: Whether the group has elements with the given number of sign changes.
+        self._allows = _SIGN_RULES[rule]
 
     # -- membership and sizes -------------------------------------------
 

@@ -1,7 +1,8 @@
-"""Shared scraps for the test suite: a build cache, literal constructors, the
-oracle's elements of a group in canonical order, their partition by a
-coset table, the conjugation maps of a generator list, and the comparison of
-a lattice's root lines with the oracle's dense roots.
+"""Shared scraps for the test suite: a build cache, a fresh rebuild with
+changed arguments, literal constructors, the oracle's elements of a group in
+canonical order, their partition by a coset table, the conjugation maps of a
+generator list, and the comparison of a lattice's root lines with the
+oracle's dense roots.
 
 The literal constructors build expected values straight from image tuples so
 that frozen expectations do not round-trip through the library's own helpers.
@@ -10,6 +11,7 @@ that frozen expectations do not round-trip through the library's own helpers.
 from __future__ import annotations
 
 import functools
+import inspect
 from collections import defaultdict
 
 from korbits.catalog import build
@@ -27,6 +29,14 @@ from oracle import (
 @functools.lru_cache(maxsize=None)
 def cached_build(family: str, *params: int):
     return build(family, *params)
+
+
+def rebuilt(obj, **changes):
+    """A new ``type(obj)``, built through its constructor from ``obj``'s
+    value of every constructor parameter with ``changes`` applied, so that
+    nothing ``obj`` computed on first read comes along."""
+    names = inspect.signature(type(obj)).parameters
+    return type(obj)(**{name: getattr(obj, name) for name in names} | changes)
 
 
 def perm(*images: int) -> SignedPerm:

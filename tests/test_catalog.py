@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -30,7 +29,7 @@ from oracle import (
     naive_theta_matrix,
     perm_matrix,
 )
-from support import cached_build, flip, perm, tr
+from support import cached_build, flip, perm, rebuilt, tr
 
 SMALL = [
     ("GL", (3,)),
@@ -427,7 +426,7 @@ def test_verify_eliminates_at_most_three_rows_at_a_time(family, params, monkeypa
 def _invert_flipped(field):
     def corrupt(spec):
         perm, invert = getattr(spec, field)
-        return replace(spec, **{field: (perm, not invert)})
+        return rebuilt(spec, **{field: (perm, not invert)})
 
     return corrupt
 
@@ -438,22 +437,22 @@ def _realizer_block(rows):
         tori = tuple(
             d
             if d.realizer is None
-            else replace(d, realizer=(d.realizer[0], block, d.realizer[2]))
+            else rebuilt(d, realizer=(d.realizer[0], block, d.realizer[2]))
             for d in spec.tori
         )
-        return replace(spec, tori=tori)
+        return rebuilt(spec, tori=tori)
 
     return corrupt
 
 
 def _gl3_theta_times_flip(spec):
-    return replace(spec, theta_map=(flip((1,), 3), True))
+    return rebuilt(spec, theta_map=(flip((1,), 3), True))
 
 
 def _styles_swapped(spec):
     struct = spec.torus_structure
     blocks = tuple((idx, UHYP if u == UCIRC else UCIRC) for idx, u in struct.blocks)
-    return replace(spec, torus_structure=replace(struct, blocks=blocks))
+    return rebuilt(spec, torus_structure=rebuilt(struct, blocks=blocks))
 
 
 _HYP = [[1, 1], [1, -1]]
@@ -506,11 +505,17 @@ CORRUPTED = [
 ]
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("family,params,corrupt,failing", CORRUPTED)
-def test_verify_fails_exactly_the_corrupted_claims(family, params, corrupt, failing):
+def test_verify_fails_exactly_the_corrupted_claims(family, params, corrupt, failing, warm):
+    """A corrupted spec fails exactly the listed claims, also when the spec
+    it was built from has been verified first (``warm``), so that whatever
+    the source computed on its first read is not carried into the copy."""
     spec = build(family, *params)
-    names = [c.name for c in verify_matrix_claims(spec)]
+    if warm:
+        assert all(c.ok for c in verify_matrix_claims(spec))
     claims = verify_matrix_claims(corrupt(spec))
+    names = [c.name for c in verify_matrix_claims(build(family, *params))]
     assert [c.name for c in claims] == names
     assert {c.name for c in claims if not c.ok} == failing
 

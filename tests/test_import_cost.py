@@ -25,7 +25,7 @@ def test_one_import_splits_into_counted_parts():
     rest = float(re.search(r"\+ rest (-?[\d.]+) ms$", line).group(1))
     assert {name: part[1:] for name, part in parts.items()} == {
         "compile": (8, "modules"),
-        "dataclasses": (9, "classes"),
+        "dataclasses": (3, "classes"),
         "namedtuples": (7, "classes"),
     }
     # each printed figure is rounded to 0.1 ms
