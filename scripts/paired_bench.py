@@ -29,10 +29,10 @@ import sys
 from pathlib import Path
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     """The result object that one run prints on its last line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload]
-    argv += ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    argv += ["--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: run.py exited {proc.returncode}\n{proc.stderr}")

@@ -26,7 +26,11 @@ off their signs; s a differs from a only at |x| and |y|, and s a theta(s)
 from s a only at theta(s)'s two coordinates.  The middle case holds
 exactly when a^-1 s a = theta(s), that is, when a^-1(alpha_s) =
 +-alpha_theta(s), which compares x and y with theta(s)'s root.  So a move
-edits at most four entries of a, and its kind gives the length.
+edits at most four entries of a, and its kind gives the length.  A move
+gives its target's images as a plain tuple, and the sweep builds a
+``SignedPerm`` only for a target it has not found before: each twisted
+involution is built once, and every move, level and length entry shares
+that one object.
 
 A context computes the closure of e once, as a sweep by length: level L
 holds the twisted involutions of length L, and a level is swept only after
@@ -46,7 +50,9 @@ move out of b comes before every move into b.
 The Springer value of a parameter (c, w) is (t w t^-1)^-1 c w b =
 t w^-1 (t^-1 c) w b: ``springer_value`` reads each of its images off w and
 through lookups of t, w^-1 and t^-1 c, the last formed once per c, with no
-product in between.
+product in between.  A context keeps the values found so far, by their
+images: each value is built and checked once and then shared by every
+parameter that has it, and a value that fails the check is never kept.
 """
 
 from __future__ import annotations
@@ -90,6 +96,8 @@ class TwistContext:
         self._twist_inverse = twist.inverse()
         #: t^-1 c as a lookup, for each torus class element c asked for.
         self._class_lookups: dict[SignedPerm, tuple[int, ...]] = {}
+        #: Each Springer value built so far, by its images.
+        self._springer_values: dict[SignedPerm, SignedPerm] = {}
         if not group.contains(base):
             raise ValueError("base element must lie in the group")
         if not (self.theta_raw(base) * base).is_identity():
@@ -166,28 +174,35 @@ class TwistContext:
         The sweep runs level by level.  A move (a, idx, b) sets bit idx of
         b's descent mask, and every move into b comes from a shorter
         element, so b's mask is complete when b's level is reached and
-        ``_star`` is called only for b's ascents."""
+        ``_star`` is called only for b's ascents.  ``_star`` gives a
+        target's images as a plain tuple, looked up among the elements
+        found so far: only a new target is built as a ``SignedPerm``, and
+        every move, level and length entry shares that one object."""
         self.group.check_enumerable()
         one = self.group.identity()
         moves: list[Move] = []
         lengths = {one: 0}
-        descents = {one: 0}
+        # Each element found, by its images: [the element, its descent mask].
+        found = {one: [one, 0]}
         levels: list[list[SignedPerm]] = [[one]]
         rows = tuple((idx, 1 << idx, row) for idx, row in enumerate(self._star_rows, 1))
-        star, record, cap = _star, moves.append, SUBGROUP_CAP
+        star, record, build, cap = _star, moves.append, _signed_perm, SUBGROUP_CAP
         for length, level in enumerate(levels):  # levels grows as it is swept
             for a in level:
-                mask = descents.pop(a)
+                mask = found[a][1]
                 for idx, bit, row in rows:
                     if mask & bit:
                         continue
-                    b, gain = star(row, a)
+                    images, gain = star(row, a)
                     if gain:
-                        record((a, idx, b))
-                        if b in descents:
-                            descents[b] |= bit
+                        entry = found.get(images)
+                        if entry is not None:
+                            entry[1] |= bit
+                            record((a, idx, entry[0]))
                             continue
-                        descents[b] = bit
+                        b = build(images)
+                        found[b] = [b, bit]
+                        record((a, idx, b))
                         lengths[b] = length + gain
                         while len(levels) <= length + gain:
                             levels.append([])
@@ -197,10 +212,11 @@ class TwistContext:
         return frozenset(lengths), tuple(moves), lengths, levels
 
 
-def _star(row: StarRow, a: SignedPerm) -> tuple[SignedPerm, int]:
+def _star(row: StarRow, a: SignedPerm) -> tuple[tuple[int, ...], int]:
     """s * a for the simple reflection s of ``row``, with l(s * a) - l(a):
     (a, 0) when a^-1(alpha_s) < 0, (s a, 1) when a^-1(alpha_s) =
-    +-alpha_theta(s), else (s a theta(s), 2)."""
+    +-alpha_theta(s), else (s a theta(s), 2).  A moved element comes as
+    its images in a plain tuple; the caller builds or finds the element."""
     k, l, c, sk, sl, p, q, d, tp, tq = row
     # a^-1(e_k) = sign(x) e_|x| for the signed position x of +-k in a.
     x = a.index(k) + 1 if k in a else -a.index(-k) - 1
@@ -217,13 +233,13 @@ def _star(row: StarRow, a: SignedPerm) -> tuple[SignedPerm, int]:
     # a^-1(alpha_s) = +-(e_p + d e_q): same coordinates, same ratio.
     same_sign = (x > 0) == (y > 0)
     if (X == p and Y == q or X == q and Y == p) and same_sign == (c == d):
-        return _signed_perm(b), 1
+        return tuple(b), 1
     # (s a theta(s))(e_p) = s a(theta(s)(e_p)), and likewise at q.
     b[p - 1], b[q - 1] = (
         b[tp - 1] if tp > 0 else -b[-tp - 1],
         b[tq - 1] if tq > 0 else -b[-tq - 1],
     )
-    return _signed_perm(b), 2
+    return tuple(b), 2
 
 
 def _lookup(w: SignedPerm) -> tuple[int, ...]:
@@ -286,6 +302,9 @@ def springer_value(
     through lookups of t, w^-1 and d and straight off w's images, with no
     product in between.  The value is always a twisted involution for the
     context, checked by ``is_twisted_involution`` as v u v = u for u = t^-1 b.
+    Each value is built and checked once per context: the images are looked
+    up among the values found so far, and one seen before comes back as the
+    same object.  A value that fails the check is never stored.
     """
     d = ctx._class_lookups.get(torus_element)
     if d is None:
@@ -295,11 +314,15 @@ def springer_value(
     t, back = ctx._twist_lookup, [0] * (2 * len(w) + 1)
     for j, x in enumerate(w, start=1):  # w(j) = x, so w^-1(x) = j
         back[x], back[-x] = j, -j
-    value = _signed_perm(
+    images = tuple(
         [t[back[d[w[x - 1] if x > 0 else -w[-x - 1]]]] for x in ctx.base]
     )
-    if not is_twisted_involution(ctx, value):
-        raise ValueError(f"value {value} is not a twisted involution")
+    value = ctx._springer_values.get(images)
+    if value is None:
+        value = _signed_perm(images)
+        if not is_twisted_involution(ctx, value):
+            raise ValueError(f"value {value} is not a twisted involution")
+        ctx._springer_values[value] = value
     return value
 
 

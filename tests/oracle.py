@@ -597,11 +597,12 @@ def rational_parameters(spec: GroupSpec, i: int) -> tuple[SignedPerm, ...]:
 
 def monoid_star(ctx: TwistContext, s: SignedPerm, a: SignedPerm) -> SignedPerm:
     """The package's monoid move s * a, named by the simple reflection s
-    rather than by its row of the context's move table."""
+    rather than by its row of the context's move table; the images the
+    move gives are validated as a ``SignedPerm``."""
     simples = ctx.group.simple_reflections()
     if s not in simples:
         raise ValueError(f"{s} is not a simple reflection")
-    return _star(ctx._star_rows[simples.index(s)], a)[0]
+    return SignedPerm(_star(ctx._star_rows[simples.index(s)], a)[0])
 
 
 def reachable_set(ctx: TwistContext, a: SignedPerm) -> frozenset[SignedPerm]:
@@ -633,8 +634,9 @@ def closure_sweep(
     def step(a: SignedPerm) -> list[SignedPerm]:
         out = []
         for idx, row in rows:
-            b, gain = _star(row, a)
+            images, gain = _star(row, a)
             if gain:
+                b = SignedPerm(images)
                 moves.append((a, idx, b))
                 lengths[b] = lengths[a] + gain
                 out.append(b)

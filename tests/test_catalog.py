@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+import korbits.catalog
 import korbits.dyadic as dyadic
+import korbits.twisted
 from korbits.catalog import (
     FAMILIES,
     InvalidParams,
@@ -266,6 +268,31 @@ def test_orbit_parameter_values_match_springer():
             assert springer(spec, p.torus_index, p.rep) == p.value
             assert is_twisted_involution(spec.context, p.value)
             assert spec.group.length(p.rep) == p.length
+
+
+def test_each_springer_value_built_and_checked_once(monkeypatch):
+    """U(4,3)'s 665 parameters have 232 distinct values: each is checked
+    once and shared by every parameter that has it, while ``springer``, the
+    traced entry point, still runs once per parameter."""
+    calls = {"springer": 0, "is_twisted_involution": 0}
+    for module, name in [
+        (korbits.catalog, "springer"),
+        (korbits.twisted, "is_twisted_involution"),
+    ]:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    params = orbit_parameters(build("Upq", 4, 3))
+    assert len(params) == 665
+    assert calls == {"springer": 665, "is_twisted_involution": 232}
+    shared = {}
+    for p in params:
+        assert shared.setdefault(p.value, p.value) is p.value
+    assert len(shared) == 232
 
 
 def test_missing_wk_data():

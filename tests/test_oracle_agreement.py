@@ -241,6 +241,38 @@ def test_sweep_tries_only_ascents(case, no_enumeration, monkeypatch):
 
 
 @pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
+def test_sweep_builds_only_new_targets(case, no_enumeration, monkeypatch):
+    """The sweep builds an element only for a move target not found before:
+    |I| - 1 of them, the identity coming from the group."""
+    calls = 0
+    signed_perm = korbits.twisted._signed_perm
+
+    def counted(images):
+        nonlocal calls
+        calls += 1
+        return signed_perm(images)
+
+    monkeypatch.setattr(korbits.twisted, "_signed_perm", counted)
+    ctx = build(case[0], *case[1]).context
+    calls = 0  # the sweep's alone
+    involutions = ctx._sweep[0]
+    assert calls == len(involutions) - 1
+
+
+@pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
+def test_sweep_shares_one_object_per_involution(case):
+    """Every move, length entry and member of the set holds the very object
+    its level lists."""
+    ctx = cached_build(case[0], *case[1]).context
+    listed = {w: w for level in involution_levels(ctx) for w in level}
+    involutions, moves, lengths, _ = ctx._sweep
+    for a, _, b in moves:
+        assert a is listed[a] and b is listed[b]
+    assert all(w is listed[w] for w in lengths)
+    assert all(w is listed[w] for w in involutions)
+
+
+@pytest.mark.parametrize("case", CENSUS, ids=_instance_id)
 def test_sweep_matches_closure_sweep(case):
     """The sweep by length records the moves and lengths of the closure that
     tries every simple reflection on every element."""

@@ -160,9 +160,10 @@ def test_springer_value_rejects_non_involution_values():
     ],
 )
 def test_springer_value_refusals_match_oracle(torus_element, inside, message):
-    # the twist of CTX3 is central, so at w = e the value is c b
+    # the twist of CTX3 is central, so at w = e the value is c b; a refused
+    # value is never stored, so a second call refuses it alike
     assert CTX3.group.contains(torus_element * CTX3.base) is inside
-    for route in (springer_value, naive_springer_value):
+    for route in (springer_value, springer_value, naive_springer_value):
         with pytest.raises(ValueError) as err:
             route(CTX3, torus_element, identity(3))
         assert str(err.value) == message
